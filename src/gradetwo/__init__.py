@@ -8,6 +8,15 @@ form (z u).n = h and the trace form z = h on the inflow portion of the
 boundary.
 """
 
+import os as _os
+
+# GRADE2_THREADS caps the linear algebra thread pools, which are sized when
+# numpy loads: set the variables before any submodule imports it
+if _os.environ.get("GRADE2_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ[_var] = _os.environ["GRADE2_THREADS"]
+
 from .driver import (
     IterationReport,
     ProblemSpec,
@@ -43,6 +52,7 @@ from .spaces import Field, SpaceDescriptor, Spaces, build_spaces, interpolate, n
 from .stokes import (
     SaddleSystem,
     assemble_generalized_stokes,
+    prepare_generalized_stokes,
     solve_generalized_stokes,
     stokes_energy_report,
 )
@@ -68,7 +78,8 @@ __all__ = [
     "build_spaces", "classify_boundary", "convergence_study", "diagnostics",
     "fixed_point_solve", "flux_per_component", "green_residual",
     "interpolate", "load_mesh", "manufactured_case",
-    "navier_stokes_limit_study", "norms", "save_mesh", "sign_functional",
+    "navier_stokes_limit_study", "norms", "prepare_generalized_stokes",
+    "save_mesh", "sign_functional",
     "sign_functional_report", "solve_generalized_stokes",
     "solve_gradient_transport", "solve_transport", "stokes_energy_report",
     "uniqueness_probe", "unit_square_mesh",

@@ -8,9 +8,9 @@ solves a single transport problem with a prescribed velocity.
 Exit codes: 0 on success, 2 when the coupling iteration stops without
 converging, 1 on any input error (bad config, mesh, incompatible fluxes,
 degenerate inflow data).  All file outputs are byte-reproducible for a
-fixed config and seed; wall times go to stdout only.  The environment
-variable ``GRADE2_THREADS`` caps the thread pools of the underlying linear
-algebra (best effort, set before BLAS initialisation).
+fixed config; wall times go to stdout only.  The environment variable
+``GRADE2_THREADS`` caps the thread pools of the underlying linear algebra;
+the package applies it on import, before numpy loads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from . import spaces as fes
 from . import transport as trs
 from .configio import ConfigError, load_config
-from .driver import diagnostics, fixed_point_solve
+from .driver import diagnostics, fixed_point_solve, prepare
 from .errors import GradeTwoError, NotConverged
 from .manufactured import convergence_study, manufactured_case
 from .meshes import (
@@ -72,9 +72,9 @@ _ITER_HEADER = ("iter", "dz_l2", "z_l2", "u_h1", "p_l2", "z_h1_broken")
 def cmd_solve(cfg, out_dir):
     spec = cfg.problem_spec()
     mesh = spec.mesh
-    part = classify_boundary(mesh, spec.g, spec.alpha, spec.eps_n)
+    setup = prepare(spec)
     try:
-        u, p, z, report = fixed_point_solve(spec)
+        u, p, z, report = fixed_point_solve(spec, setup=setup)
     except NotConverged as exc:
         if exc.report is not None and "csv" in cfg.formats:
             _write_csv(os.path.join(out_dir, "iterations.csv"),
@@ -82,7 +82,7 @@ def cmd_solve(cfg, out_dir):
                        _iteration_rows(exc.report))
         print(f"not converged: {exc}")
         return 2
-    diag = diagnostics(u, p, z, spec, part)
+    diag = diagnostics(u, p, z, spec, setup.part)
     if "vtk" in cfg.formats:
         write_vtk(os.path.join(out_dir, "fields.vtk"), mesh,
                   velocity=u, pressure=p, vorticity=z)
@@ -213,16 +213,7 @@ def cmd_transport(cfg, out_dir):
     return 0
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("GRADE2_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = cap
-
-
 def main(argv=None):
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="gradetwo",
         description="Steady 2D grade-two fluid solver "

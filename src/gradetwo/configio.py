@@ -29,7 +29,7 @@ _KNOWN = {
     "problem": {"mesh", "nu", "alpha", "variant"},
     "data": {"f_x", "f_y", "g_x", "g_y", "h", "curl_f"},
     "solver": {"fp_tol", "max_iter", "relaxation", "flux_tol", "eps_n",
-               "linear_solver", "seed", "strict", "div_tol"},
+               "strict", "div_tol"},
     "output": {"dir", "formats"},
     "mms": {"case", "levels", "mode", "variant"},
     "transport": {"u_x", "u_y", "rhs", "nu", "alpha"},
@@ -85,8 +85,6 @@ class RunConfig:
     flux_tol: Optional[float] = None
     eps_n: Optional[float] = None
     div_tol: Optional[float] = None
-    linear_solver: str = "direct"
-    seed: int = 0
     strict: bool = True
     out_dir: str = "out"
     formats: tuple = ("vtk", "csv")
@@ -102,7 +100,7 @@ class RunConfig:
             variant=self.variant, fp_tol=self.fp_tol,
             max_iter=self.max_iter, relaxation=self.relaxation,
             flux_tol=self.flux_tol, eps_n=self.eps_n, div_tol=self.div_tol,
-            strict=self.strict, linear_solver=self.linear_solver)
+            strict=self.strict)
 
 
 def _positive(value, name):
@@ -182,14 +180,10 @@ def load_config(path, require_mesh=True):
     div_tol = fnum("div_tol", None)
     try:
         max_iter = int(get("solver", "max_iter", "200"))
-        seed = int(get("solver", "seed", "0"))
     except ValueError as exc:
         raise ConfigError(f"bad integer in [solver]: {exc}") from exc
     if max_iter < 1:
         raise ConfigError("[solver] max_iter must be >= 1")
-    linear_solver = get("solver", "linear_solver", "direct")
-    if linear_solver not in ("direct", "iterative"):
-        raise ConfigError("[solver] linear_solver must be direct or iterative")
     strict_text = get("solver", "strict", "true").lower()
     if strict_text not in ("true", "false", "1", "0", "yes", "no"):
         raise ConfigError("[solver] strict must be boolean")
@@ -224,6 +218,5 @@ def load_config(path, require_mesh=True):
         path=os.path.abspath(path), mesh_path=mesh_path, nu=nu, alpha=alpha,
         variant=variant, f=f, g=g, h=h, curl_f=curl_f, fp_tol=fp_tol,
         max_iter=max_iter, relaxation=relaxation, flux_tol=flux_tol,
-        eps_n=eps_n, div_tol=div_tol, linear_solver=linear_solver, seed=seed,
-        strict=strict, out_dir=out_dir, formats=formats, mms=mms,
-        transport=transport)
+        eps_n=eps_n, div_tol=div_tol, strict=strict, out_dir=out_dir,
+        formats=formats, mms=mms, transport=transport)

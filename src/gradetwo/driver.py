@@ -24,19 +24,19 @@ import numpy as np
 
 from . import spaces as fes
 from . import transport as trs
-from .errors import DegenerateInflow, NotConverged
+from .errors import DegenerateInflow, LinearSolveFailure, NotConverged
 from .meshes import Mesh, classify_boundary, load_mesh
 from .stokes import (
-    check_flux_compatibility,
-    default_flux_tol,
+    PreparedStokes,
+    prepare_generalized_stokes,
     solve_generalized_stokes,
     stokes_energy_report,
 )
 
 __all__ = [
     "ProblemSpec", "IterationReport", "DiagnosticsReport",
-    "fixed_point_solve", "navier_stokes_limit_study", "uniqueness_probe",
-    "diagnostics", "LimitStudyRow",
+    "prepare", "fixed_point_solve", "navier_stokes_limit_study",
+    "uniqueness_probe", "diagnostics", "LimitStudyRow",
 ]
 
 _ZERO_SCALAR = lambda x, y: 0.0  # noqa: E731
@@ -69,7 +69,6 @@ class ProblemSpec:
     eps_n: Optional[float] = None
     div_tol: Optional[float] = None
     strict: bool = True
-    linear_solver: str = "direct"
 
     def __post_init__(self):
         if isinstance(self.mesh, str):
@@ -117,10 +116,13 @@ class _Setup(NamedTuple):
     part: object
     datum: trs.InflowDatum
     curlf: fes.Field
-    flux_tol: float
+    stokes: PreparedStokes
 
 
-def _prepare(spec):
+def prepare(spec):
+    """Spaces, boundary partition, inflow datum and prepared Stokes problem
+    of ``spec``: the work that does not depend on z.  Pass the result as
+    ``setup`` to :func:`fixed_point_solve` to reuse it."""
     mesh = spec.mesh
     spaces_ = fes.build_spaces(mesh)
     part = classify_boundary(mesh, spec.g, spec.alpha, spec.eps_n)
@@ -131,10 +133,8 @@ def _prepare(spec):
         if spec.variant == "P_II" and spec.strict:
             raise DegenerateInflow(msg + " (strict trace-variant mode)")
         warnings.warn(msg, stacklevel=3)
-    flux_tol = spec.flux_tol
-    if flux_tol is None:
-        flux_tol = default_flux_tol(mesh, spec.g)
-    check_flux_compatibility(mesh, spec.g, flux_tol)
+    stokes_setup = prepare_generalized_stokes(
+        spaces_, spec.nu, spec.f, spec.g, spec.flux_tol)
     datum = trs.build_inflow_datum(
         mesh, spec.variant, spec.h, spec.g, part)
     if spec.curl_f is not None:
@@ -142,22 +142,23 @@ def _prepare(spec):
     else:
         f_interp = fes.interpolate(spec.f, spaces_.velocity)
         curlf = fes.curl_of_velocity(f_interp, spaces_.vorticity)
-    return _Setup(spaces_, part, datum, curlf, flux_tol)
+    return _Setup(spaces_, part, datum, curlf, stokes_setup)
 
 
 def fixed_point_solve(spec, initial_z=None, setup=None):
     """Run the coupled iteration; returns (u, p, z, report).
 
     The loop stops when ||z_{n+1} - z_n|| <= fp_tol * (||z_n|| + 1).  On
-    failure (iteration cap, blow-up past 1e6 times the data scale, or a
-    residual that stops contracting) the partial history is attached to the
-    raised :class:`NotConverged`; data outside the smallness regime of the
+    failure (iteration cap, blow-up past 1e6 times the data scale, a
+    residual that stops contracting, or a Stokes solve that fails on an
+    iterate of the loop) the partial history is attached to the raised
+    :class:`NotConverged`; data outside the smallness regime of the
     underlying fixed-point argument typically ends up there.
     """
     t0 = time.perf_counter()
     if setup is None:
-        setup = _prepare(spec)
-    spaces_, part, datum, curlf, flux_tol = setup
+        setup = prepare(spec)
+    spaces_, part, datum, curlf, stokes_setup = setup
     vort = spaces_.vorticity
     if initial_z is None:
         z = vort.new_field()
@@ -168,10 +169,16 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
     scale = None
     best_dz = np.inf
     u = p = None
+    stokes_failure = ""
     for _ in range(spec.max_iter):
-        u, p = solve_generalized_stokes(
-            spaces_, spec.nu, z, spec.f, spec.g,
-            flux_tol=flux_tol, method=spec.linear_solver)
+        try:
+            u, p = solve_generalized_stokes(stokes_setup, z)
+        except LinearSolveFailure as exc:
+            if not report.iterations:  # the starting z is the caller's
+                raise
+            report.stopping_reason = "diverged"
+            stokes_failure = f"; the Stokes solve failed on it ({exc})"
+            break
         curl_u = fes.curl_of_velocity(u, vort)
         rhs = vort.new_field(
             spec.nu * curl_u.coefficients + spec.alpha * curlf.coefficients)
@@ -207,13 +214,11 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
         raise NotConverged(
             f"coupling loop stopped ({report.stopping_reason}) after "
             f"{report.iterations} iterations, last increment "
-            f"{report.dz_l2[-1]:.3e}; the data may sit outside the "
-            "small-data regime of the fixed-point argument",
+            f"{report.dz_l2[-1]:.3e}{stokes_failure}; the data may sit "
+            "outside the small-data regime of the fixed-point argument",
             report=report)
     # pair (u, p) with the converged vorticity
-    u, p = solve_generalized_stokes(
-        spaces_, spec.nu, z, spec.f, spec.g,
-        flux_tol=flux_tol, method=spec.linear_solver)
+    u, p = solve_generalized_stokes(stokes_setup, z)
     report.wall_time = time.perf_counter() - t0
     return u, p, z, report
 
@@ -236,7 +241,7 @@ def navier_stokes_limit_study(spec, alphas):
     marked and does not abort the remaining rows.
     """
     ref_spec = spec.replace(alpha=0.0)
-    setup0 = _prepare(ref_spec)
+    setup0 = prepare(ref_spec)
     u0, _, z0, _ = fixed_point_solve(ref_spec, setup=setup0)
     vel = u0.space
     vort = z0.space
@@ -276,7 +281,7 @@ def uniqueness_probe(spec, n_starts, seed, start_scale=1.0):
     """
     if n_starts < 2:
         raise ValueError("n_starts must be >= 2 to compare solutions")
-    setup = _prepare(spec)
+    setup = prepare(spec)
     vort = setup.spaces.vorticity
     rng = np.random.default_rng(seed)
     solutions = []

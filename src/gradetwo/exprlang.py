@@ -316,9 +316,3 @@ def _print(expr, parent_level):
     if level < parent_level:
         return f"({text})"
     return text
-
-
-def compile_expr(text):
-    """Parse once, return a fast ``f(x, y) -> float`` closure."""
-    ast = parse(text)
-    return lambda x, y: evaluate(ast, x, y)

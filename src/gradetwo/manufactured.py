@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 from . import spaces as fes
 from .driver import ProblemSpec, fixed_point_solve
 from .meshes import classify_boundary, unit_square_mesh
-from .stokes import solve_generalized_stokes
+from .stokes import prepare_generalized_stokes, solve_generalized_stokes
 from .transport import build_inflow_datum, solve_transport
 
 __all__ = ["ManufacturedCase", "manufactured_case", "convergence_study",
@@ -303,9 +303,6 @@ class StudyResult(NamedTuple):
     rows: tuple
     orders: tuple  # one entry per consecutive row pair, same field layout
 
-    def order_table(self):
-        return self.orders
-
 
 _ERR_FIELDS = ("err_u_l2", "err_u_h1", "err_p_l2", "err_z_l2")
 
@@ -359,8 +356,8 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
                 iterations = rep.iterations
             elif mode == "stokes":
                 z = fes.interpolate(case.z, spaces_.vorticity)
-                u, p = solve_generalized_stokes(
-                    spaces_, case.nu, z, case.f, case.u)
+                u, p = solve_generalized_stokes(prepare_generalized_stokes(
+                    spaces_, case.nu, case.f, case.u), z)
             else:
                 u = fes.interpolate(case.u, spaces_.velocity)
                 p = fes.interpolate(case.p, spaces_.pressure)

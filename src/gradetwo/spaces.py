@@ -450,14 +450,6 @@ def error_h1(field: Field, exact_grad: Callable) -> float:
     return float(np.sqrt((ctx.cell_qweights * diff).sum()))
 
 
-def velocity_divergence_l2(field: Field) -> float:
-    """Pointwise (broken) L2 norm of div u; diagnostic only."""
-    g = velocity_cell_gradients(field)
-    ctx = field.space.context
-    div = g[:, :, 0, 0] + g[:, :, 1, 1]
-    return float(np.sqrt((ctx.cell_qweights * div ** 2).sum()))
-
-
 def _p1_mass_solver(ctx):
     """Cached factorization of the continuous P1 mass matrix."""
     cached = getattr(ctx, "_p1_mass_lu", None)

@@ -10,10 +10,18 @@ and ``z x u = (-z*u2, z*u1)``.  The zero-mean pressure constraint is carried
 by a single scalar multiplier, which also absorbs the (quadrature-level)
 net flux of the interpolated boundary data, so the bordered system is
 square and uniquely solvable.  Dirichlet values are eliminated
-symmetrically; the default linear solver is a sparse direct factorization.
+symmetrically.
 
-Assembly and solves are pure functions of their inputs; distinct systems
-may be built and solved concurrently.
+Only the skew block depends on z.  :func:`prepare_generalized_stokes` does
+the rest once per problem, including one sparse LU of the Dirichlet-reduced
+scalar Laplacian that both velocity components share.
+:func:`solve_generalized_stokes` assembles the z-weighted mass and runs
+GMRES with a block upper-triangular preconditioner: that LU for the
+velocity, the lumped pressure mass over nu for the Schur complement (Elman,
+Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).
+The iteration count does not grow with the mesh but grows with max|z|/nu.
+Solves are pure functions of their inputs and leave the prepared problem
+unchanged.
 """
 
 from __future__ import annotations
@@ -30,11 +38,10 @@ from .errors import FluxIncompatible, LinearSolveFailure
 from .meshes import flux_per_component
 
 __all__ = [
-    "SaddleSystem", "StokesEnergyReport",
-    "assemble_generalized_stokes", "solve_generalized_stokes",
-    "stokes_energy_report", "default_flux_tol",
+    "SaddleSystem", "PreparedStokes", "StokesEnergyReport",
+    "assemble_generalized_stokes", "prepare_generalized_stokes",
+    "solve_generalized_stokes", "stokes_energy_report", "default_flux_tol",
 ]
-
 
 @dataclass
 class SaddleSystem:
@@ -54,53 +61,98 @@ class SaddleSystem:
     dirichlet_nodes: np.ndarray
     spaces: fes.Spaces
 
-    def operator(self):
-        return self.A + self.C
+
+class PreparedStokes(NamedTuple):
+    """The z-independent part of a generalized Stokes problem.
+
+    Unknowns of the reduced bordered system: each velocity component on the
+    ``free`` scalar nodes, the pressure, the multiplier.  ``rhs`` is its
+    right-hand side for z = 0 and ``lu`` factorises ``K_ff``.
+    """
+
+    spaces: fes.Spaces
+    free: np.ndarray         # unconstrained scalar velocity nodes, ascending
+    fixed: np.ndarray        # boundary scalar velocity nodes
+    g_fixed: np.ndarray      # Dirichlet values at ``fixed``, shape (nb, 2)
+    K_ff: sp.csr_matrix      # nu-scaled scalar Laplacian, free x free
+    Bt: sp.csr_matrix        # transposed divergence block, 2*free x pressure
+    border: sp.csr_matrix    # pressure integrals, one column
+    rhs: np.ndarray
+    lu: object
+    schur: np.ndarray        # lumped pressure mass over nu
 
 
 class StokesEnergyReport(NamedTuple):
     viscous: float        # nu * |u|_H1^2
     forcing: float        # (f, u)
-    skew: float           # (z x u, u), zero up to round-off by structure
+    skew: float           # u^T C(z) u of the assembled coupling block
     balance_gap: float    # |viscous - forcing| (meaningful for g = 0)
     div_weak_l2: float    # L2 norm of the pressure-space projection of div u
     div_broken_l2: float  # pointwise L2 norm of div u (consistency level)
 
 
-def _scalar_matrices(ctx, zvals=None):
-    """Cell-wise P2 stiffness and (optionally z-weighted) P2 mass.
-
-    Returns COO triplets over the scalar node layout.
-    """
-    nt = ctx.mesh.num_triangles
-    w = ctx.cell_qweights  # (nt, nq)
-    G = ctx.p2_grad_at_q   # (nt, 6, nq, 2)
-    V = ctx.p2_at_q        # (6, nq)
-    stiff = np.einsum("tq,taqd,tbqd->tab", w, G, G)
-    if zvals is None:
-        mass = np.einsum("tq,aq,bq->tab", w, V, V)
-    else:
-        mass = np.einsum("tq,tq,aq,bq->tab", w, zvals, V, V)
+def _scalar_matrix(ctx, cell_blocks):
+    """Sum (nt, 6, 6) cell blocks into a CSR matrix over the scalar nodes."""
+    n = ctx.num_scalar_nodes
     nodes = ctx.cell_scalar_nodes  # (nt, 6)
     rows = np.repeat(nodes, 6, axis=1).ravel()
     cols = np.tile(nodes, (1, 6)).ravel()
-    return rows, cols, stiff.ravel(), mass.ravel()
+    return sp.coo_matrix((cell_blocks.ravel(), (rows, cols)),
+                         shape=(n, n)).tocsr()
 
 
-def _divergence_block(ctx):
-    """COO triplets of B over (pressure rows, velocity columns)."""
+def _stiffness(ctx, nu):
+    """nu-scaled scalar P2 stiffness matrix."""
+    w = ctx.cell_qweights  # (nt, nq)
+    G = ctx.p2_grad_at_q   # (nt, 6, nq, 2)
+    K = _scalar_matrix(ctx, nu * np.einsum("tq,taqd,tbqd->tab", w, G, G))
+    if not np.all(np.isfinite(K.data)):
+        raise LinearSolveFailure("non-finite entries in the viscous block")
+    return K
+
+
+def _zmass(ctx, z):
+    """z-weighted scalar P2 mass matrix."""
+    if not np.all(np.isfinite(z.coefficients)):
+        raise ValueError("non-finite coefficient field z")
+    V = ctx.p2_at_q  # (6, nq)
+    Mz = _scalar_matrix(ctx, np.einsum(
+        "tq,tq,aq,bq->tab", ctx.cell_qweights, fes.scalar_cell_values(z),
+        V, V))
+    if not np.all(np.isfinite(Mz.data)):
+        raise LinearSolveFailure("non-finite entries in the coupling block")
+    return Mz
+
+
+def _skew(Mz):
+    """(z x w, v) = int z * (w1 v2 - w2 v1): rows v-, cols w-component."""
+    return sp.bmat([[None, -Mz], [Mz, None]], format="csr")
+
+
+def _divergence_blocks(spaces_):
+    """B split by velocity component, each (pressure rows, scalar nodes)."""
+    ctx = spaces_.context
     w = ctx.cell_qweights
     G = ctx.p2_grad_at_q
     P = ctx.p1_at_q  # (3, nq)
-    # -(q, dv_c/dx_c) for each velocity component c
-    bx = -np.einsum("tq,kq,taq->tka", w, P, G[:, :, :, 0])
-    by = -np.einsum("tq,kq,taq->tka", w, P, G[:, :, :, 1])
-    # entry bx[t, k, a] pairs pressure row triangles[t, k] with velocity
-    # column nodes[t, a]
+    # entry [t, k, a] pairs pressure row triangles[t, k] with velocity
+    # column nodes[t, a]; -(q, dv_c/dx_c) for each velocity component c
     nt = ctx.mesh.num_triangles
-    rows = np.repeat(ctx.mesh.triangles, 6, axis=1).reshape(nt, 3, 6)
-    cols = np.broadcast_to(ctx.cell_scalar_nodes[:, None, :], (nt, 3, 6))
-    return rows.ravel(), cols.ravel(), bx.ravel(), by.ravel()
+    rows = np.repeat(ctx.mesh.triangles, 6, axis=1).ravel()
+    cols = np.broadcast_to(ctx.cell_scalar_nodes[:, None, :],
+                           (nt, 3, 6)).ravel()
+    shape = (spaces_.pressure.dof_count, ctx.num_scalar_nodes)
+    return tuple(
+        sp.coo_matrix((-np.einsum("tq,kq,taq->tka", w, P, G[:, :, :, d])
+                       .ravel(), (rows, cols)), shape=shape).tocsr()
+        for d in (0, 1))
+
+
+def _pressure_integrals(mesh):
+    """Integral of each P1 pressure basis function (lumped mass)."""
+    out = np.zeros(mesh.num_vertices)
+    np.add.at(out, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
+    return out
 
 
 def assemble_generalized_stokes(spaces_, nu, z):
@@ -113,54 +165,31 @@ def assemble_generalized_stokes(spaces_, nu, z):
     if not (nu > 0.0):
         raise ValueError("nu must be positive")
     ctx = spaces_.context
-    if not np.all(np.isfinite(z.coefficients)):
-        raise ValueError("non-finite coefficient field z")
-    n = ctx.num_scalar_nodes
-    zvals = fes.scalar_cell_values(z)
-    rows, cols, stiff, zmass = _scalar_matrices(ctx, zvals)
-    K = sp.coo_matrix((nu * stiff, (rows, cols)), shape=(n, n)).tocsr()
-    Mz = sp.coo_matrix((zmass, (rows, cols)), shape=(n, n)).tocsr()
+    C = _skew(_zmass(ctx, z))
+    K = _stiffness(ctx, nu)
     A = sp.bmat([[K, None], [None, K]], format="csr")
-    # (z x w, v) = int z * (w1 v2 - w2 v1): rows v-component, cols w-component
-    C = sp.bmat([[None, -Mz], [Mz, None]], format="csr")
-    prow, vcol, bx, by = _divergence_block(ctx)
-    np_ = spaces_.pressure.dof_count
-    B = sp.hstack([
-        sp.coo_matrix((bx, (prow, vcol)), shape=(np_, n)),
-        sp.coo_matrix((by, (prow, vcol)), shape=(np_, n)),
-    ]).tocsr()
-    mesh = ctx.mesh
-    mean_vec = np.zeros(np_)
-    np.add.at(mean_vec, mesh.triangles.ravel(),
-              np.repeat(mesh.areas / 3.0, 3))
+    B = sp.hstack(_divergence_blocks(spaces_)).tocsr()
+    n = ctx.num_scalar_nodes
     nodes = ctx.boundary_scalar_nodes
     dirichlet = np.sort(np.concatenate([nodes, n + nodes]))
-    if not np.all(np.isfinite(A.data)) or not np.all(np.isfinite(C.data)):
-        raise LinearSolveFailure("non-finite entries in assembled system")
-    return SaddleSystem(A, C, B, mean_vec, dirichlet, spaces_)
+    return SaddleSystem(A, C, B, _pressure_integrals(ctx.mesh), dirichlet,
+                        spaces_)
+
+
+def _cell_values(ctx, f):
+    """A vector callable at the cell quadrature points, shape (nt, nq, 2)."""
+    return np.array([[f(x, y) for x, y in cell] for cell in ctx.cell_qpoints],
+                    dtype=float)
 
 
 def _load_vector(ctx, f):
-    """(f, v) load over both velocity components."""
-    pts = ctx.cell_qpoints
-    fx = np.empty(pts.shape[:2])
-    fy = np.empty(pts.shape[:2])
-    for t in range(pts.shape[0]):
-        for q in range(pts.shape[1]):
-            vx, vy = f(pts[t, q, 0], pts[t, q, 1])
-            fx[t, q] = vx
-            fy[t, q] = vy
-    w = ctx.cell_qweights
-    V = ctx.p2_at_q
-    lx = np.einsum("tq,tq,aq->ta", w, fx, V)
-    ly = np.einsum("tq,tq,aq->ta", w, fy, V)
-    n = ctx.num_scalar_nodes
-    out = np.zeros(2 * n)
-    np.add.at(out[:n], ctx.cell_scalar_nodes.ravel(), lx.ravel())
-    out_y = np.zeros(n)
-    np.add.at(out_y, ctx.cell_scalar_nodes.ravel(), ly.ravel())
-    out[n:] = out_y
-    return out
+    """(f, v) load of each velocity component, shape (2, scalar nodes)."""
+    load = np.einsum("tq,tqc,aq->cta", ctx.cell_qweights, _cell_values(ctx, f),
+                     ctx.p2_at_q)
+    nodes = ctx.cell_scalar_nodes.ravel()
+    return np.stack([np.bincount(nodes, load[c].ravel(),
+                                 minlength=ctx.num_scalar_nodes)
+                     for c in (0, 1)])
 
 
 def default_flux_tol(mesh, g):
@@ -197,16 +226,79 @@ def _boundary_values(ctx, g):
     return vals  # (len(nodes), 2)
 
 
-def _solve_reduced(K, rhs, method, n_free_u=None, pressure_diag=None):
-    if method == "direct":
-        try:
-            x = spla.spsolve(K.tocsc(), rhs)
-        except RuntimeError as exc:
-            raise LinearSolveFailure(str(exc)) from exc
-    elif method == "iterative":
-        x = _gmres_block(K, rhs, n_free_u, pressure_diag)
-    else:
-        raise ValueError(f"unknown linear solver {method!r}")
+def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
+    """Do the z-independent work of the generalized Stokes problem once.
+
+    ``f`` and ``g`` are callables ``(x, y) -> (vx, vy)``.  The boundary data
+    must be flux-compatible on every boundary component (checked first,
+    raising :class:`FluxIncompatible`).  The result serves any number of
+    :func:`solve_generalized_stokes` calls with the same ``nu``, ``f`` and
+    ``g``.
+    """
+    if not (nu > 0.0):
+        raise ValueError("nu must be positive")
+    ctx = spaces_.context
+    check_flux_compatibility(ctx.mesh, g, flux_tol)
+    fixed = ctx.boundary_scalar_nodes
+    free = np.setdiff1d(np.arange(ctx.num_scalar_nodes), fixed)
+    g_fixed = _boundary_values(ctx, g)
+    K = _stiffness(ctx, nu)[free]
+    K_ff = K[:, free]
+    Bx, By = _divergence_blocks(spaces_)
+    rhs = np.concatenate([
+        (_load_vector(ctx, f)[:, free] - (K[:, fixed] @ g_fixed).T).ravel(),
+        -(Bx[:, fixed] @ g_fixed[:, 0] + By[:, fixed] @ g_fixed[:, 1]),
+        [0.0],
+    ])
+    try:
+        lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise LinearSolveFailure(
+            f"viscous block factorisation failed: {exc}") from exc
+    mean_vec = _pressure_integrals(ctx.mesh)
+    return PreparedStokes(
+        spaces_, free, fixed, g_fixed, K_ff,
+        sp.vstack([Bx[:, free].T, By[:, free].T]).tocsr(),
+        sp.csr_matrix(mean_vec[:, None]), rhs, lu, mean_vec / nu)
+
+
+def solve_generalized_stokes(prepared, z):
+    """Solve for (u, p) given the prepared problem and coefficient ``z``.
+
+    Returns velocity and zero-mean pressure fields; the residual of the
+    reduced bordered system is checked against 1e-7 times its scale and
+    the pressure mean is asserted below 1e-10.
+    """
+    prep = prepared
+    spaces_ = prep.spaces
+    ctx = spaces_.context
+    Mz = _zmass(ctx, z)[prep.free]
+    Mz_ff = Mz[:, prep.free]
+    Mz_fb = Mz[:, prep.fixed]
+    velocity = sp.bmat([[prep.K_ff, -Mz_ff], [Mz_ff, prep.K_ff]])
+    K = sp.bmat([[velocity, prep.Bt, None],
+                 [prep.Bt.T, None, prep.border],
+                 [None, prep.border.T, None]], format="csr")
+    nf = prep.free.size
+    rhs = prep.rhs.copy()
+    rhs[:nf] += Mz_fb @ prep.g_fixed[:, 1]
+    rhs[nf:2 * nf] -= Mz_fb @ prep.g_fixed[:, 0]
+
+    def precondition(r):
+        # block upper-triangular: pressure from the Schur surrogate, velocity
+        # from the shared LU on each component of r_u - B^T p, multiplier
+        # by the identity
+        p = -r[2 * nf:-1] / prep.schur
+        ru = (r[:2 * nf] - prep.Bt @ p).reshape(2, nf).T
+        return np.concatenate([prep.lu.solve(ru).T.ravel(), p, r[-1:]])
+
+    # one cycle of 200 holds a typical solve (about 55 iterations); up to
+    # five cycles for strong coupling, where the count grows with |z|/nu
+    M = spla.LinearOperator(K.shape, precondition)
+    x, info = spla.gmres(K, rhs, rtol=1e-12, atol=0.0, restart=200,
+                         maxiter=5, M=M)
+    if info != 0:
+        raise LinearSolveFailure(f"GMRES did not converge (info={info})")
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("linear solve produced non-finite values")
     resid = np.linalg.norm(K @ x - rhs)
@@ -214,86 +306,12 @@ def _solve_reduced(K, rhs, method, n_free_u=None, pressure_diag=None):
     if resid > 1e-7 * scale:
         raise LinearSolveFailure(
             f"linear solve residual {resid:.3e} exceeds 1e-7*scale")
-    return x
 
-
-def _gmres_block(K, rhs, n_free_u, pressure_diag):
-    """GMRES with a block-diagonal preconditioner.
-
-    Velocity block: ILU of the (elliptic-dominated) upper-left block.
-    Pressure block: lumped pressure mass over nu, the classical Schur
-    complement surrogate for Stokes-type saddle systems.  The single
-    multiplier row is handled by the identity.
-    """
-    Kc = K.tocsc()
-    A = Kc[:n_free_u, :n_free_u]
-    try:
-        ilu = spla.spilu(A, drop_tol=1e-6, fill_factor=20.0)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"ILU factorization failed: {exc}") from exc
-    pdiag = np.maximum(pressure_diag, 1e-300)
-
-    def apply(v):
-        out = np.empty_like(v)
-        out[:n_free_u] = ilu.solve(v[:n_free_u])
-        out[n_free_u:-1] = v[n_free_u:-1] / pdiag
-        out[-1] = v[-1]
-        return out
-
-    M = spla.LinearOperator(K.shape, apply)
-    x, info = spla.gmres(K.tocsr(), rhs, rtol=1e-12, atol=0.0,
-                         restart=300, maxiter=600, M=M)
-    if info != 0:
-        raise LinearSolveFailure(f"GMRES did not converge (info={info})")
-    return x
-
-
-def solve_generalized_stokes(spaces_, nu, z, f, g, flux_tol=None,
-                             method="direct", system=None):
-    """Solve for (u, p) given coefficient field ``z``.
-
-    ``f`` and ``g`` are callables ``(x, y) -> (vx, vy)``.  The boundary data
-    must be flux-compatible on every boundary component (checked first,
-    raising :class:`FluxIncompatible`).  Returns velocity and zero-mean
-    pressure fields; the pressure mean is asserted below 1e-10.
-    """
-    ctx = spaces_.context
-    check_flux_compatibility(ctx.mesh, g, flux_tol)
-    if system is None:
-        system = assemble_generalized_stokes(spaces_, nu, z)
-    n_u = spaces_.velocity.dof_count
-    n_p = spaces_.pressure.dof_count
-    F = _load_vector(ctx, f)
-    op = system.operator()
-    m = sp.csr_matrix(system.mean_vec[:, None])
-    K = sp.bmat([[op, system.B.T, None],
-                 [system.B, None, m],
-                 [None, m.T, None]], format="csr")
-    rhs = np.concatenate([F, np.zeros(n_p + 1)])
-
-    fixed = system.dirichlet_nodes
-    bvals = _boundary_values(ctx, g)
-    nodes = ctx.boundary_scalar_nodes
-    gvec = np.zeros(n_u)
-    gvec[nodes] = bvals[:, 0]
-    gvec[ctx.num_scalar_nodes + nodes] = bvals[:, 1]
-
-    keep = np.ones(K.shape[0], dtype=bool)
-    keep[fixed] = False
-    keep_idx = np.nonzero(keep)[0]
-    Kred = K[keep_idx][:, keep_idx]
-    lift = np.zeros(K.shape[0])
-    lift[:n_u] = gvec
-    rhs_red = rhs[keep_idx] - (K @ lift)[keep_idx]
-
-    x = _solve_reduced(Kred.tocsc(), rhs_red, method,
-                       n_free_u=n_u - fixed.size,
-                       pressure_diag=system.mean_vec / nu)
-    full = lift.copy()
-    full[keep_idx] += x
-
-    u = spaces_.velocity.new_field(full[:n_u])
-    p = spaces_.pressure.new_field(full[n_u:n_u + n_p])
+    full = np.empty((2, ctx.num_scalar_nodes))
+    full[:, prep.fixed] = prep.g_fixed.T
+    full[:, prep.free] = x[:2 * nf].reshape(2, nf)
+    u = spaces_.velocity.new_field(full.ravel())
+    p = spaces_.pressure.new_field(x[2 * nf:-1])
     mean = fes.pressure_mean(p)
     if abs(mean) > 1e-10:
         raise LinearSolveFailure(
@@ -305,28 +323,21 @@ def stokes_energy_report(u, p, z, f, nu):
     """Evaluate both sides of the energy identity and divergence norms.
 
     For homogeneous boundary data the identity nu*|u|_H1^2 = (f, u) holds to
-    solver precision; the skew term is reported but vanishes by structure.
-    The weak divergence is the pressure-space projection of div u (the
-    quantity the constraint actually controls); the broken norm is the
-    pointwise one and sits at discretization level for interpolated data.
+    solver precision.  The skew term is u^T C(z) u with the assembled
+    coupling block, which vanishes to round-off when that block is
+    skew-symmetric.  The weak divergence is the pressure-space projection
+    of div u (the quantity the constraint actually controls); the broken
+    norm is the pointwise one and sits at discretization level for
+    interpolated data.
     """
     ctx = u.space.context
     w = ctx.cell_qweights
     grads = fes.velocity_cell_gradients(u)
     viscous = nu * float((w * (grads ** 2).sum(axis=(2, 3))).sum())
-    vals = fes.velocity_cell_values(u)
-    pts = ctx.cell_qpoints
-    fx = np.empty(w.shape)
-    fy = np.empty(w.shape)
-    for t in range(w.shape[0]):
-        for q in range(w.shape[1]):
-            a, b = f(pts[t, q, 0], pts[t, q, 1])
-            fx[t, q] = a
-            fy[t, q] = b
-    forcing = float((w * (fx * vals[:, :, 0] + fy * vals[:, :, 1])).sum())
-    zvals = fes.scalar_cell_values(z)
-    skew = float((w * zvals * (vals[:, :, 0] * vals[:, :, 1]
-                               - vals[:, :, 1] * vals[:, :, 0])).sum())
+    forcing = float((w[:, :, None] * _cell_values(ctx, f)
+                     * fes.velocity_cell_values(u)).sum())
+    coeffs = u.coefficients
+    skew = float(coeffs @ (_skew(_zmass(ctx, z)) @ coeffs))
     div = grads[:, :, 0, 0] + grads[:, :, 1, 1]
     div_broken = float(np.sqrt((w * div ** 2).sum()))
     div_weak = fes.velocity_weak_divergence_l2(u)

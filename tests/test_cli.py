@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -341,10 +344,32 @@ def test_transport_constant_profile(tmp_path, square_mesh_file):
     assert float(rows["z_h1_broken"]) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_thread_cap_env(tmp_path, square_mesh_file, monkeypatch):
-    monkeypatch.setenv("GRADE2_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cfg = write_cfg(tmp_path, ZERO_CFG, mesh=square_mesh_file,
-                    out=str(tmp_path / "out"))
-    assert cli.main(["solve", "--config", cfg]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+THREAD_PROBE = """
+import json, os, sys
+seen = {}
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in sys.argv[1:]})
+        return None
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Probe())
+import gradetwo.cli
+print(json.dumps(seen))
+"""
+
+
+def test_thread_cap_env():
+    """GRADE2_THREADS is in the BLAS variables when numpy first loads."""
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["GRADE2_THREADS"] = "1"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", THREAD_PROBE, *names],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {name: "1" for name in names}

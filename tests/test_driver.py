@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from gradetwo import driver, meshes, spaces
+from gradetwo import driver, manufactured, meshes, spaces, stokes
 from gradetwo.driver import ProblemSpec, fixed_point_solve
 from gradetwo.errors import DegenerateInflow, NotConverged
 
@@ -71,6 +73,30 @@ def test_determinism_bitwise(mesh8):
     assert np.array_equal(res1[2].coefficients, res2[2].coefficients)
     assert res1[3].dz_l2 == res2[3].dz_l2
     assert res1[3].z_l2 == res2[3].z_l2
+
+
+def test_setup_work_once_per_solve(mesh8, monkeypatch):
+    """The flux check and the Stokes factorisation run once per
+    fixed_point_solve, however many coupling iterations it takes."""
+    counts = {"flux_checks": 0, "stokes_lu": 0}
+    check = stokes.check_flux_compatibility
+    splu = spla.splu
+
+    def counted_check(*args, **kwargs):
+        counts["flux_checks"] += 1
+        return check(*args, **kwargs)
+
+    def counted_splu(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == stokes.__name__:
+            counts["stokes_lu"] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(stokes, "check_flux_compatibility", counted_check)
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    case = manufactured.manufactured_case("trig", 1.0, 0.1)
+    _, _, _, rep = fixed_point_solve(case.problem_spec(mesh8))
+    assert rep.converged and rep.iterations > 2
+    assert counts == {"flux_checks": 1, "stokes_lu": 1}
 
 
 def test_relaxation_neutrality(mesh8):

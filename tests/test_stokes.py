@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from gradetwo import meshes, spaces, stokes
+from gradetwo import manufactured, meshes, spaces, stokes
 from gradetwo.errors import FluxIncompatible
 
 
@@ -20,6 +22,11 @@ def random_z(spaces8):
 
 
 ZERO_V = lambda x, y: (0.0, 0.0)  # noqa: E731
+
+
+def solve(spaces_, nu, z, f, g):
+    prepared = stokes.prepare_generalized_stokes(spaces_, nu, f, g)
+    return stokes.solve_generalized_stokes(prepared, z)
 
 
 def test_zero_coefficient_means_plain_stokes(spaces8, zero_z):
@@ -49,7 +56,7 @@ def test_viscosity_scaling(spaces8, random_z):
 
 
 def test_zero_data_zero_solution(spaces8, zero_z):
-    u, p = stokes.solve_generalized_stokes(spaces8, 1.0, zero_z, ZERO_V, ZERO_V)
+    u, p = solve(spaces8, 1.0, zero_z, ZERO_V, ZERO_V)
     assert np.abs(u.coefficients).max() == 0.0
     assert np.abs(p.coefficients).max() == 0.0
 
@@ -57,7 +64,7 @@ def test_zero_data_zero_solution(spaces8, zero_z):
 def test_poiseuille_recovered_exactly(spaces8, zero_z):
     nu = 1.7
     g = lambda x, y: (y * (1.0 - y), 0.0)
-    u, p = stokes.solve_generalized_stokes(spaces8, nu, zero_z, ZERO_V, g)
+    u, p = solve(spaces8, nu, zero_z, ZERO_V, g)
     assert spaces.error_l2(u, g) < 1e-11
     # the matching pressure is affine with zero mean: nu*(1 - 2x)
     assert spaces.error_l2(p, lambda x, y: nu * (1.0 - 2.0 * x)) < 1e-10
@@ -66,7 +73,7 @@ def test_poiseuille_recovered_exactly(spaces8, zero_z):
 
 def test_energy_identity_homogeneous(spaces8, random_z):
     f = lambda x, y: (math.sin(2 * x + y), math.cos(x) * y)
-    u, p = stokes.solve_generalized_stokes(spaces8, 1.3, random_z, f, ZERO_V)
+    u, p = solve(spaces8, 1.3, random_z, f, ZERO_V)
     rep = stokes.stokes_energy_report(u, p, random_z, f, 1.3)
     assert rep.balance_gap <= 1e-8 * abs(rep.forcing)
     assert abs(rep.skew) <= 1e-12 * max(1.0, rep.viscous)
@@ -76,15 +83,15 @@ def test_energy_identity_homogeneous(spaces8, random_z):
 def test_energy_identity_scaled_z(spaces8, random_z):
     f = lambda x, y: (math.sin(2 * x + y), math.cos(x) * y)
     big = random_z.space.new_field(10.0 * random_z.coefficients)
-    u, p = stokes.solve_generalized_stokes(spaces8, 1.0, big, f, ZERO_V)
+    u, p = solve(spaces8, 1.0, big, f, ZERO_V)
     rep = stokes.stokes_energy_report(u, p, big, f, 1.0)
     assert rep.balance_gap <= 1e-8 * abs(rep.forcing)
 
 
 def test_solution_deterministic(spaces8, random_z):
     f = lambda x, y: (1.0, -0.5)
-    u1, p1 = stokes.solve_generalized_stokes(spaces8, 1.0, random_z, f, ZERO_V)
-    u2, p2 = stokes.solve_generalized_stokes(spaces8, 1.0, random_z, f, ZERO_V)
+    u1, p1 = solve(spaces8, 1.0, random_z, f, ZERO_V)
+    u2, p2 = solve(spaces8, 1.0, random_z, f, ZERO_V)
     assert np.array_equal(u1.coefficients, u2.coefficients)
     assert np.array_equal(p1.coefficients, p2.coefficients)
 
@@ -94,29 +101,69 @@ def test_linearity_in_nu_and_f(spaces8, zero_z, random_z):
     # coupling must scale along (trivially for z = 0, by c z otherwise)
     f = lambda x, y: (math.sin(x + y), x * y)
     cf = lambda x, y: (3.0 * math.sin(x + y), 3.0 * x * y)
-    u1, p1 = stokes.solve_generalized_stokes(spaces8, 1.0, zero_z, f, ZERO_V)
-    u2, p2 = stokes.solve_generalized_stokes(spaces8, 3.0, zero_z, cf, ZERO_V)
+    u1, p1 = solve(spaces8, 1.0, zero_z, f, ZERO_V)
+    u2, p2 = solve(spaces8, 3.0, zero_z, cf, ZERO_V)
     assert np.abs(u2.coefficients - u1.coefficients).max() < 1e-10
     assert np.abs(p2.coefficients - 3.0 * p1.coefficients).max() < 1e-9
     cz = random_z.space.new_field(3.0 * random_z.coefficients)
-    u1, p1 = stokes.solve_generalized_stokes(spaces8, 1.0, random_z, f, ZERO_V)
-    u2, p2 = stokes.solve_generalized_stokes(spaces8, 3.0, cz, cf, ZERO_V)
+    u1, p1 = solve(spaces8, 1.0, random_z, f, ZERO_V)
+    u2, p2 = solve(spaces8, 3.0, cz, cf, ZERO_V)
     assert np.abs(u2.coefficients - u1.coefficients).max() < 1e-10
     assert np.abs(p2.coefficients - 3.0 * p1.coefficients).max() < 1e-9
 
 
 def test_flux_incompatible_raises(spaces8, zero_z):
     with pytest.raises(FluxIncompatible) as err:
-        stokes.solve_generalized_stokes(spaces8, 1.0, zero_z, ZERO_V,
-                                        lambda x, y: (x, y))
+        stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V,
+                                          lambda x, y: (x, y))
     assert err.value.component == 0
     assert err.value.flux == pytest.approx(2.0, rel=1e-12)
 
 
-def test_iterative_solver_matches_direct(spaces8, random_z):
-    f = lambda x, y: (math.sin(2 * x), math.cos(y))
-    u1, p1 = stokes.solve_generalized_stokes(spaces8, 1.0, random_z, f, ZERO_V)
-    u2, p2 = stokes.solve_generalized_stokes(spaces8, 1.0, random_z, f, ZERO_V,
-                                             method="iterative")
-    assert np.abs(u1.coefficients - u2.coefficients).max() < 1e-8
-    assert np.abs(p1.coefficients - p2.coefficients).max() < 1e-7
+def direct_reference(spaces_, nu, z, f, g):
+    """The bordered saddle system solved by sparse LU, Dirichlet values
+    eliminated from the full matrix."""
+    sys = stokes.assemble_generalized_stokes(spaces_, nu, z)
+    n_u = spaces_.velocity.dof_count
+    n_p = spaces_.pressure.dof_count
+    ctx = spaces_.context
+    m = sp.csr_matrix(sys.mean_vec[:, None])
+    K = sp.bmat([[sys.A + sys.C, sys.B.T, None],
+                 [sys.B, None, m],
+                 [None, m.T, None]], format="csr")
+    # (f, v) by the cell quadrature, one velocity component at a time
+    fq = np.array([[f(x, y) for x, y in row] for row in ctx.cell_qpoints])
+    load = np.zeros(n_u)
+    for c in (0, 1):
+        cell = np.einsum("tq,tq,aq->ta", ctx.cell_qweights, fq[:, :, c],
+                         ctx.p2_at_q)
+        np.add.at(load[c * ctx.num_scalar_nodes:],
+                  ctx.cell_scalar_nodes.ravel(), cell.ravel())
+    rhs = np.concatenate([load, np.zeros(n_p + 1)])
+    nodes = ctx.boundary_scalar_nodes
+    lift = np.zeros(K.shape[0])
+    gb = np.array([g(x, y) for x, y in ctx.velocity_nodes[nodes]])
+    lift[nodes] = gb[:, 0]
+    lift[ctx.num_scalar_nodes + nodes] = gb[:, 1]
+    keep = np.ones(K.shape[0], dtype=bool)
+    keep[sys.dirichlet_nodes] = False
+    idx = np.nonzero(keep)[0]
+    x = spla.spsolve(K[idx][:, idx].tocsc(), (rhs - K @ lift)[idx])
+    full = lift.copy()
+    full[idx] += x
+    return full[:n_u], full[n_u:n_u + n_p]
+
+
+@pytest.mark.parametrize("data", ["random_z", "trig_inflow"])
+def test_gmres_matches_direct(spaces8, random_z, data):
+    if data == "random_z":
+        nu, z, g = 1.0, random_z, ZERO_V
+        f = lambda x, y: (math.sin(2 * x), math.cos(y))  # noqa: E731
+    else:
+        case = manufactured.manufactured_case("trig", 1.0, 0.1)
+        nu, f, g = case.nu, case.f, case.u
+        z = spaces.interpolate(case.z, spaces8.vorticity)
+    u, p = solve(spaces8, nu, z, f, g)
+    u_ref, p_ref = direct_reference(spaces8, nu, z, f, g)
+    assert np.abs(u.coefficients - u_ref).max() < 1e-8
+    assert np.abs(p.coefficients - p_ref).max() < 1e-7
