@@ -16,6 +16,7 @@ the package applies it on import, before numpy loads.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -36,6 +37,20 @@ from .vtkio import write_vtk
 __all__ = ["main"]
 
 _CSV_VERSION = "gradetwo-csv v1"
+
+
+def _fix_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds (1 and 2 MiB) for the process.
+
+    glibc raises both to the largest block freed so far, so after the first
+    sparse factorisation how much freed memory stays mapped, and so the peak,
+    depends on the heap layout and varies from run to run.
+    """
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(-1, 2 << 20)  # M_TRIM_THRESHOLD
+            mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
 
 
 def _fmt(value):
@@ -226,6 +241,7 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="output directory override")
         p.set_defaults(needs_mesh=needs_mesh)
     args = parser.parse_args(argv)
+    _fix_malloc_thresholds()
 
     handlers = {
         "solve": cmd_solve,

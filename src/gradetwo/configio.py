@@ -41,7 +41,13 @@ def _scalar_fn(text, where):
         ast = exprlang.parse(text)
     except exprlang.ExprSyntaxError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return lambda x, y: exprlang.evaluate(ast, x, y)
+
+    def fn(x, y):
+        try:
+            return exprlang.evaluate(ast, x, y)
+        except exprlang.DomainError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return fn
 
 
 def _vector_fn(text_x, text_y, where):

@@ -48,8 +48,10 @@ class ProblemSpec:
     """Full description of one coupled solve.
 
     ``mesh`` may be a loaded :class:`Mesh` or a path to the native format.
-    ``f`` and ``g`` are vector callables, ``h`` the scalar inflow datum.
-    ``curl_f`` is optional; when absent, the curl of the quadratic
+    ``f`` and ``g`` are vector callables, ``h`` the scalar inflow datum;
+    all data callables receive coordinate arrays (see
+    :func:`gradetwo.userdata.evaluate`; scalar-only callables are called
+    per point instead).  ``curl_f`` is optional; when absent, the curl of the quadratic
     interpolant of f is used (exact for quadratic f, O(h^2)-consistent
     otherwise).
     """

@@ -9,8 +9,10 @@ Grammar (precedence low to high, ``^`` is right-associative)::
     atom    := NUMBER | "x" | "y" | "pi" | FUNC "(" sum ")" | "(" sum ")"
     FUNC    := "sin" | "cos" | "exp" | "sqrt" | "abs"
 
-Expressions are pure and total: evaluation either returns a finite float or
-raises :class:`DomainError`.  ASTs are immutable and hashable, and printing
+Expressions are pure and total: evaluation either returns finite floats or
+raises :class:`DomainError`.  :func:`evaluate` takes coordinate arrays and
+evaluates each node once for all points, with the results of evaluating
+every point on its own.  ASTs are immutable and hashable, and printing
 followed by re-parsing reproduces the AST exactly.
 """
 
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Unary", "Bin", "Call",
@@ -219,27 +223,42 @@ def parse(text):
     return _Parser(text).parse()
 
 
-_FUNC_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
+def _libm(fn, name, *args):
+    """``fn`` (``math.exp`` or ``math.pow``) at each point; its errors
+    become DomainError.  numpy's vectorised exp and power differ from libm
+    in the last bit on some CPUs, and must not change what a config
+    computes."""
+    def one(*point):
+        try:
+            return fn(*point)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(
+                f"{name}({', '.join(map(repr, point))}): {exc}") from exc
+    return np.asarray(np.frompyfunc(one, len(args), 1)(*args), dtype=float)
 
 
 def evaluate(expr, x, y):
-    """Evaluate ``expr`` at the point (x, y) in IEEE double precision.
+    """Evaluate ``expr`` at the points (x, y) in IEEE double precision.
 
-    Raises :class:`DomainError` whenever the value leaves the finite reals.
+    ``x`` and ``y`` are floats or arrays of one shape; the result is a float
+    or an array of that shape, equal bit for bit to evaluating each point
+    on its own.  Raises :class:`DomainError` whenever the value at some
+    point leaves the finite reals.
     """
-    v = _eval(expr, float(x), float(y))
-    if not math.isfinite(v):
-        raise DomainError(f"non-finite result {v!r}")
-    return v
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(all="ignore"):
+        v = np.broadcast_to(_eval(expr, x, y), x.shape)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        k = bad[0]
+        raise DomainError(f"non-finite result {float(v.flat[k])!r} at "
+                          f"({float(x.flat[k])!r}, {float(y.flat[k])!r})")
+    return float(v) if v.ndim == 0 else v.astype(float)
 
 
 def _eval(expr, x, y):
+    # constant subtrees stay Python floats: one evaluation, not one per point
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -261,21 +280,25 @@ def _eval(expr, x, y):
         if op == "*":
             return a * b
         if op == "/":
-            if b == 0.0:
+            if np.any(b == 0.0):
                 raise DomainError("division by zero")
             return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{a!r} ^ {b!r}: {exc}") from exc
+        return _libm(math.pow, "pow", a, b)
     if isinstance(expr, Call):
         a = _eval(expr.arg, x, y)
-        if expr.func == "sqrt" and a < 0.0:
-            raise DomainError(f"sqrt of negative number {a!r}")
-        try:
-            return _FUNC_IMPL[expr.func](a)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{expr.func}({a!r}): {exc}") from exc
+        if expr.func == "sqrt":
+            if np.any(a < 0.0):
+                raise DomainError(
+                    f"sqrt of negative number {float(np.nanmin(a))!r}")
+            return np.sqrt(a)
+        if expr.func == "abs":
+            return np.abs(a)
+        if expr.func == "exp":
+            return _libm(math.exp, "exp", a)
+        # math.sin and math.cos reject infinities; numpy returns nan
+        if np.any(np.isinf(a)):
+            raise DomainError(f"{expr.func}(inf): math domain error")
+        return np.sin(a) if expr.func == "sin" else np.cos(a)
     raise TypeError(f"not an Expr node: {expr!r}")
 
 

@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from . import spaces as fes
 from .driver import ProblemSpec, fixed_point_solve
 from .meshes import classify_boundary, unit_square_mesh
@@ -39,9 +41,10 @@ from .transport import build_inflow_datum, solve_transport
 __all__ = ["ManufacturedCase", "manufactured_case", "convergence_study",
            "StudyRow", "StudyResult", "CASE_NAMES"]
 
-_PI = math.pi
-_SIN = math.sin
-_COS = math.cos
+# numpy functions: every closure below accepts coordinate arrays
+_PI = np.pi
+_SIN = np.sin
+_COS = np.cos
 
 
 # ---- trig case pieces -------------------------------------------------------
@@ -219,9 +222,6 @@ class ManufacturedCase:
     h_trace: Callable
     h_flux: Callable
     inflow_marker: Optional[int]
-
-    def g(self, x, y):
-        return self.u(x, y)
 
     def h_for(self, variant):
         return self.h_trace if variant == "P_II" else self.h_flux

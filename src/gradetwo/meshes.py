@@ -26,20 +26,22 @@ from .errors import (
     MeshFormatError,
     MeshTopologyError,
 )
+from .userdata import evaluate
 
 __all__ = [
-    "Mesh", "BoundaryPartition",
+    "Mesh", "BoundaryPartition", "EDGE_QP", "EDGE_QW",
     "load_mesh", "save_mesh", "unit_square_mesh",
     "boundary_components", "classify_boundary", "flux_per_component",
+    "normal_boundary_data",
 ]
 
 # 3-point Gauss rule on [0, 1]: exact through degree 5
-_EDGE_QP = np.array([
+EDGE_QP = np.array([
     0.5 * (1.0 - np.sqrt(0.6)),
     0.5,
     0.5 * (1.0 + np.sqrt(0.6)),
 ])
-_EDGE_QW = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+EDGE_QW = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 class Mesh:
@@ -55,7 +57,10 @@ class Mesh:
     Construction validates the conformity invariants: every boundary edge
     belongs to exactly one triangle, every interior edge to exactly two,
     all triangles have positive signed area and the boundary edges close
-    into loops.
+    into loops.  It also tabulates every edge's length, unit normal
+    (pointing out of ``edge_cells[:, 0]``) and Gauss points, and each
+    vertex's two boundary edges (``vertex_boundary_edges``, -1 off the
+    boundary); the ``boundary_*`` arrays are the boundary rows of these.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers):
@@ -71,11 +76,17 @@ class Mesh:
         self._build_geometry()
         self._build_edges()
         self._validate_boundary()
+        self._build_edge_geometry()
+        bids = self.boundary_edge_ids
+        self.boundary_normals = self.edge_normals[bids]
+        self.boundary_lengths = self.edge_lengths[bids]
         # freeze all arrays; the mesh is shared read-only from here on
         for arr in (self.vertices, self.triangles, self.boundary_edges,
                     self.boundary_markers, self.edges, self.cell_edges,
                     self.edge_cells, self.areas, self.boundary_edge_ids,
-                    self.boundary_edge_cell, self.boundary_normals,
+                    self.vertex_boundary_edges, self.edge_lengths,
+                    self.edge_normals, self.edge_qpoints, self.edge_qweights,
+                    self.boundary_normals,
                     self.boundary_lengths):
             arr.setflags(write=False)
 
@@ -144,15 +155,14 @@ class Mesh:
                 f"edge {self.edges[e].tolist()} is shared by {counts[e]} "
                 "triangles; the triangulation is not conforming"
             )
-        edge_cells = np.full((self.edges.shape[0], 2), -1, dtype=np.int64)
-        cell_ids = np.repeat(np.arange(nt, dtype=np.int64), 3)
-        # deterministic: later cells overwrite slot 1, first occupant keeps 0
-        for cell, e in zip(cell_ids, inverse):
-            if edge_cells[e, 0] < 0:
-                edge_cells[e, 0] = cell
-            else:
-                edge_cells[e, 1] = cell
-        self.edge_cells = edge_cells
+        # slot 0 holds the lower of the edge's cells, slot 1 the other one
+        # (-1 on the boundary); entry i of ``inverse`` belongs to cell i // 3
+        order = np.argsort(inverse, kind="stable")
+        first = np.cumsum(counts) - counts
+        self.edge_cells = np.full((self.edges.shape[0], 2), -1, dtype=np.int64)
+        self.edge_cells[:, 0] = order[first] // 3
+        two = counts == 2
+        self.edge_cells[two, 1] = order[first[two] + 1] // 3
 
     def _validate_boundary(self):
         key = np.sort(self.boundary_edges, axis=1)
@@ -160,21 +170,22 @@ class Mesh:
         if uniq.shape[0] != key.shape[0]:
             raise MeshTopologyError("duplicate boundary edge in file")
         one_cell = self.edge_cells[:, 1] < 0
-        # map each declared boundary edge to a global edge id
-        edge_lookup = {tuple(e): i for i, e in enumerate(map(tuple, self.edges))}
-        ids = np.empty(key.shape[0], dtype=np.int64)
-        for b, pair in enumerate(map(tuple, key)):
-            e = edge_lookup.get(pair)
-            if e is None:
-                raise MeshTopologyError(
-                    f"boundary edge {b} {list(pair)} is not an edge of any triangle"
-                )
-            if not one_cell[e]:
-                raise MeshTopologyError(
-                    f"boundary edge {b} {list(pair)} is interior "
-                    "(shared by two triangles)"
-                )
-            ids[b] = e
+        # map each declared boundary edge to a global edge id; the edges are
+        # sorted, so their codes v0 * nv + v1 ascend
+        nv = self.num_vertices
+        codes = self.edges[:, 0] * nv + self.edges[:, 1]
+        wanted = key[:, 0] * nv + key[:, 1]
+        missing = np.nonzero(~np.isin(wanted, codes))[0]
+        if missing.size:
+            b = int(missing[0])
+            raise MeshTopologyError(f"boundary edge {b} {key[b].tolist()} is "
+                                    "not an edge of any triangle")
+        ids = np.searchsorted(codes, wanted)
+        shared = np.nonzero(~one_cell[ids])[0]
+        if shared.size:
+            b = int(shared[0])
+            raise MeshTopologyError(f"boundary edge {b} {key[b].tolist()} is "
+                                    "interior (shared by two triangles)")
         self.boundary_edge_ids = ids
         declared = np.zeros(self.num_edges, dtype=bool)
         declared[ids] = True
@@ -193,38 +204,45 @@ class Mesh:
                 f"boundary vertex {int(bad[0])} touches {int(counts[bad[0]])} "
                 "boundary edges (loops do not close)"
             )
-        self.boundary_edge_cell = self.edge_cells[ids, 0]
-        # outward normals and lengths per boundary edge
-        a = self.vertices[key[:, 0]]
-        b = self.vertices[key[:, 1]]
-        tangent = b - a
-        lengths = np.hypot(tangent[:, 0], tangent[:, 1])
-        if np.any(lengths <= 0.0):
-            raise MeshTopologyError("zero-length boundary edge")
-        normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / lengths[:, None]
-        # orient away from the owning triangle's centroid
-        centroid = self.vertices[self.triangles[self.boundary_edge_cell]].mean(axis=1)
-        mid = 0.5 * (a + b)
-        flip = np.einsum("ij,ij->i", normal, mid - centroid) < 0.0
+        # a stable sort by vertex keeps each vertex's two edges ascending
+        order = np.argsort(key.ravel(), kind="stable")
+        self.vertex_boundary_edges = np.full((self.num_vertices, 2), -1,
+                                             dtype=np.int64)
+        self.vertex_boundary_edges[key.ravel()[order[::2]]] = (
+            order // 2).reshape(-1, 2)
+
+    def _build_edge_geometry(self):
+        pa = self.vertices[self.edges[:, 0]]
+        pb = self.vertices[self.edges[:, 1]]
+        tangent = pb - pa
+        self.edge_lengths = np.hypot(tangent[:, 0], tangent[:, 1])
+        if np.any(self.edge_lengths <= 0.0):
+            raise MeshTopologyError("zero-length edge")
+        normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+        normal /= self.edge_lengths[:, None]
+        # orient from the first cell's centroid towards the second cell's,
+        # or towards the midpoint on the boundary
+        centroids = self.vertices[self.triangles].mean(axis=1)
+        c1 = self.edge_cells[:, 1]
+        ref = np.where((c1 >= 0)[:, None], centroids[np.maximum(c1, 0)],
+                       0.5 * (pa + pb))
+        flip = np.einsum("ed,ed->e", normal,
+                         ref - centroids[self.edge_cells[:, 0]]) < 0.0
         normal[flip] *= -1.0
-        self.boundary_normals = normal
-        self.boundary_lengths = lengths
-        self._boundary_key = key
-        self._boundary_key.setflags(write=False)
+        self.edge_normals = normal
+        self.edge_qpoints = (pa[:, None, :] * (1.0 - EDGE_QP)[None, :, None]
+                             + pb[:, None, :] * EDGE_QP[None, :, None])
+        self.edge_qweights = self.edge_lengths[:, None] * EDGE_QW[None, :]
 
     # -- boundary quadrature -------------------------------------------------
 
     def boundary_quad_points(self):
         """Physical quadrature points per boundary edge, shape (nb, 3, 2)."""
-        key = self._boundary_key
-        a = self.vertices[key[:, 0]][:, None, :]
-        b = self.vertices[key[:, 1]][:, None, :]
-        t = _EDGE_QP[None, :, None]
-        return a * (1.0 - t) + b * t
+        return self.edge_qpoints[self.boundary_edge_ids]
 
     def boundary_quad_weights(self):
         """Quadrature weights (arc length measure), shape (nb, 3)."""
-        return self.boundary_lengths[:, None] * _EDGE_QW[None, :]
+        return self.edge_qweights[self.boundary_edge_ids]
 
 
 @dataclass(frozen=True)
@@ -253,21 +271,12 @@ class BoundaryPartition:
         return tuple(v for v in self.degenerate_points if v not in junc)
 
 
-def _eval_g_on_boundary(mesh, g):
-    """Evaluate boundary velocity data at all edge quadrature points.
-
-    Returns arrays gx, gy of shape (nb, 3).
-    """
+def normal_boundary_data(mesh, g):
+    """g at the boundary quadrature points, (nb, 3, 2), and g.n, (nb, 3)."""
     pts = mesh.boundary_quad_points()
-    flat = pts.reshape(-1, 2)
-    gx = np.empty(flat.shape[0])
-    gy = np.empty(flat.shape[0])
-    for i, (x, y) in enumerate(flat):
-        vx, vy = g(x, y)
-        gx[i] = vx
-        gy[i] = vy
-    nb = mesh.num_boundary_edges
-    return gx.reshape(nb, 3), gy.reshape(nb, 3)
+    gv = evaluate(g, pts[..., 0], pts[..., 1])
+    n = mesh.boundary_normals
+    return gv, gv[..., 0] * n[:, None, 0] + gv[..., 1] * n[:, None, 1]
 
 
 def boundary_components(mesh):
@@ -277,25 +286,20 @@ def boundary_components(mesh):
     are contiguous, starting from 0, ordered by the smallest edge id they
     contain.
     """
-    nb = mesh.num_boundary_edges
-    vertex_edges = {}
-    for b, (p, q) in enumerate(mesh._boundary_key):
-        vertex_edges.setdefault(int(p), []).append(b)
-        vertex_edges.setdefault(int(q), []).append(b)
+    ends = mesh.edges[mesh.boundary_edge_ids]
     comp = {}
     current = 0
-    for start in range(nb):
+    for start in range(mesh.num_boundary_edges):
         if start in comp:
             continue
         stack = [start]
         comp[start] = current
         while stack:
             b = stack.pop()
-            for v in mesh._boundary_key[b]:
-                for nb_edge in vertex_edges[int(v)]:
-                    if nb_edge not in comp:
-                        comp[nb_edge] = current
-                        stack.append(nb_edge)
+            for nb_edge in mesh.vertex_boundary_edges[ends[b]].ravel().tolist():
+                if nb_edge not in comp:
+                    comp[nb_edge] = current
+                    stack.append(nb_edge)
         current += 1
     return comp
 
@@ -310,67 +314,57 @@ def classify_boundary(mesh, g, alpha, eps_n=None):
 
     Parameters
     ----------
-    g : callable (x, y) -> (gx, gy)
+    g : callable (x, y) -> (gx, gy), called with coordinate arrays through
+        :func:`gradetwo.userdata.evaluate`
     alpha : float, stress modulus (sign matters, 0 gives an empty inflow set)
     eps_n : float, sign threshold; default ``1e-12 * max(1, max |g|)``
     """
-    gx, gy = _eval_g_on_boundary(mesh, g)
+    gv, gn = normal_boundary_data(mesh, g)
     if eps_n is None:
-        gscale = float(np.hypot(gx, gy).max(initial=0.0))
+        gscale = float(np.hypot(gv[..., 0], gv[..., 1]).max(initial=0.0))
         eps_n = 1e-12 * max(1.0, gscale)
     eps_n = float(eps_n)
     if eps_n < 0.0:
         raise ValueError("eps_n must be nonnegative")
-    n = mesh.boundary_normals
-    gn = gx * n[:, None, 0] + gy * n[:, None, 1]  # (nb, 3)
     s = alpha * gn
     neg = s < -eps_n
     pos = s > eps_n
-    minus = []
-    zero_plus = []
-    for b in range(mesh.num_boundary_edges):
-        if neg[b].all():
-            minus.append(b)
-        elif alpha != 0.0 and neg[b].any() and pos[b].any():
+    minus = neg.all(axis=1)
+    if alpha != 0.0:
+        split = np.nonzero(neg.any(axis=1) & pos.any(axis=1))[0]
+        if split.size:
             raise BoundaryResolutionError(
-                f"boundary edge {b}: alpha*g.n changes sign strictly within "
-                "the edge; refine the mesh to resolve the inflow partition"
+                f"boundary edge {int(split[0])}: alpha*g.n changes sign "
+                "strictly within the edge; refine the mesh to resolve the "
+                "inflow partition"
             )
-        else:
-            zero_plus.append(b)
-    minus_set = set(minus)
+    # per boundary vertex (ascending): is each of its two edges inflow?
+    bverts = np.nonzero(mesh.vertex_boundary_edges[:, 0] >= 0)[0]
+    vedges = mesh.vertex_boundary_edges[bverts]
+    inflow = minus[vedges]
     # junction vertices: the two incident boundary edges disagree
-    vertex_edges = {}
-    for b, (p, q) in enumerate(mesh._boundary_key):
-        vertex_edges.setdefault(int(p), []).append(b)
-        vertex_edges.setdefault(int(q), []).append(b)
-    junctions = []
-    for v, edges in sorted(vertex_edges.items()):
-        flags = {e in minus_set for e in edges}
-        if len(flags) == 2:
-            junctions.append(v)
+    junctions = bverts[inflow[:, 0] != inflow[:, 1]]
     # degenerate points: vertices of closure(inflow) where |g.n_-| <= eps_n,
-    # measured with the normal of the incident inflow edge
-    degenerate = []
-    for v, edges in sorted(vertex_edges.items()):
-        for b in edges:
-            if b not in minus_set:
-                continue
-            nx, ny = mesh.boundary_normals[b]
-            gvx, gvy = g(*mesh.vertices[v])
-            if abs(gvx * nx + gvy * ny) <= eps_n:
-                degenerate.append(v)
-                break
+    # measured with the normal of an incident inflow edge
+    degenerate = bverts[:0]
+    closure = inflow.any(axis=1)
+    if closure.any():
+        pts = mesh.vertices[bverts[closure]]
+        gvert = evaluate(g, pts[:, 0], pts[:, 1])
+        n = mesh.boundary_normals[vedges[closure]]  # (m, 2 edges, 2)
+        gnv = gvert[:, None, 0] * n[..., 0] + gvert[:, None, 1] * n[..., 1]
+        hit = (np.abs(gnv) <= eps_n) & inflow[closure]
+        degenerate = bverts[closure][hit.any(axis=1)]
     beta = None
-    if minus:
+    if minus.any():
         m = float(np.abs(gn[minus]).min())
         if m > eps_n:
             beta = 1.0 / m
     return BoundaryPartition(
-        gamma_minus=tuple(minus),
-        gamma_zero_plus=tuple(zero_plus),
-        junctions=tuple(junctions),
-        degenerate_points=tuple(degenerate),
+        gamma_minus=tuple(np.nonzero(minus)[0].tolist()),
+        gamma_zero_plus=tuple(np.nonzero(~minus)[0].tolist()),
+        junctions=tuple(junctions.tolist()),
+        degenerate_points=tuple(degenerate.tolist()),
         beta=beta,
         eps_n=eps_n,
     )
@@ -380,11 +374,8 @@ def flux_per_component(mesh, g):
     """Net flux of g through each boundary component (edge quadrature)."""
     comp = boundary_components(mesh)
     k = max(comp.values()) + 1 if comp else 0
-    gx, gy = _eval_g_on_boundary(mesh, g)
-    n = mesh.boundary_normals
-    gn = gx * n[:, None, 0] + gy * n[:, None, 1]
-    w = mesh.boundary_quad_weights()
-    per_edge = (gn * w).sum(axis=1)
+    per_edge = (normal_boundary_data(mesh, g)[1]
+                * mesh.boundary_quad_weights()).sum(axis=1)
     out = [0.0] * k
     for b, c in comp.items():
         out[c] += float(per_edge[b])
@@ -485,30 +476,17 @@ def unit_square_mesh(n):
     xs = np.linspace(0.0, 1.0, n + 1)
     vx, vy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.stack([vx.ravel(), vy.ravel()], axis=1)
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    bedges = []
-    markers = []
-    for i in range(n):
-        bedges.append((vid(i, 0), vid(i + 1, 0)))
-        markers.append(1)
-    for j in range(n):
-        bedges.append((vid(n, j), vid(n, j + 1)))
-        markers.append(2)
-    for i in range(n):
-        bedges.append((vid(n - i, n), vid(n - i - 1, n)))
-        markers.append(3)
-    for j in range(n):
-        bedges.append((vid(0, n - j), vid(0, n - j - 1)))
-        markers.append(4)
-    return Mesh(np.asarray(vertices), np.asarray(tris),
-                np.asarray(bedges), np.asarray(markers))
+    vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # vertex (i, j)
+    a, b = vid[:-1, :-1].ravel(), vid[1:, :-1].ravel()
+    c, d = vid[1:, 1:].ravel(), vid[:-1, 1:].ravel()
+    # square (i, j) splits into (a, b, c) and (a, c, d)
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    r = np.arange(n)
+    # counterclockwise: bottom, right, top, left
+    bedges = np.concatenate([
+        np.stack([vid[r, 0], vid[r + 1, 0]], axis=1),
+        np.stack([vid[n, r], vid[n, r + 1]], axis=1),
+        np.stack([vid[n - r, n], vid[n - r - 1, n]], axis=1),
+        np.stack([vid[0, n - r], vid[0, n - r - 1]], axis=1),
+    ])
+    return Mesh(vertices, tris, bedges, np.repeat([1, 2, 3, 4], n))

@@ -10,20 +10,28 @@ Three spaces on one triangulation:
   which carry the transported field and its broken gradients.
 
 Cell quadrature is a 7-point rule exact through degree 5 (the skew coupling
-form pairs a linear coefficient with two quadratics); edge quadrature is
-3-point Gauss, also exact through degree 5.
+form pairs a linear coefficient with two quadratics); edge quadrature is the
+3-point Gauss rule of :mod:`gradetwo.meshes`, also exact through degree 5,
+whose edge normals, points and weights the context reads from the mesh.
 
 Space descriptors and the tabulation context are immutable after
-construction and safe to share across threads; field coefficient vectors
-belong to one writer at a time.
+construction and safe to share across threads, with one exception: the
+context's P1 mass factorisation (:attr:`FeContext.p1_mass_lu`) is built on
+first use and then kept.  It is the one cache; building it is deterministic
+and idempotent, so concurrent first uses at worst build it twice.  Field
+coefficient vectors belong to one writer at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .meshes import EDGE_QP
+from .userdata import evaluate
 
 __all__ = [
     "SpaceDescriptor", "Field", "Spaces", "FieldNorms",
@@ -47,13 +55,6 @@ TRI_QP = np.array([
 ])
 TRI_QW = np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2])
 
-EDGE_QP = np.array([
-    0.5 * (1.0 - np.sqrt(0.6)),
-    0.5,
-    0.5 * (1.0 + np.sqrt(0.6)),
-])
-EDGE_QW = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-
 
 def p1_values(bary):
     """P1 basis at barycentric points; shape (3, nq)."""
@@ -61,17 +62,14 @@ def p1_values(bary):
 
 
 def p2_values(bary):
-    """P2 basis at barycentric points; shape (6, nq).
+    """P2 basis at barycentric points of shape (..., 3); shape (6, ...).
 
     Nodes 0..2 sit at the vertices, node 3+i at the midpoint of the edge
     opposite vertex i.
     """
-    b = np.asarray(bary)
-    out = np.empty((6, b.shape[0]))
-    for i in range(3):
-        out[i] = b[:, i] * (2.0 * b[:, i] - 1.0)
-        out[3 + i] = 4.0 * b[:, (i + 1) % 3] * b[:, (i + 2) % 3]
-    return out
+    b = np.moveaxis(np.asarray(bary), -1, 0)
+    return np.stack([b[i] * (2.0 * b[i] - 1.0) for i in range(3)]
+                    + [4.0 * b[(i + 1) % 3] * b[(i + 2) % 3] for i in range(3)])
 
 
 def _grad_lambda(vertices, triangles, areas):
@@ -110,7 +108,6 @@ class FeContext:
         self.mesh = mesh
         nt = mesh.num_triangles
         tq = TRI_QP
-        self.tri_qw = TRI_QW
         self.cell_qpoints = np.einsum(
             "qi,tid->tqd", tq, mesh.vertices[mesh.triangles])
         self.cell_qweights = mesh.areas[:, None] * TRI_QW[None, :]
@@ -121,81 +118,57 @@ class FeContext:
         corners = np.eye(3)
         self.p2_grad_at_corners = _p2_grads(corners, self.grad_lambda)
 
-        # edge (face) structures -------------------------------------------
+        # edge (face) structures; geometry comes from the mesh ------------
         edges = mesh.edges
         ne = edges.shape[0]
-        pa = mesh.vertices[edges[:, 0]]
-        pb = mesh.vertices[edges[:, 1]]
-        tangent = pb - pa
-        self.edge_lengths = np.hypot(tangent[:, 0], tangent[:, 1])
-        normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
-        normal /= self.edge_lengths[:, None]
-        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-        c0 = mesh.edge_cells[:, 0]
-        c1 = mesh.edge_cells[:, 1]
-        interior = c1 >= 0
-        mid = 0.5 * (pa + pb)
-        ref = np.where(interior[:, None], centroids[np.maximum(c1, 0)], mid)
-        flip = np.einsum("ed,ed->e", normal, ref - centroids[c0]) < 0.0
-        normal[flip] *= -1.0
-        self.edge_normals = normal
-        self.edge_interior = interior
-        self.edge_qpoints = (pa[:, None, :] * (1.0 - EDGE_QP)[None, :, None]
-                             + pb[:, None, :] * EDGE_QP[None, :, None])
-        self.edge_qweights = self.edge_lengths[:, None] * EDGE_QW[None, :]
+        self.edge_interior = mesh.edge_cells[:, 1] >= 0
 
-        # local vertex positions of each edge endpoint within each side cell
-        def local_index(cells, verts):
-            tri = mesh.triangles[cells]  # (ne, 3)
-            loc = np.argmax(tri == verts[:, None], axis=1)
-            return loc
+        def edge_bary(cells):
+            """Barycentrics of the edge Gauss points in ``cells``, (ne, nqe, 3);
+            zero where a boundary edge has no second cell."""
+            tri = np.where(cells[:, None] >= 0, mesh.triangles[cells], -1)
+            tri = tri[:, None, :]
+            return ((tri == edges[:, None, 0:1]) * (1.0 - EDGE_QP)[None, :, None]
+                    + (tri == edges[:, None, 1:2]) * EDGE_QP[None, :, None])
 
-        la0 = local_index(c0, edges[:, 0])
-        lb0 = local_index(c0, edges[:, 1])
-        c1s = np.maximum(c1, 0)
-        la1 = local_index(c1s, edges[:, 0])
-        lb1 = local_index(c1s, edges[:, 1])
-        nqe = EDGE_QP.shape[0]
-        bary0 = np.zeros((ne, nqe, 3))
-        bary1 = np.zeros((ne, nqe, 3))
-        rows = np.arange(ne)
-        for q, t in enumerate(EDGE_QP):
-            bary0[rows, q, la0] = 1.0 - t
-            bary0[rows, q, lb0] = t
-            bary1[rows, q, la1] = 1.0 - t
-            bary1[rows, q, lb1] = t
+        bary0 = edge_bary(mesh.edge_cells[:, 0])
+        bary1 = edge_bary(mesh.edge_cells[:, 1])
         # P1 traces equal the barycentric coordinates themselves
         self.edge_p1_trace = np.stack(
             [bary0.transpose(0, 2, 1), bary1.transpose(0, 2, 1)], axis=1
         )  # (ne, 2, 3, nqe)
         self.edge_p2_trace = np.stack(
-            [_p2_trace(bary0), _p2_trace(bary1)], axis=1)  # (ne, 2, 6, nqe)
-
-        # map global edge id -> boundary edge id (-1 when interior)
-        b2e = mesh.boundary_edge_ids
-        self.edge_to_boundary = np.full(ne, -1, dtype=np.int64)
-        self.edge_to_boundary[b2e] = np.arange(b2e.shape[0])
+            [p2_values(bary0), p2_values(bary1)]).transpose(2, 0, 1, 3).copy()
+        # (ne, 2, 6, nqe)
 
         # velocity scalar node layout: vertices then edge midpoints
         self.num_scalar_nodes = mesh.num_vertices + ne
         self.velocity_nodes = np.concatenate(
-            [mesh.vertices, 0.5 * (pa + pb)], axis=0)
+            [mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]]
+                                   + mesh.vertices[edges[:, 1]])], axis=0)
         self.cell_scalar_nodes = np.concatenate(
             [mesh.triangles, mesh.num_vertices + mesh.cell_edges], axis=1)
         bverts = np.unique(mesh.boundary_edges)
         self.boundary_scalar_nodes = np.concatenate(
-            [bverts, mesh.num_vertices + b2e])
+            [bverts, mesh.num_vertices + mesh.boundary_edge_ids])
 
+    @cached_property
+    def p1_mass_lu(self):
+        """Factorisation of the continuous P1 mass matrix, built on first use.
 
-def _p2_trace(bary):
-    """P2 values from barycentric samples; (ne, nqe, 3) -> (ne, 6, nqe)."""
-    ne, nqe, _ = bary.shape
-    out = np.empty((ne, 6, nqe))
-    for i in range(3):
-        bi = bary[:, :, i]
-        out[:, i] = bi * (2.0 * bi - 1.0)
-        out[:, 3 + i] = 4.0 * bary[:, :, (i + 1) % 3] * bary[:, :, (i + 2) % 3]
-    return out
+        Not built with the context: only the weak-divergence check of a
+        transport solve or an energy report needs it, and at n = 128 it
+        takes about 0.16 s, three quarters of :func:`build_spaces`.
+        """
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        tri = self.mesh.triangles
+        P = self.p1_at_q
+        mass_cell = np.einsum("tq,kq,lq->tkl", self.cell_qweights, P, P)
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        return spla.splu(
+            sp.coo_matrix((mass_cell.ravel(), (rows, cols))).tocsc())
 
 
 @dataclass(frozen=True)
@@ -260,36 +233,25 @@ def build_spaces(mesh):
     return Spaces(velocity, pressure, vorticity, ctx)
 
 
-def _check_finite(values, where):
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite evaluation while interpolating at {where}")
-
-
 def interpolate(func: Callable, space: SpaceDescriptor) -> Field:
     """Nodal interpolation of a callable into ``space``.
 
-    Velocity expects ``func(x, y) -> (ux, uy)``; the scalar spaces expect
-    ``func(x, y) -> float``.  Pressure interpolants are shifted to zero mean
-    (the space carries that constraint).
+    ``func`` is called with coordinate arrays through
+    :func:`gradetwo.userdata.evaluate`.  Velocity expects
+    ``func(x, y) -> (ux, uy)``; the scalar spaces expect
+    ``func(x, y) -> value``.  Pressure interpolants are shifted to zero
+    mean (the space carries that constraint).
     """
-    ctx = space.context
-    if space.kind == "velocity":
-        pts = ctx.velocity_nodes
-        vals = np.array([func(x, y) for x, y in pts], dtype=float)
-        _check_finite(vals, "velocity nodes")
-        coeffs = np.concatenate([vals[:, 0], vals[:, 1]])
-        return space.new_field(coeffs)
+    velocity = space.kind == "velocity"
+    pts = space.context.velocity_nodes if velocity else space.dof_points()
+    vals = evaluate(func, pts[:, 0], pts[:, 1])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite evaluation while interpolating at "
+                         f"{space.kind} nodes")
+    field = space.new_field(vals.T.ravel() if velocity else vals)
     if space.kind == "pressure":
-        pts = ctx.mesh.vertices
-        vals = np.array([func(x, y) for x, y in pts], dtype=float)
-        _check_finite(vals, "pressure nodes")
-        f = space.new_field(vals)
-        shift_to_zero_mean(f)
-        return f
-    pts = space.dof_points()
-    vals = np.array([func(x, y) for x, y in pts], dtype=float)
-    _check_finite(vals, "vorticity nodes")
-    return space.new_field(vals)
+        shift_to_zero_mean(field)
+    return field
 
 
 def pressure_mean(field: Field) -> float:
@@ -420,52 +382,31 @@ def integrate(ctx: FeContext, cell_values):
 
 
 def error_l2(field: Field, exact: Callable) -> float:
-    """L2 distance between a field and a callable (vector for velocity)."""
+    """L2 distance between a field and a callable (vector for velocity);
+    ``exact`` is called with coordinate arrays, as in :func:`interpolate`."""
     ctx = field.space.context
     pts = ctx.cell_qpoints
+    ex = evaluate(exact, pts[..., 0], pts[..., 1])
     if field.space.kind == "velocity":
-        v = velocity_cell_values(field)
-        ex = np.array([[exact(x, y) for x, y in row] for row in pts])
-        diff = ((v - ex) ** 2).sum(axis=2)
+        diff = ((velocity_cell_values(field) - ex) ** 2).sum(axis=2)
     else:
-        v = scalar_cell_values(field)
-        ex = np.array([[exact(x, y) for x, y in row] for row in pts])
-        diff = (v - ex) ** 2
+        diff = (scalar_cell_values(field) - ex) ** 2
     return float(np.sqrt((ctx.cell_qweights * diff).sum()))
 
 
 def error_h1(field: Field, exact_grad: Callable) -> float:
-    """(Broken) H1-seminorm distance; ``exact_grad`` returns the gradient
-    rows (du1, du2) for velocity or (dzdx, dzdy) for scalars."""
+    """(Broken) H1-seminorm distance; ``exact_grad`` is called with
+    coordinate arrays and returns the gradient rows (du1, du2) for velocity
+    or (dzdx, dzdy) for scalars."""
     ctx = field.space.context
     pts = ctx.cell_qpoints
+    ex = evaluate(exact_grad, pts[..., 0], pts[..., 1])
     if field.space.kind == "velocity":
-        g = velocity_cell_gradients(field)
-        ex = np.array([[exact_grad(x, y) for x, y in row] for row in pts])
-        diff = ((g - ex) ** 2).sum(axis=(2, 3))
-        return float(np.sqrt((ctx.cell_qweights * diff).sum()))
-    g = scalar_cell_gradients(field)  # (nt, 2)
-    ex = np.array([[exact_grad(x, y) for x, y in row] for row in pts])
-    diff = ((g[:, None, :] - ex) ** 2).sum(axis=2)
+        diff = ((velocity_cell_gradients(field) - ex) ** 2).sum(axis=(2, 3))
+    else:
+        g = scalar_cell_gradients(field)  # (nt, 2)
+        diff = ((g[:, None, :] - ex) ** 2).sum(axis=2)
     return float(np.sqrt((ctx.cell_qweights * diff).sum()))
-
-
-def _p1_mass_solver(ctx):
-    """Cached factorization of the continuous P1 mass matrix."""
-    cached = getattr(ctx, "_p1_mass_lu", None)
-    if cached is None:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-        mesh = ctx.mesh
-        w = ctx.cell_qweights
-        P = ctx.p1_at_q
-        mass_cell = np.einsum("tq,kq,lq->tkl", w, P, P)
-        rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-        cols = np.tile(mesh.triangles, (1, 3)).ravel()
-        M = sp.coo_matrix((mass_cell.ravel(), (rows, cols))).tocsc()
-        cached = spla.splu(M)
-        ctx._p1_mass_lu = cached
-    return cached
 
 
 def velocity_weak_divergence_l2(field: Field) -> float:
@@ -484,5 +425,5 @@ def velocity_weak_divergence_l2(field: Field) -> float:
     r_cell = np.einsum("tq,kq,tq->tk", ctx.cell_qweights, P, div)
     r = np.zeros(mesh.num_vertices)
     np.add.at(r, mesh.triangles.ravel(), r_cell.ravel())
-    d = _p1_mass_solver(ctx).solve(r)
+    d = ctx.p1_mass_lu.solve(r)
     return float(np.sqrt(max(d @ r, 0.0)))

@@ -35,7 +35,8 @@ import scipy.sparse.linalg as spla
 
 from . import spaces as fes
 from .errors import FluxIncompatible, LinearSolveFailure
-from .meshes import flux_per_component
+from .meshes import flux_per_component, normal_boundary_data
+from .userdata import evaluate
 
 __all__ = [
     "SaddleSystem", "PreparedStokes", "StokesEnergyReport",
@@ -178,8 +179,8 @@ def assemble_generalized_stokes(spaces_, nu, z):
 
 def _cell_values(ctx, f):
     """A vector callable at the cell quadrature points, shape (nt, nq, 2)."""
-    return np.array([[f(x, y) for x, y in cell] for cell in ctx.cell_qpoints],
-                    dtype=float)
+    pts = ctx.cell_qpoints
+    return evaluate(f, pts[..., 0], pts[..., 1])
 
 
 def _load_vector(ctx, f):
@@ -194,15 +195,9 @@ def _load_vector(ctx, f):
 
 def default_flux_tol(mesh, g):
     """1e-8 times the boundary scale of the normal data (floor at 1e-8)."""
-    pts = mesh.boundary_quad_points()
-    w = mesh.boundary_quad_weights()
-    n = mesh.boundary_normals
-    total = 0.0
-    for b in range(pts.shape[0]):
-        for q in range(pts.shape[1]):
-            gx, gy = g(pts[b, q, 0], pts[b, q, 1])
-            total += w[b, q] * abs(gx * n[b, 0] + gy * n[b, 1])
-    return 1e-8 * max(1.0, total)
+    gn = normal_boundary_data(mesh, g)[1]
+    return 1e-8 * max(1.0, float((mesh.boundary_quad_weights()
+                                  * np.abs(gn)).sum()))
 
 
 def check_flux_compatibility(mesh, g, flux_tol=None):
@@ -218,22 +213,22 @@ def check_flux_compatibility(mesh, g, flux_tol=None):
 
 def _boundary_values(ctx, g):
     """Velocity Dirichlet values at constrained dofs (node interpolation)."""
-    nodes = ctx.boundary_scalar_nodes
-    pts = ctx.velocity_nodes[nodes]
-    vals = np.array([g(x, y) for x, y in pts], dtype=float)
+    pts = ctx.velocity_nodes[ctx.boundary_scalar_nodes]
+    vals = evaluate(g, pts[:, 0], pts[:, 1])
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite boundary data")
-    return vals  # (len(nodes), 2)
+    return vals  # (boundary nodes, 2)
 
 
 def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     """Do the z-independent work of the generalized Stokes problem once.
 
-    ``f`` and ``g`` are callables ``(x, y) -> (vx, vy)``.  The boundary data
-    must be flux-compatible on every boundary component (checked first,
-    raising :class:`FluxIncompatible`).  The result serves any number of
-    :func:`solve_generalized_stokes` calls with the same ``nu``, ``f`` and
-    ``g``.
+    ``f`` and ``g`` are callables ``(x, y) -> (vx, vy)``, called with
+    coordinate arrays through :func:`gradetwo.userdata.evaluate`.  The
+    boundary data must be flux-compatible on every boundary component
+    (checked first, raising :class:`FluxIncompatible`).  The result serves
+    any number of :func:`solve_generalized_stokes` calls with the same
+    ``nu``, ``f`` and ``g``.
     """
     if not (nu > 0.0):
         raise ValueError("nu must be positive")

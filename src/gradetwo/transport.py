@@ -32,6 +32,8 @@ from .errors import (
     LinearSolveFailure,
     MaxIterations,
 )
+from .meshes import EDGE_QP, normal_boundary_data
+from .userdata import evaluate
 
 __all__ = [
     "InflowDatum", "build_inflow_datum", "empty_datum", "solve_transport",
@@ -61,13 +63,15 @@ class InflowDatum:
 
 
 def empty_datum(mesh):
-    nqe = fes.EDGE_QP.shape[0]
-    return InflowDatum("P_II", np.zeros((mesh.num_boundary_edges, nqe)), ())
+    return InflowDatum("P_II", np.zeros((mesh.num_boundary_edges,
+                                         EDGE_QP.size)), ())
 
 
 def build_inflow_datum(mesh, variant, h, g, part, eps_n=None):
     """Convert boundary data h into the trace value q imposed at inflow.
 
+    ``h`` and ``g`` are called with coordinate arrays through
+    :func:`gradetwo.userdata.evaluate`, ``h`` on the inflow edges only.
     For the trace variant (P_II) q = h.  For the flux variant (P_I) the
     prescribed quantity is (z u).n, so q = h / (g.n); this degenerates when
     the normal data touches zero inside the closure of the inflow set, and
@@ -78,13 +82,12 @@ def build_inflow_datum(mesh, variant, h, g, part, eps_n=None):
         raise ValueError(f"unknown variant {variant!r}")
     if eps_n is None:
         eps_n = part.eps_n
-    nqe = fes.EDGE_QP.shape[0]
-    values = np.zeros((mesh.num_boundary_edges, nqe))
+    values = np.zeros((mesh.num_boundary_edges, EDGE_QP.size))
     edges = tuple(part.gamma_minus)
     if not edges:
         return InflowDatum(variant, values, ())
-    pts = mesh.boundary_quad_points()
-    normals = mesh.boundary_normals
+    sel = list(edges)
+    pts = mesh.boundary_quad_points()[sel]
     if variant == "P_I":
         bad = part.interior_degeneracies()
         if bad:
@@ -93,22 +96,18 @@ def build_inflow_datum(mesh, variant, h, g, part, eps_n=None):
                 f"boundary at vertices {list(bad)}; the flux-form datum "
                 "cannot be divided by g.n there"
             )
-    for b in edges:
-        nx, ny = normals[b]
-        for k in range(nqe):
-            x, y = pts[b, k]
-            hv = h(x, y)
-            if variant == "P_II":
-                values[b, k] = hv
-            else:
-                gx, gy = g(x, y)
-                gn = gx * nx + gy * ny
-                if abs(gn) <= eps_n:
-                    raise DegenerateInflow(
-                        f"|g.n| = {abs(gn):.3e} <= eps_n at quadrature point "
-                        f"({x:.6g}, {y:.6g}) of inflow edge {b}"
-                    )
-                values[b, k] = hv / gn
+        gn = normal_boundary_data(mesh, g)[1][sel]
+        small = np.argwhere(np.abs(gn) <= eps_n)
+        if small.size:
+            e, k = small[0]
+            x, y = pts[e, k]
+            raise DegenerateInflow(
+                f"|g.n| = {abs(gn[e, k]):.3e} <= eps_n at quadrature point "
+                f"({x:.6g}, {y:.6g}) of inflow edge {sel[e]}"
+            )
+        values[sel] = evaluate(h, pts[..., 0], pts[..., 1]) / gn
+    else:
+        values[sel] = evaluate(h, pts[..., 0], pts[..., 1])
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite inflow datum")
     return InflowDatum(variant, values, edges)
@@ -118,7 +117,7 @@ def _edge_sign(u, alpha):
     """alpha * u.n at all edge quadrature points, shape (ne, nqe)."""
     ctx = u.space.context
     tr = fes.velocity_edge_values(u)  # (ne, nqe, 2)
-    n = ctx.edge_normals
+    n = ctx.mesh.edge_normals
     return alpha * (tr[:, :, 0] * n[:, None, 0] + tr[:, :, 1] * n[:, None, 1])
 
 
@@ -150,7 +149,7 @@ def _assemble_operator(u, nu, alpha, eps_n, datum):
     cix = [cols]
 
     s = _edge_sign(u, alpha)     # (ne, nqe)
-    we = ctx.edge_qweights
+    we = mesh.edge_qweights
 
     # interior faces: upwind flux s_plus z- + s_minus z+ against [v]
     interior = np.nonzero(ctx.edge_interior)[0]
@@ -288,7 +287,7 @@ def sign_functional_report(z, u, alpha):
     ctx = z.space.context
     mesh = ctx.mesh
     s = _edge_sign(u, alpha)
-    we = ctx.edge_qweights
+    we = mesh.edge_qweights
     z0 = fes.vorticity_edge_values(z, 0)
     interior = np.nonzero(ctx.edge_interior)[0]
     jumps = 0.0
@@ -328,6 +327,9 @@ def green_residual(z, u, phi, part, phi_grad=None, localized=False):
     the inflow part only when ``localized`` (phi is then expected to vanish
     on the complement).  Gradients of z are broken; the residual measures
     the combined effect of interfacial jumps and the divergence defect of u.
+    ``phi`` and ``phi_grad`` are called with coordinate arrays through
+    :func:`gradetwo.userdata.evaluate`; without ``phi_grad`` a central
+    difference of ``phi`` is used.
     """
     if phi_grad is None:
         phi_grad = _fd_gradient(phi)
@@ -338,17 +340,10 @@ def green_residual(z, u, phi, part, phi_grad=None, localized=False):
     uq = fes.velocity_cell_values(u)
     zq = fes.scalar_cell_values(z)
     gz = fes.scalar_cell_gradients(z)  # (nt, 2)
-    phiq = np.empty(w.shape)
-    gphix = np.empty(w.shape)
-    gphiy = np.empty(w.shape)
-    for t in range(w.shape[0]):
-        for q in range(w.shape[1]):
-            x, y = pts[t, q]
-            phiq[t, q] = phi(x, y)
-            gx, gy = phi_grad(x, y)
-            gphix[t, q] = gx
-            gphiy[t, q] = gy
-    vol1 = float((w * zq * (uq[:, :, 0] * gphix + uq[:, :, 1] * gphiy)).sum())
+    phiq = evaluate(phi, pts[..., 0], pts[..., 1])
+    gphi = evaluate(phi_grad, pts[..., 0], pts[..., 1])
+    vol1 = float((w * zq * (uq[:, :, 0] * gphi[..., 0]
+                            + uq[:, :, 1] * gphi[..., 1])).sum())
     adv = uq[:, :, 0] * gz[:, None, 0] + uq[:, :, 1] * gz[:, None, 1]
     vol2 = float((w * phiq * adv).sum())
 
@@ -362,15 +357,11 @@ def green_residual(z, u, phi, part, phi_grad=None, localized=False):
         eids = bids[sel]
         tr = fes.velocity_edge_values(u)[eids]
         zb = fes.vorticity_edge_values(z, 0)[eids]
-        n = ctx.edge_normals[eids]
-        wb = ctx.edge_qweights[eids]
+        n = mesh.edge_normals[eids]
         un = tr[:, :, 0] * n[:, None, 0] + tr[:, :, 1] * n[:, None, 1]
-        bpts = ctx.edge_qpoints[eids]
-        phib = np.empty(un.shape)
-        for e in range(un.shape[0]):
-            for q in range(un.shape[1]):
-                phib[e, q] = phi(bpts[e, q, 0], bpts[e, q, 1])
-        flux = float((wb * zb * un * phib).sum())
+        bpts = mesh.edge_qpoints[eids]
+        phib = evaluate(phi, bpts[..., 0], bpts[..., 1])
+        flux = float((mesh.edge_qweights[eids] * zb * un * phib).sum())
     return abs(vol1 + vol2 - flux)
 
 
@@ -417,7 +408,7 @@ def _gradient_inflow_data(u, W, l, eps_n):
     mesh = ctx.mesh
     bids = mesh.boundary_edge_ids
     tr = fes.velocity_edge_values(u)[bids]        # (nb, nqe, 2)
-    n = ctx.edge_normals[bids]                    # (nb, 2)
+    n = mesh.edge_normals[bids]                   # (nb, 2)
     tau = np.stack([-n[:, 1], n[:, 0]], axis=1)
     un = tr[:, :, 0] * n[:, None, 0] + tr[:, :, 1] * n[:, None, 1]
     ut = tr[:, :, 0] * tau[:, None, 0] + tr[:, :, 1] * tau[:, None, 1]

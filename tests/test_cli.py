@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -183,12 +184,20 @@ def test_missing_mesh_exit1(tmp_path, capsys):
     assert "mesh file not found" in capsys.readouterr().err
 
 
-def test_bad_expression_exit1(tmp_path, square_mesh_file, capsys):
-    text = ZERO_CFG.replace("[output]", "[data]\ng_x = x + * y\n\n[output]")
+@pytest.mark.parametrize("data, message", [
+    ("g_x = x + * y", "offset 4"),
+    # x = 0 is a velocity node, where f is interpolated for its curl
+    ("f_x = 1/x", "error: [data] f (x component): division by zero"),
+    # the left edge is the inflow part of g = (1, 0)
+    ("g_x = 1\nh = sqrt(x-2)", "error: [data] h: sqrt of negative number"),
+], ids=["syntax", "division_by_zero", "negative_sqrt"])
+def test_bad_expression_exit1(tmp_path, square_mesh_file, capsys, data,
+                              message):
+    text = ZERO_CFG.replace("[output]", f"[data]\n{data}\n\n[output]")
     cfg = write_cfg(tmp_path, text, mesh=square_mesh_file,
                     out=str(tmp_path / "out"))
     assert cli.main(["solve", "--config", cfg]) == 1
-    assert "offset 4" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_config_key_exit1(tmp_path, square_mesh_file, capsys):
@@ -373,3 +382,43 @@ def test_thread_cap_env():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {name: "1" for name in names}
+
+
+MALLOC_PROBE = """
+import ctypes, sys
+import gradetwo.cli
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = [ctypes.c_void_p]
+assert gradetwo.cli.main(["check-boundary", "--config", sys.argv[1]]) == 0
+# a dynamic mmap threshold would rise to 16 MiB when this block is freed
+libc.free(libc.malloc(16 << 20))
+before = libc.mallinfo2().hblkhd
+block = libc.malloc(2 << 20)
+print(libc.mallinfo2().hblkhd - before)
+libc.free(block)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="needs glibc 2.33 or later")
+def test_malloc_thresholds_fixed(tmp_path, square_mesh_file):
+    """After ``main``, a 2 MiB block is still mapped on its own, even after
+    a 16 MiB block was freed."""
+    cfg = write_cfg(tmp_path, CHECK_CFG, mesh=square_mesh_file, alpha="1.0",
+                    gx="1")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", MALLOC_PROBE, cfg],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.splitlines()[-1]) >= 2 << 20

@@ -99,6 +99,27 @@ def test_setup_work_once_per_solve(mesh8, monkeypatch):
     assert counts == {"flux_checks": 1, "stokes_lu": 1}
 
 
+def test_data_evaluated_in_batches(mesh8):
+    """Each data callable is called with arrays a handful of times per
+    fixed_point_solve, not once per quadrature point or node."""
+    case = manufactured.manufactured_case("trig", 1.0, 0.1)
+    spec = case.problem_spec(mesh8)
+    calls = dict.fromkeys(("f", "g", "h", "curl_f"), 0)
+
+    def counted(name):
+        fn = getattr(spec, name)
+
+        def wrapper(x, y):
+            calls[name] += 1
+            return fn(x, y)
+        return wrapper
+
+    _, _, _, rep = fixed_point_solve(
+        spec.replace(**{name: counted(name) for name in calls}))
+    assert rep.converged and rep.iterations > 2
+    assert all(1 <= n <= 24 for n in calls.values()), calls
+
+
 def test_relaxation_neutrality(mesh8):
     spec = ProblemSpec(mesh=mesh8, nu=1.0, alpha=0.1, f=SMOOTH_F,
                        curl_f=SMOOTH_CURL_F)

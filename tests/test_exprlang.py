@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,47 @@ def test_eval_matches_reference(expr, x, y):
         return
     ref = eval(source, {"__builtins__": {}}, namespace)
     assert mine == pytest.approx(ref, rel=1e-14, abs=1e-300)
+
+
+_coords = st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False),
+                   min_size=6, max_size=6)
+
+
+@given(_expr_strategy(), _coords, _coords)
+@settings(max_examples=300, deadline=None)
+def test_array_eval_matches_per_point(expr, xs, ys):
+    """One array evaluation raises iff some point does, and otherwise
+    equals the per-point evaluations bit for bit."""
+    x = np.array(xs).reshape(2, 3)
+    y = np.array(ys).reshape(2, 3)
+    per_point = []
+    for a, b in zip(xs, ys):
+        try:
+            per_point.append(evaluate(expr, a, b))
+        except DomainError:
+            per_point = None
+            break
+    if per_point is None:
+        with pytest.raises(DomainError):
+            evaluate(expr, x, y)
+        return
+    out = evaluate(expr, x, y)
+    assert out.shape == (2, 3)
+    assert out.tobytes() == np.array(per_point).reshape(2, 3).tobytes()
+
+
+@pytest.mark.parametrize("text, bad_x", [
+    ("1/x", 0.0), ("sqrt(x)", -1.0), ("exp(x)", 1e9), ("sin(exp(x))", 800.0),
+    ("x^0.5", -2.0),
+    # the product overflows to inf only at the bad point, where sin(inf)
+    # raises although nan^0 would be a finite 1
+    ("sin((x-0.5)*(x-1.5)*(x-2.5)*1e300*1e300)^0", 4.0),
+])
+def test_one_bad_point_in_an_array_raises(text, bad_x):
+    x = np.array([0.5, 1.5, bad_x, 2.5])
+    evaluate(parse(text), x[[0, 1, 3]], x[[0, 1, 3]])
+    with pytest.raises(DomainError):
+        evaluate(parse(text), x, np.zeros_like(x))
 
 
 @given(st.text(max_size=60))

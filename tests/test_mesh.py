@@ -109,6 +109,85 @@ def test_interior_edge_declared_boundary(tmp_path):
         meshes.load_mesh(str(path))
 
 
+def _perturbed_square(n, seed):
+    base = meshes.unit_square_mesh(n)
+    v = base.vertices.copy()
+    inside = np.ones(len(v), dtype=bool)
+    inside[base.boundary_edges.ravel()] = False
+    v[inside] += np.random.default_rng(seed).uniform(-0.1 / n, 0.1 / n,
+                                                     (inside.sum(), 2))
+    return meshes.Mesh(v, base.triangles, base.boundary_edges,
+                       base.boundary_markers)
+
+
+TABLE_MESHES = {
+    "square1": lambda: meshes.unit_square_mesh(1),
+    "square5": lambda: meshes.unit_square_mesh(5),
+    "perturbed": lambda: _perturbed_square(6, 3),
+    "ring": lambda: ring_mesh(2),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_MESHES)
+def test_edge_tables_match_loop_reference(name):
+    """The vectorised connectivity tables equal the per-item loops."""
+    mesh = TABLE_MESHES[name]()
+    edge_cells = np.full((mesh.num_edges, 2), -1)
+    for cell, edges in enumerate(mesh.cell_edges):
+        for e in edges:
+            edge_cells[e, 0 if edge_cells[e, 0] < 0 else 1] = cell
+    assert np.array_equal(mesh.edge_cells, edge_cells)
+    lookup = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
+    ids = [lookup[tuple(sorted(e))] for e in mesh.boundary_edges.tolist()]
+    assert mesh.boundary_edge_ids.tolist() == ids
+    vertex_edges = {}
+    for b, pair in enumerate(mesh.boundary_edges.tolist()):
+        for v in pair:
+            vertex_edges.setdefault(v, []).append(b)
+    expect = np.full((mesh.num_vertices, 2), -1)
+    for v, edges in vertex_edges.items():
+        expect[v] = edges
+    assert np.array_equal(mesh.vertex_boundary_edges, expect)
+
+
+@pytest.mark.parametrize("name", TABLE_MESHES)
+def test_edge_geometry_shared_by_boundary(name):
+    """Unit normals point out of the first cell of every edge, Gauss points
+    lie on the edge, and the boundary arrays are rows of the edge arrays."""
+    mesh = TABLE_MESHES[name]()
+    n = mesh.edge_normals
+    assert np.allclose(np.hypot(n[:, 0], n[:, 1]), 1.0, rtol=0, atol=1e-14)
+    mid = mesh.vertices[mesh.edges].mean(axis=1)
+    first = mesh.vertices[mesh.triangles[mesh.edge_cells[:, 0]]].mean(axis=1)
+    assert (np.einsum("ed,ed->e", n, mid - first) > 0.0).all()
+    assert np.allclose(mesh.edge_qpoints.mean(axis=1), mid, atol=1e-14)
+    assert np.allclose(mesh.edge_qweights.sum(axis=1), mesh.edge_lengths,
+                       rtol=1e-14, atol=0)
+    b = mesh.boundary_edge_ids
+    assert np.array_equal(mesh.boundary_normals, n[b])
+    assert np.array_equal(mesh.boundary_lengths, mesh.edge_lengths[b])
+    assert np.array_equal(mesh.boundary_quad_points(), mesh.edge_qpoints[b])
+    assert np.array_equal(mesh.boundary_quad_weights(), mesh.edge_qweights[b])
+
+
+def test_unit_square_mesh_matches_loop_reference():
+    n = 3
+    vid = lambda i, j: i * (n + 1) + j  # noqa: E731
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            tris += [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)),
+                     (vid(i, j), vid(i + 1, j + 1), vid(i, j + 1))]
+    edges = ([(vid(i, 0), vid(i + 1, 0)) for i in range(n)]
+             + [(vid(n, j), vid(n, j + 1)) for j in range(n)]
+             + [(vid(n - i, n), vid(n - i - 1, n)) for i in range(n)]
+             + [(vid(0, n - j), vid(0, n - j - 1)) for j in range(n)])
+    mesh = meshes.unit_square_mesh(n)
+    assert mesh.triangles.tolist() == [list(t) for t in tris]
+    assert mesh.boundary_edges.tolist() == [list(e) for e in edges]
+    assert mesh.boundary_markers.tolist() == [1] * n + [2] * n + [3] * n + [4] * n
+
+
 def test_boundary_components_square(mesh8):
     comp = meshes.boundary_components(mesh8)
     assert set(comp.values()) == {0}
