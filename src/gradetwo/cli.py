@@ -67,12 +67,6 @@ def _write_csv(path, schema, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _ensure_outdir(cfg, override):
-    out = override if override is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _iteration_rows(report):
     rows = []
     for i in range(report.iterations):
@@ -234,12 +228,15 @@ def main(argv=None):
         description="Steady 2D grade-two fluid solver "
                     "(generalized Stokes / vorticity transport splitting)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_mesh in (("solve", True), ("mms", False),
-                             ("check-boundary", True), ("transport", True)):
+    # check-boundary only prints, so it creates no output directory
+    for name, needs_mesh, writes in (("solve", True, True),
+                                     ("mms", False, True),
+                                     ("check-boundary", True, False),
+                                     ("transport", True, True)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.set_defaults(needs_mesh=needs_mesh)
+        p.set_defaults(needs_mesh=needs_mesh, writes=writes)
     args = parser.parse_args(argv)
     _fix_malloc_thresholds()
 
@@ -251,7 +248,9 @@ def main(argv=None):
     }
     try:
         cfg = load_config(args.config, require_mesh=args.needs_mesh)
-        out_dir = _ensure_outdir(cfg, args.out)
+        out_dir = args.out if args.out is not None else cfg.out_dir
+        if args.writes:
+            os.makedirs(out_dir, exist_ok=True)
         return handlers[args.command](cfg, out_dir)
     except NotConverged as exc:
         print(f"error (not converged): {exc}", file=sys.stderr)

@@ -121,24 +121,30 @@ class _Setup(NamedTuple):
     stokes: PreparedStokes
 
 
-def prepare(spec):
-    """Spaces, boundary partition, inflow datum and prepared Stokes problem
-    of ``spec``: the work that does not depend on z.  Pass the result as
-    ``setup`` to :func:`fixed_point_solve` to reuse it."""
-    mesh = spec.mesh
-    spaces_ = fes.build_spaces(mesh)
-    part = classify_boundary(mesh, spec.g, spec.alpha, spec.eps_n)
+def _inflow(spec):
+    """Boundary partition and inflow datum of ``spec``: the set-up work
+    that depends on alpha."""
+    part = classify_boundary(spec.mesh, spec.g, spec.alpha, spec.eps_n)
     interior_bad = part.interior_degeneracies()
     if interior_bad:
         msg = ("normal boundary data vanishes strictly inside the inflow "
                f"boundary at vertices {list(interior_bad)}")
         if spec.variant == "P_II" and spec.strict:
             raise DegenerateInflow(msg + " (strict trace-variant mode)")
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(msg, stacklevel=4)
+    datum = trs.build_inflow_datum(
+        spec.mesh, spec.variant, spec.h, spec.g, part)
+    return part, datum
+
+
+def prepare(spec):
+    """Spaces, boundary partition, inflow datum and prepared Stokes problem
+    of ``spec``: the work that does not depend on z.  Pass the result as
+    ``setup`` to :func:`fixed_point_solve` to reuse it."""
+    spaces_ = fes.build_spaces(spec.mesh)
+    part, datum = _inflow(spec)
     stokes_setup = prepare_generalized_stokes(
         spaces_, spec.nu, spec.f, spec.g, spec.flux_tol)
-    datum = trs.build_inflow_datum(
-        mesh, spec.variant, spec.h, spec.g, part)
     if spec.curl_f is not None:
         curlf = fes.interpolate(spec.curl_f, spaces_.vorticity)
     else:
@@ -239,8 +245,10 @@ def navier_stokes_limit_study(spec, alphas):
 
     Solves the alpha=0 problem once as the reference (there z equals the
     curl of the velocity), then |u_a - u_0|_H1 and ||z_a - curl u_0||_L2
-    for each alpha in the given (decreasing) list.  A failed alpha is
-    marked and does not abort the remaining rows.
+    for each alpha in the given (decreasing) list.  Every row reuses the
+    reference's spaces, prepared Stokes problem and curl f interpolant;
+    only the boundary partition and the inflow datum depend on alpha.  A
+    failed alpha is marked and does not abort the remaining rows.
     """
     ref_spec = spec.replace(alpha=0.0)
     setup0 = prepare(ref_spec)
@@ -251,10 +259,9 @@ def navier_stokes_limit_study(spec, alphas):
     for alpha in alphas:
         sub = spec.replace(alpha=float(alpha))
         try:
-            if alpha == 0.0:
-                ua, _, za, rep = fixed_point_solve(ref_spec, setup=setup0)
-            else:
-                ua, _, za, rep = fixed_point_solve(sub)
+            part, datum = _inflow(sub)
+            ua, _, za, rep = fixed_point_solve(
+                sub, setup=setup0._replace(part=part, datum=datum))
             du = vel.new_field(ua.coefficients - u0.coefficients)
             dz = vort.new_field(za.coefficients - z0.coefficients)
             rows.append(LimitStudyRow(

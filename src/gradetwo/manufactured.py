@@ -1,14 +1,16 @@
 """Manufactured solutions and convergence studies.
 
-Each case fixes a divergence-free velocity (built from a stream function),
-a zero-mean pressure, the induced auxiliary field z = curl(u - alpha*lap u)
-and the body force that makes the momentum equation hold exactly:
+Each case is defined by a stream function psi and a pressure p alone.  Both
+are short sums of separable terms c*X(x)*Y(y) whose factors are numpy
+polynomials or a*sin(pi t) + b*cos(pi t), so every partial derivative is
+exact and every field follows from them:
 
-    f = -nu*lap(u) + z x u + grad(p).
+    u = (psi_y, -psi_x)                 (divergence free by construction)
+    z = curl(u - alpha*lap u) = -lap psi + alpha*lap^2 psi
+    f = -nu*lap(u) + z x u + grad(p),   z x u = (-z*u2, z*u1)
+    curl f = nu*lap^2 psi + u.grad z
 
-The closed forms below were derived offline by ``scripts/derive_forcings.py``
-(sympy) and are hard-coded so that the package itself stays free of symbolic
-dependencies; the test suite cross-checks them against finite differences.
+The test suite cross-checks these fields against finite differences.
 
 Cases
 -----
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import spaces as fes
 from .driver import ProblemSpec, fixed_point_solve
@@ -41,161 +44,64 @@ from .transport import build_inflow_datum, solve_transport
 __all__ = ["ManufacturedCase", "manufactured_case", "convergence_study",
            "StudyRow", "StudyResult", "CASE_NAMES"]
 
-# numpy functions: every closure below accepts coordinate arrays
-_PI = np.pi
-_SIN = np.sin
-_COS = np.cos
+
+class _SinCos(NamedTuple):
+    """The factor a*sin(pi t) + b*cos(pi t); its derivative has that form."""
+
+    a: float
+    b: float
+
+    def deriv(self):
+        return _SinCos(-np.pi * self.b, np.pi * self.a)
+
+    def __call__(self, t):
+        return self.a * np.sin(np.pi * t) + self.b * np.cos(np.pi * t)
 
 
-# ---- trig case pieces -------------------------------------------------------
+class _Separable:
+    """The sum of c*X(x)*Y(y) over ``terms`` (c, X, Y), where each factor
+    is a numpy ``Polynomial`` or a :class:`_SinCos`."""
 
-def _trig_u1(x, y):
-    return _SIN(_PI * x) * _COS(_PI * y) + _COS(_PI * x) * _SIN(_PI * y) / _PI + 1.0
+    def __init__(self, *terms):
+        def derivatives(factor):  # orders 0 to 5
+            out = [factor]
+            for _ in range(5):
+                out.append(out[-1].deriv())
+            return out
+        self._terms = [(c, derivatives(X), derivatives(Y)) for c, X, Y in terms]
 
-
-def _trig_u2(x, y):
-    return -_COS(_PI * x) * _SIN(_PI * y) - _SIN(_PI * x) * _COS(_PI * y) / _PI
-
-
-def _trig_grad_u(x, y):
-    sx, cx = _SIN(_PI * x), _COS(_PI * x)
-    sy, cy = _SIN(_PI * y), _COS(_PI * y)
-    du1dx = -sx * sy + _PI * cx * cy
-    du1dy = -_PI * sx * sy + cx * cy
-    du2dx = _PI * sx * sy - cx * cy
-    du2dy = sx * sy - _PI * cx * cy
-    return ((du1dx, du1dy), (du2dx, du2dy))
-
-
-def _trig_lap_u(x, y):
-    sx, cx = _SIN(_PI * x), _COS(_PI * x)
-    sy, cy = _SIN(_PI * y), _COS(_PI * y)
-    return (-2.0 * _PI * (_PI * sx * cy + cx * sy),
-            2.0 * _PI * (sx * cy + _PI * cx * sy))
+    def partials(self, x, y, order):
+        """{(i, j): d^(i+j)/dx^i dy^j at (x, y)} for i + j <= order, with
+        x and y scalars or coordinate arrays."""
+        vals = [(c, [X[i](x) for i in range(order + 1)],
+                 [Y[j](y) for j in range(order + 1)])
+                for c, X, Y in self._terms]
+        return {(i, j): sum(c * X[i] * Y[j] for c, X, Y in vals)
+                for i in range(order + 1) for j in range(order + 1 - i)}
 
 
-def _trig_p(x, y):
-    return _SIN(_PI * x) * _COS(_PI * y)
+_ONE = Polynomial([1.0])
+_CUBE = Polynomial([0.0, 0.0, 0.0, 1.0])
+_BUMP = Polynomial([0.0, 0.0, 1.0, -2.0, 1.0])  # t^2 (1 - t)^2
+_SIN = _SinCos(1.0, 0.0)
+_COS = _SinCos(0.0, 1.0)
 
-
-def _trig_grad_p(x, y):
-    return (_PI * _COS(_PI * x) * _COS(_PI * y),
-            -_PI * _SIN(_PI * x) * _SIN(_PI * y))
-
-
-def _trig_z(x, y, alpha):
-    return (1.0 + 2.0 * alpha * _PI ** 2) * (
-        2.0 * _PI * _SIN(_PI * x) * _SIN(_PI * y)
-        - 2.0 * _COS(_PI * x) * _COS(_PI * y))
-
-
-def _trig_curl_f(x, y, nu, alpha):
-    sx, cx = _SIN(_PI * x), _COS(_PI * x)
-    sy, cy = _SIN(_PI * y), _COS(_PI * y)
-    return 2.0 * _PI * (2.0 * _PI ** 2 * alpha * sx * cy
-                        + 2.0 * _PI ** 3 * alpha * cx * sy
-                        + 2.0 * _PI ** 2 * nu * sx * sy
-                        - 2.0 * _PI * nu * cx * cy
-                        + sx * cy + _PI * cx * sy)
-
-
-# ---- poly case pieces -------------------------------------------------------
-
-def _poly_u1(x, y):
-    return 2.0 * x ** 2 * y * (2 * x ** 2 * y ** 2 - 3 * x ** 2 * y + x ** 2
-                               - 4 * x * y ** 2 + 6 * x * y - 2 * x
-                               + 2 * y ** 2 - 3 * y + 1)
-
-
-def _poly_u2(x, y):
-    return 2.0 * x * y ** 2 * (-2 * x ** 2 * y ** 2 + 4 * x ** 2 * y
-                               - 2 * x ** 2 + 3 * x * y ** 2 - 6 * x * y
-                               + 3 * x - y ** 2 + 2 * y - 1)
-
-
-def _poly_grad_u(x, y):
-    du1dx = 4 * x * y * (4 * x ** 2 * y ** 2 - 6 * x ** 2 * y + 2 * x ** 2
-                         - 6 * x * y ** 2 + 9 * x * y - 3 * x
-                         + 2 * y ** 2 - 3 * y + 1)
-    du1dy = 2 * x ** 2 * (6 * x ** 2 * y ** 2 - 6 * x ** 2 * y + x ** 2
-                          - 12 * x * y ** 2 + 12 * x * y - 2 * x
-                          + 6 * y ** 2 - 6 * y + 1)
-    du2dx = 2 * y ** 2 * (-6 * x ** 2 * y ** 2 + 12 * x ** 2 * y - 6 * x ** 2
-                          + 6 * x * y ** 2 - 12 * x * y + 6 * x
-                          - y ** 2 + 2 * y - 1)
-    du2dy = 4 * x * y * (-4 * x ** 2 * y ** 2 + 6 * x ** 2 * y - 2 * x ** 2
-                         + 6 * x * y ** 2 - 9 * x * y + 3 * x
-                         - 2 * y ** 2 + 3 * y - 1)
-    return ((du1dx, du1dy), (du2dx, du2dy))
-
-
-def _poly_lap_u(x, y):
-    l1 = (24 * x ** 4 * y - 12 * x ** 4 - 48 * x ** 3 * y + 24 * x ** 3
-          + 48 * x ** 2 * y ** 3 - 72 * x ** 2 * y ** 2 + 48 * x ** 2 * y
-          - 12 * x ** 2 - 48 * x * y ** 3 + 72 * x * y ** 2 - 24 * x * y
-          + 8 * y ** 3 - 12 * y ** 2 + 4 * y)
-    l2 = (-48 * x ** 3 * y ** 2 + 48 * x ** 3 * y - 8 * x ** 3
-          + 72 * x ** 2 * y ** 2 - 72 * x ** 2 * y + 12 * x ** 2
-          - 24 * x * y ** 4 + 48 * x * y ** 3 - 48 * x * y ** 2
-          + 24 * x * y - 4 * x + 12 * y ** 4 - 24 * y ** 3 + 12 * y ** 2)
-    return (l1, l2)
-
-
-def _poly_p(x, y):
-    return x ** 3 + y ** 3 - 0.5
-
-
-def _poly_grad_p(x, y):
-    return (3.0 * x ** 2, 3.0 * y ** 2)
-
-
-def _poly_z(x, y, alpha):
-    za = (24 * x ** 4 - 48 * x ** 3 + 288 * x ** 2 * y ** 2
-          - 288 * x ** 2 * y + 72 * x ** 2 - 288 * x * y ** 2
-          + 288 * x * y - 48 * x + 24 * y ** 4 - 48 * y ** 3
-          + 72 * y ** 2 - 48 * y + 8)
-    z0 = (-12 * x ** 4 * y ** 2 + 12 * x ** 4 * y - 2 * x ** 4
-          + 24 * x ** 3 * y ** 2 - 24 * x ** 3 * y + 4 * x ** 3
-          - 12 * x ** 2 * y ** 4 + 24 * x ** 2 * y ** 3
-          - 24 * x ** 2 * y ** 2 + 12 * x ** 2 * y - 2 * x ** 2
-          + 12 * x * y ** 4 - 24 * x * y ** 3 + 12 * x * y ** 2
-          - 2 * y ** 4 + 4 * y ** 3 - 2 * y ** 2)
-    return alpha * za + z0
-
-
-def _poly_curl_f(x, y, nu, alpha):
-    ca = (384 * x ** 7 * y ** 3 - 576 * x ** 7 * y ** 2 + 192 * x ** 7 * y
-          - 1344 * x ** 6 * y ** 3 + 2016 * x ** 6 * y ** 2 - 672 * x ** 6 * y
-          + 2112 * x ** 5 * y ** 3 - 3168 * x ** 5 * y ** 2 + 1056 * x ** 5 * y
-          - 1920 * x ** 4 * y ** 3 + 2880 * x ** 4 * y ** 2 - 960 * x ** 4 * y
-          - 384 * x ** 3 * y ** 7 + 1344 * x ** 3 * y ** 6
-          - 2112 * x ** 3 * y ** 5 + 1920 * x ** 3 * y ** 4
-          - 1248 * x ** 3 * y ** 2 + 480 * x ** 3 * y
-          + 576 * x ** 2 * y ** 7 - 2016 * x ** 2 * y ** 6
-          + 3168 * x ** 2 * y ** 5 - 2880 * x ** 2 * y ** 4
-          + 1248 * x ** 2 * y ** 3 - 96 * x ** 2 * y
-          - 192 * x * y ** 7 + 672 * x * y ** 6 - 1056 * x * y ** 5
-          + 960 * x * y ** 4 - 480 * x * y ** 3 + 96 * x * y ** 2)
-    cn = (24 * x ** 4 - 48 * x ** 3 + 288 * x ** 2 * y ** 2
-          - 288 * x ** 2 * y + 72 * x ** 2 - 288 * x * y ** 2
-          + 288 * x * y - 48 * x + 24 * y ** 4 - 48 * y ** 3
-          + 72 * y ** 2 - 48 * y + 8)
-    c0 = (-96 * x ** 7 * y ** 5 + 240 * x ** 7 * y ** 4 - 224 * x ** 7 * y ** 3
-          + 96 * x ** 7 * y ** 2 - 16 * x ** 7 * y + 336 * x ** 6 * y ** 5
-          - 840 * x ** 6 * y ** 4 + 784 * x ** 6 * y ** 3
-          - 336 * x ** 6 * y ** 2 + 56 * x ** 6 * y + 96 * x ** 5 * y ** 7
-          - 336 * x ** 5 * y ** 6 + 840 * x ** 5 * y ** 4
-          - 960 * x ** 5 * y ** 3 + 432 * x ** 5 * y ** 2 - 72 * x ** 5 * y
-          - 240 * x ** 4 * y ** 7 + 840 * x ** 4 * y ** 6
-          - 840 * x ** 4 * y ** 5 + 440 * x ** 4 * y ** 3
-          - 240 * x ** 4 * y ** 2 + 40 * x ** 4 * y + 224 * x ** 3 * y ** 7
-          - 784 * x ** 3 * y ** 6 + 960 * x ** 3 * y ** 5
-          - 440 * x ** 3 * y ** 4 + 48 * x ** 3 * y ** 2 - 8 * x ** 3 * y
-          - 96 * x ** 2 * y ** 7 + 336 * x ** 2 * y ** 6
-          - 432 * x ** 2 * y ** 5 + 240 * x ** 2 * y ** 4
-          - 48 * x ** 2 * y ** 3 + 16 * x * y ** 7 - 56 * x * y ** 6
-          + 72 * x * y ** 5 - 40 * x * y ** 4 + 8 * x * y ** 3)
-    return alpha * ca + nu * cn + c0
+# name: (psi, p, inflow marker on the unit square, its outer normal)
+_CASES = {
+    # psi = x^2 (1-x)^2 y^2 (1-y)^2, p = x^3 + y^3 - 1/2
+    "poly": (_Separable((1.0, _BUMP, _BUMP)),
+             _Separable((1.0, _CUBE, _ONE), (1.0, _ONE, _CUBE),
+                        (-0.5, _ONE, _ONE)),
+             None, (0.0, 0.0)),
+    # psi = sin(pi x) sin(pi y)/pi - cos(pi x) cos(pi y)/pi^2 + y,
+    # p = sin(pi x) cos(pi y); inflow (alpha > 0) is the left edge
+    "trig": (_Separable((1.0 / np.pi, _SIN, _SIN),
+                        (-1.0 / np.pi ** 2, _COS, _COS),
+                        (1.0, _ONE, Polynomial([0.0, 1.0]))),
+             _Separable((1.0, _SIN, _COS)),
+             4, (-1.0, 0.0)),
+}
+CASE_NAMES = tuple(_CASES)
 
 
 @dataclass(frozen=True)
@@ -232,56 +138,63 @@ class ManufacturedCase:
             h=self.h_for(variant), curl_f=self.curl_f, variant=variant, **kw)
 
 
-def _compose(name, nu, alpha, u1, u2, grad_u, lap_u, p, grad_p, z_of, curl_f,
-             inflow_marker, inflow_normal):
-    def u(x, y):
-        return (u1(x, y), u2(x, y))
-
-    def z(x, y):
-        return z_of(x, y, alpha)
-
-    def f(x, y):
-        l1, l2 = lap_u(x, y)
-        dpx, dpy = grad_p(x, y)
-        zv = z_of(x, y, alpha)
-        return (-nu * l1 - zv * u2(x, y) + dpx,
-                -nu * l2 + zv * u1(x, y) + dpy)
-
-    def curlf(x, y):
-        return curl_f(x, y, nu, alpha)
-
-    def h_trace(x, y):
-        return z_of(x, y, alpha)
-
-    nx, ny = inflow_normal
-
-    def h_flux(x, y):
-        return z_of(x, y, alpha) * (u1(x, y) * nx + u2(x, y) * ny)
-
-    return ManufacturedCase(
-        name=name, nu=nu, alpha=alpha, u=u, grad_u=grad_u, lap_u=lap_u,
-        p=p, grad_p=grad_p, z=z, f=f, curl_f=curlf,
-        h_trace=h_trace, h_flux=h_flux, inflow_marker=inflow_marker)
-
-
-CASE_NAMES = ("poly", "trig")
-
-
 def manufactured_case(name, nu, alpha):
     """Construct a registered case; raises ValueError on unknown names."""
     if not (nu > 0.0):
         raise ValueError("nu must be positive")
-    if name == "trig":
-        # inflow (alpha > 0) is the left edge of the unit square, n = (-1, 0)
-        return _compose("trig", nu, alpha, _trig_u1, _trig_u2, _trig_grad_u,
-                        _trig_lap_u, _trig_p, _trig_grad_p, _trig_z,
-                        _trig_curl_f, inflow_marker=4, inflow_normal=(-1.0, 0.0))
-    if name == "poly":
-        return _compose("poly", nu, alpha, _poly_u1, _poly_u2, _poly_grad_u,
-                        _poly_lap_u, _poly_p, _poly_grad_p, _poly_z,
-                        _poly_curl_f, inflow_marker=None, inflow_normal=(0.0, 0.0))
-    raise ValueError(f"unknown manufactured case {name!r}; "
-                     f"known cases: {', '.join(CASE_NAMES)}")
+    if name not in _CASES:
+        raise ValueError(f"unknown manufactured case {name!r}; "
+                         f"known cases: {', '.join(CASE_NAMES)}")
+    psi, pressure, inflow_marker, (nx, ny) = _CASES[name]
+
+    def lap(d, i=0, j=0):  # d^(i+j)/dx^i dy^j of lap psi
+        return d[i + 2, j] + d[i, j + 2]
+
+    def z_of(d, i=0, j=0):  # the same derivative of z
+        return -lap(d, i, j) + alpha * (lap(d, i + 2, j) + lap(d, i, j + 2))
+
+    def u(x, y):
+        d = psi.partials(x, y, 1)
+        return (d[0, 1], -d[1, 0])
+
+    def grad_u(x, y):
+        d = psi.partials(x, y, 2)
+        return ((d[1, 1], d[0, 2]), (-d[2, 0], -d[1, 1]))
+
+    def lap_u(x, y):
+        d = psi.partials(x, y, 3)
+        return (lap(d, 0, 1), -lap(d, 1, 0))
+
+    def z(x, y):
+        return z_of(psi.partials(x, y, 4))
+
+    def p(x, y):
+        return pressure.partials(x, y, 0)[0, 0]
+
+    def grad_p(x, y):
+        d = pressure.partials(x, y, 1)
+        return (d[1, 0], d[0, 1])
+
+    def f(x, y):
+        d = psi.partials(x, y, 4)
+        zv = z_of(d)
+        dpx, dpy = grad_p(x, y)
+        return (-nu * lap(d, 0, 1) + zv * d[1, 0] + dpx,
+                nu * lap(d, 1, 0) + zv * d[0, 1] + dpy)
+
+    def curl_f(x, y):
+        d = psi.partials(x, y, 5)
+        return (nu * (lap(d, 2, 0) + lap(d, 0, 2))
+                + d[0, 1] * z_of(d, 1, 0) - d[1, 0] * z_of(d, 0, 1))
+
+    def h_flux(x, y):
+        u1, u2 = u(x, y)
+        return z(x, y) * (u1 * nx + u2 * ny)
+
+    return ManufacturedCase(
+        name=name, nu=nu, alpha=alpha, u=u, grad_u=grad_u, lap_u=lap_u,
+        p=p, grad_p=grad_p, z=z, f=f, curl_f=curl_f,
+        h_trace=z, h_flux=h_flux, inflow_marker=inflow_marker)
 
 
 class StudyRow(NamedTuple):
@@ -346,7 +259,6 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
     rows = []
     for n in ns:
         mesh = unit_square_mesh(n)
-        spaces_ = fes.build_spaces(mesh)
         try:
             iterations = 0
             if mode == "coupled":
@@ -355,10 +267,12 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
                 u, p, z, rep = fixed_point_solve(spec)
                 iterations = rep.iterations
             elif mode == "stokes":
+                spaces_ = fes.build_spaces(mesh)
                 z = fes.interpolate(case.z, spaces_.vorticity)
                 u, p = solve_generalized_stokes(prepare_generalized_stokes(
                     spaces_, case.nu, case.f, case.u), z)
             else:
+                spaces_ = fes.build_spaces(mesh)
                 u = fes.interpolate(case.u, spaces_.velocity)
                 p = fes.interpolate(case.p, spaces_.pressure)
                 part = classify_boundary(mesh, case.u, case.alpha)

@@ -137,9 +137,9 @@ class FeContext:
         self.edge_p1_trace = np.stack(
             [bary0.transpose(0, 2, 1), bary1.transpose(0, 2, 1)], axis=1
         )  # (ne, 2, 3, nqe)
-        self.edge_p2_trace = np.stack(
-            [p2_values(bary0), p2_values(bary1)]).transpose(2, 0, 1, 3).copy()
-        # (ne, 2, 6, nqe)
+        # the velocity is continuous, so its trace is taken from side 0
+        self.edge_p2_trace = p2_values(bary0).transpose(1, 0, 2).copy()
+        # (ne, 6, nqe)
 
         # velocity scalar node layout: vertices then edge midpoints
         self.num_scalar_nodes = mesh.num_vertices + ne
@@ -181,10 +181,9 @@ class SpaceDescriptor:
     zero_mean: bool = False
 
     def dof_points(self):
-        """Coordinates attached to each dof (kind-dependent layout)."""
+        """Coordinates attached to each dof of a scalar space (velocity
+        dofs sit at ``context.velocity_nodes``, once per component)."""
         ctx = self.context
-        if self.kind == "velocity":
-            return np.concatenate([ctx.velocity_nodes, ctx.velocity_nodes])
         if self.kind == "pressure":
             return ctx.mesh.vertices
         return ctx.mesh.vertices[ctx.mesh.triangles].reshape(-1, 2)
@@ -205,9 +204,6 @@ class Field:
 
     space: SpaceDescriptor
     coefficients: np.ndarray
-
-    def copy(self):
-        return Field(self.space, self.coefficients.copy())
 
 
 class Spaces(NamedTuple):
@@ -323,7 +319,7 @@ def velocity_edge_values(field: Field):
     n = ctx.num_scalar_nodes
     c0 = ctx.mesh.edge_cells[:, 0]
     nodes = ctx.cell_scalar_nodes[c0]  # (ne, 6)
-    tr = ctx.edge_p2_trace[:, 0]       # (ne, 6, nqe)
+    tr = ctx.edge_p2_trace             # (ne, 6, nqe)
     vx = np.einsum("ea,eaq->eq", field.coefficients[:n][nodes], tr)
     vy = np.einsum("ea,eaq->eq", field.coefficients[n:][nodes], tr)
     return np.stack([vx, vy], axis=2)

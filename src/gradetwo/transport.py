@@ -67,7 +67,7 @@ def empty_datum(mesh):
                                          EDGE_QP.size)), ())
 
 
-def build_inflow_datum(mesh, variant, h, g, part, eps_n=None):
+def build_inflow_datum(mesh, variant, h, g, part):
     """Convert boundary data h into the trace value q imposed at inflow.
 
     ``h`` and ``g`` are called with coordinate arrays through
@@ -76,12 +76,10 @@ def build_inflow_datum(mesh, variant, h, g, part, eps_n=None):
     prescribed quantity is (z u).n, so q = h / (g.n); this degenerates when
     the normal data touches zero inside the closure of the inflow set, and
     :class:`DegenerateInflow` is raised (quadrature points and interior
-    vertices are both checked).
+    vertices are both checked against the partition's ``eps_n``).
     """
     if variant not in ("P_I", "P_II"):
         raise ValueError(f"unknown variant {variant!r}")
-    if eps_n is None:
-        eps_n = part.eps_n
     values = np.zeros((mesh.num_boundary_edges, EDGE_QP.size))
     edges = tuple(part.gamma_minus)
     if not edges:
@@ -97,7 +95,7 @@ def build_inflow_datum(mesh, variant, h, g, part, eps_n=None):
                 "cannot be divided by g.n there"
             )
         gn = normal_boundary_data(mesh, g)[1][sel]
-        small = np.argwhere(np.abs(gn) <= eps_n)
+        small = np.argwhere(np.abs(gn) <= part.eps_n)
         if small.size:
             e, k = small[0]
             x, y = pts[e, k]
@@ -121,12 +119,9 @@ def _edge_sign(u, alpha):
     return alpha * (tr[:, :, 0] * n[:, None, 0] + tr[:, :, 1] * n[:, None, 1])
 
 
-def _assemble_operator(u, nu, alpha, eps_n, datum):
-    """Upwind DG matrix, inflow load and inflow-set mismatch measure.
-
-    The mismatch measure is the arc length over which the sign of
-    alpha*u.n disagrees with the datum's inflow edge set.
-    """
+def _assemble_operator(u, nu, alpha, eps_n):
+    """Upwind DG matrix and alpha*u.n at the boundary-edge quadrature
+    points, which :func:`_inflow_load` takes."""
     ctx = u.space.context
     mesh = ctx.mesh
     nt = mesh.num_triangles
@@ -177,37 +172,55 @@ def _assemble_operator(u, nu, alpha, eps_n, datum):
         face_block(wi * sm_, T1, T1, d1, d1, -1.0)
 
     # boundary faces: outflow keeps the interior trace in the matrix,
-    # inflow imposes the datum through the right-hand side
-    load = np.zeros(ndof)
-    mismatch = 0.0
-    bids = mesh.boundary_edge_ids
-    sb = s[bids]                     # (nb, nqe)
-    wb = we[bids]
-    Tb = ctx.edge_p1_trace[bids, 0]  # (nb, 3, nqe)
-    cb = mesh.edge_cells[bids, 0]
-    db = (3 * cb)[:, None] + np.arange(3)[None, :]
+    # inflow imposes the datum through the right-hand side (_inflow_load)
+    sb = s[mesh.boundary_edge_ids]   # (nb, nqe)
+    Tb, db = _boundary_traces(ctx)
     s_out = np.where(sb > eps_n, sb, 0.0)
-    s_in = np.where(sb < -eps_n, sb, 0.0)
-    blk = np.einsum("eq,ejq,eiq->eij", wb * s_out, Tb, Tb)
+    blk = np.einsum("eq,ejq,eiq->eij", mesh.boundary_quad_weights() * s_out,
+                    Tb, Tb)
     rix.append(np.repeat(db, 3, axis=1).ravel())
     cix.append(np.tile(db, (1, 3)).ravel())
     data.append(blk.ravel())
+
+    K = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rix), np.concatenate(cix))),
+        shape=(ndof, ndof)).tocsr()
+    return K, sb
+
+
+def _boundary_traces(ctx):
+    """P1 traces (nb, 3, nqe) and DG dofs (nb, 3) of the boundary cells."""
+    mesh = ctx.mesh
+    bids = mesh.boundary_edge_ids
+    cb = mesh.edge_cells[bids, 0]
+    return (ctx.edge_p1_trace[bids, 0],
+            (3 * cb)[:, None] + np.arange(3)[None, :])
+
+
+def _inflow_load(ctx, sb, eps_n, datum):
+    """Inflow load of ``datum`` and its inflow-set mismatch measure, for
+    boundary signs ``sb`` from :func:`_assemble_operator`.
+
+    The mismatch measure is the arc length over which the sign of
+    alpha*u.n disagrees with the datum's inflow edge set.
+    """
+    wb = ctx.mesh.boundary_quad_weights()
+    Tb, db = _boundary_traces(ctx)
+    s_in = np.where(sb < -eps_n, sb, 0.0)
     qv = datum.values
+    load = np.zeros(3 * ctx.mesh.num_triangles)
     lvec = np.einsum("eq,eiq->ei", -wb * s_in * qv, Tb)
     np.add.at(load, db.ravel(), lvec.ravel())
 
     # an empty datum imposes zero wherever the velocity says inflow, so a
     # mismatch is only meaningful against a declared inflow edge set
+    mismatch = 0.0
     if datum.edges:
         in_datum = np.zeros(qv.shape[0], dtype=bool)
         in_datum[list(datum.edges)] = True
         u_inflow = sb < -eps_n
         mismatch = float((wb * (u_inflow != in_datum[:, None])).sum())
-
-    K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rix), np.concatenate(cix))),
-        shape=(ndof, ndof)).tocsr()
-    return K, load, mismatch
+    return load, mismatch
 
 
 def _dg_load(ctx, samples):
@@ -218,16 +231,15 @@ def _dg_load(ctx, samples):
     return lv.ravel()
 
 
-def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None,
-                    mismatch_tol=None):
+def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None):
     """Solve nu*z + alpha*u.grad z = rhs with inflow trace values ``datum``.
 
     ``u`` must be discretely divergence free: its pressure-space projected
     divergence is checked against ``div_tol`` and an excess warns (the
     upwind scheme stays solvable, but the dissipation argument degrades).
     A disagreement between the discrete inflow set (sign of alpha*u.n) and
-    the edge set carrying the datum is reported as a warning with its arc
-    measure.
+    the edge set carrying the datum on more than 1e-6 of the perimeter is
+    reported as a warning with its arc measure.
     """
     if not (nu > 0.0):
         raise ValueError("nu must be positive")
@@ -247,11 +259,9 @@ def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None,
             f"div_tol {div_tol:.3e}; the advected field may lose stability",
             stacklevel=2)
     eps_n = part.eps_n
-    K, load, mismatch = _assemble_operator(u, nu, alpha, eps_n, datum)
-    perimeter = float(ctx.mesh.boundary_lengths.sum())
-    if mismatch_tol is None:
-        mismatch_tol = 1e-6 * perimeter
-    if mismatch > mismatch_tol:
+    K, sb = _assemble_operator(u, nu, alpha, eps_n)
+    load, mismatch = _inflow_load(ctx, sb, eps_n, datum)
+    if mismatch > 1e-6 * float(ctx.mesh.boundary_lengths.sum()):
         warnings.warn(
             f"discrete inflow set (sign of alpha*u.n) disagrees with the "
             f"datum's inflow edges on arc measure {mismatch:.3e}",
@@ -448,8 +458,9 @@ def solve_gradient_transport(u, W, l, part, tol=1e-10, max_iter=200):
     ctx = u.space.context
     space = l.space
     datum_x, datum_y = _gradient_inflow_data(u, W, l, part.eps_n)
-    K, load_x, _ = _assemble_operator(u, 1.0, W, part.eps_n, datum_x)
-    _, load_y, _ = _assemble_operator(u, 1.0, W, part.eps_n, datum_y)
+    K, sb = _assemble_operator(u, 1.0, W, part.eps_n)
+    load_x, _ = _inflow_load(ctx, sb, part.eps_n, datum_x)
+    load_y, _ = _inflow_load(ctx, sb, part.eps_n, datum_y)
     lu = spla.splu(K.tocsc())
 
     gl = fes.scalar_cell_gradients(l)        # (nt, 2) broken grad of l

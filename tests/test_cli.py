@@ -271,6 +271,17 @@ def test_check_boundary_uniform_flow(tmp_path, square_mesh_file, capsys):
     assert "flux[component 0] = " in out
 
 
+def test_check_boundary_creates_no_output_dir(tmp_path, square_mesh_file,
+                                             monkeypatch):
+    # check-boundary writes no file, so the default [output] dir "out"
+    # must not appear in the working directory
+    cfg = write_cfg(tmp_path, CHECK_CFG, mesh=square_mesh_file, alpha="1.0",
+                    gx="1")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["check-boundary", "--config", cfg]) == 0
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_boundary_alpha_zero_notice(tmp_path, square_mesh_file, capsys):
     cfg = write_cfg(tmp_path, CHECK_CFG, mesh=square_mesh_file, alpha="0.0",
                     gx="1")

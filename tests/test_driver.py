@@ -167,6 +167,33 @@ def test_limit_study_monotone_and_zero_row(mesh8):
     assert not any(r.failed for r in rows)
 
 
+def test_limit_study_factorises_once(mesh8, monkeypatch):
+    """Every row reuses the alpha=0 reference's Stokes factorisation and
+    matches a separate solve at its alpha bit for bit."""
+    spec = ProblemSpec(mesh=mesh8, nu=1.0, alpha=0.2, f=SMOOTH_F,
+                       curl_f=SMOOTH_CURL_F)
+    alphas = [0.2, 0.1, 0.05, 0.0]
+    counts = {"stokes_lu": 0}
+    splu = spla.splu
+
+    def counted_splu(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == stokes.__name__:
+            counts["stokes_lu"] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    rows = driver.navier_stokes_limit_study(spec, alphas)
+    assert counts == {"stokes_lu": 1}
+    monkeypatch.undo()
+    u0, _, z0, _ = fixed_point_solve(spec.replace(alpha=0.0))
+    for row, alpha in zip(rows, alphas):
+        ua, _, za, rep = fixed_point_solve(spec.replace(alpha=alpha))
+        du = spaces.norms(u0.space.new_field(ua.coefficients - u0.coefficients))
+        dz = spaces.norms(z0.space.new_field(za.coefficients - z0.coefficients))
+        assert (row.err_u_h1, row.err_z_l2, row.iterations) == \
+            (du.h1_semi, dz.l2, rep.iterations)
+
+
 def test_limit_study_failed_row_isolated(mesh8):
     # alpha = 20 sits outside the contraction regime at nu = 0.2 while the
     # small-alpha rows (and the alpha=0 reference) converge
