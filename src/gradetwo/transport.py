@@ -13,6 +13,14 @@ the numerical flux, faces with ``|alpha*u.n| <= eps_n`` carry no imposed
 flux.  Upwinding adds nonnegative interfacial dissipation, which is what
 makes the discrete sign inequality of the transported quantity hold
 unconditionally (see :func:`sign_functional`).
+
+The matrix stores only the upwind couplings: a face block is kept where
+the flux enters its row's cell, so the pattern follows the sign of
+alpha*u.n.  When the upwind cell graph is acyclic, the sparse LU is taken
+with the cells in downstream-first order, where the matrix is block upper
+triangular; the factors then keep the 3x3 block pattern of the matrix and
+the solve is the exact sweep along the flow.  When the flow closes on
+itself, the columns are ordered by COLAMD.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import spaces as fes
 from .errors import (
@@ -120,8 +129,8 @@ def _edge_sign(u, alpha):
 
 
 def _assemble_operator(u, nu, alpha, eps_n):
-    """Upwind DG matrix and alpha*u.n at the boundary-edge quadrature
-    points, which :func:`_inflow_load` takes."""
+    """Upwind DG matrix (CSC, no stored zeros) and alpha*u.n at the
+    boundary-edge quadrature points, which :func:`_inflow_load` takes."""
     ctx = u.space.context
     mesh = ctx.mesh
     nt = mesh.num_triangles
@@ -182,10 +191,48 @@ def _assemble_operator(u, nu, alpha, eps_n):
     cix.append(np.tile(db, (1, 3)).ravel())
     data.append(blk.ravel())
 
+    # the downwind blocks of a face are zero wherever the flux does not
+    # change sign on it, and so are the blocks of inflow faces: keep only
+    # the real couplings, and drop sums that cancel exactly
+    data = np.concatenate(data)
+    keep = data != 0.0
     K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rix), np.concatenate(cix))),
-        shape=(ndof, ndof)).tocsr()
+        (data[keep], (np.concatenate(rix)[keep], np.concatenate(cix)[keep])),
+        shape=(ndof, ndof)).tocsc()
+    K.eliminate_zeros()
     return K, sb
+
+
+def _factorise(K):
+    """Sparse LU of the upwind DG matrix ``K`` (CSC); returns ``solve(b)``.
+
+    Each cell is coupled only to its upwind neighbours.  When that cell
+    graph is acyclic (every strongly connected component is one cell), the
+    cells are put in downstream-first order, where ``K`` is block upper
+    triangular with 3x3 diagonal blocks; this is checked, not assumed from
+    the component numbering.  The LU in that order (``NATURAL``) pivots
+    only inside the diagonal blocks, so L is block diagonal, U has no block
+    that ``K`` lacks, and the back substitution is the exact block sweep
+    from the inflow downstream.  A graph with cycles is factorised with
+    COLAMD.
+    """
+    nt = K.shape[0] // 3
+    C = K.tocoo()
+    rows, cols = C.row // 3, C.col // 3
+    ncomp, labels = connected_components(
+        sp.csr_matrix((np.ones(C.nnz), (cols, rows)), shape=(nt, nt)),
+        directed=True, connection="strong")
+    if ncomp < nt or np.any(labels[rows] > labels[cols]):
+        return spla.splu(K).solve
+    order = np.argsort(labels)
+    dofs = (3 * order[:, None] + np.arange(3)).ravel()
+    lu = spla.splu(K[dofs][:, dofs], permc_spec="NATURAL")
+
+    def solve(b):
+        z = np.empty_like(b)
+        z[dofs] = lu.solve(b[dofs])
+        return z
+    return solve
 
 
 def _boundary_traces(ctx):
@@ -267,7 +314,7 @@ def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None):
             f"datum's inflow edges on arc measure {mismatch:.3e}",
             stacklevel=2)
     b = _dg_load(ctx, fes.scalar_cell_values(rhs)) + load
-    z = spla.spsolve(K.tocsc(), b)
+    z = _factorise(K)(b)
     if not np.all(np.isfinite(z)):
         raise LinearSolveFailure("transport solve produced non-finite values")
     resid = np.linalg.norm(K @ z - b)
@@ -461,7 +508,7 @@ def solve_gradient_transport(u, W, l, part, tol=1e-10, max_iter=200):
     K, sb = _assemble_operator(u, 1.0, W, part.eps_n)
     load_x, _ = _inflow_load(ctx, sb, part.eps_n, datum_x)
     load_y, _ = _inflow_load(ctx, sb, part.eps_n, datum_y)
-    lu = spla.splu(K.tocsc())
+    solve = _factorise(K)
 
     gl = fes.scalar_cell_gradients(l)        # (nt, 2) broken grad of l
     nq = ctx.cell_qweights.shape[1]
@@ -480,8 +527,8 @@ def solve_gradient_transport(u, W, l, part, tol=1e-10, max_iter=200):
         cy = gu[:, :, 0, 1] * fxq + gu[:, :, 1, 1] * fyq
         bx = _dg_load(ctx, gl_x - W * cx) + load_x
         by = _dg_load(ctx, gl_y - W * cy) + load_y
-        new_x = space.new_field(lu.solve(bx))
-        new_y = space.new_field(lu.solve(by))
+        new_x = space.new_field(solve(bx))
+        new_y = space.new_field(solve(by))
         dx = fes.norms(space.new_field(new_x.coefficients - fx.coefficients)).l2
         dy = fes.norms(space.new_field(new_y.coefficients - fy.coefficients)).l2
         delta = float(np.hypot(dx, dy))

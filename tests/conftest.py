@@ -71,6 +71,18 @@ def ring_mesh(k=1):
                        np.asarray(markers))
 
 
+def perturbed_square(n, seed):
+    """Unit square with interior vertices moved by up to h/10 each way."""
+    base = meshes.unit_square_mesh(n)
+    v = base.vertices.copy()
+    inside = np.ones(len(v), dtype=bool)
+    inside[base.boundary_edges.ravel()] = False
+    v[inside] += np.random.default_rng(seed).uniform(-0.1 / n, 0.1 / n,
+                                                     (inside.sum(), 2))
+    return meshes.Mesh(v, base.triangles, base.boundary_edges,
+                       base.boundary_markers)
+
+
 def fd_gradient(f, x, y, h=1e-6):
     return ((f(x + h, y) - f(x - h, y)) / (2 * h),
             (f(x, y + h) - f(x, y - h)) / (2 * h))

@@ -12,7 +12,7 @@ from gradetwo.errors import (
     MeshTopologyError,
 )
 
-from conftest import ring_mesh
+from conftest import perturbed_square, ring_mesh
 
 TWO_TRI = """mesh2d 1
 nodes 4
@@ -109,21 +109,10 @@ def test_interior_edge_declared_boundary(tmp_path):
         meshes.load_mesh(str(path))
 
 
-def _perturbed_square(n, seed):
-    base = meshes.unit_square_mesh(n)
-    v = base.vertices.copy()
-    inside = np.ones(len(v), dtype=bool)
-    inside[base.boundary_edges.ravel()] = False
-    v[inside] += np.random.default_rng(seed).uniform(-0.1 / n, 0.1 / n,
-                                                     (inside.sum(), 2))
-    return meshes.Mesh(v, base.triangles, base.boundary_edges,
-                       base.boundary_markers)
-
-
 TABLE_MESHES = {
     "square1": lambda: meshes.unit_square_mesh(1),
     "square5": lambda: meshes.unit_square_mesh(5),
-    "perturbed": lambda: _perturbed_square(6, 3),
+    "perturbed": lambda: perturbed_square(6, 3),
     "ring": lambda: ring_mesh(2),
 }
 

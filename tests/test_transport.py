@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from conftest import perturbed_square
 from gradetwo import meshes, spaces, transport
 from gradetwo.errors import ContractionViolated, DegenerateInflow, MaxIterations
 
@@ -119,6 +121,70 @@ def test_inflow_mismatch_warning(mesh16, spaces16):
     rhs = spaces16.vorticity.new_field()
     with pytest.warns(UserWarning, match="inflow set"):
         transport.solve_transport(reversed_u, 1.0, 1.0, rhs, datum, part_g)
+
+
+# -- the DG system and its factorisation ------------------------------------------
+
+ROTATION = lambda x, y: (0.5 - y, x - 0.5)  # noqa: E731
+
+
+def dg_operator(mesh, gfun):
+    u = spaces.interpolate(gfun, spaces.build_spaces(mesh).velocity)
+    part = meshes.classify_boundary(mesh, gfun, 1.0)
+    K, _ = transport._assemble_operator(u, 1.0, 1.0, part.eps_n)
+    return K
+
+
+def factorise_recorded(K, monkeypatch):
+    """``transport._factorise(K)`` and the one SuperLU call it makes."""
+    calls = []
+    splu = spla.splu
+
+    def recorded(A, **kwargs):
+        calls.append((A, kwargs, splu(A, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    solve = transport._factorise(K)
+    assert len(calls) == 1
+    return solve, calls[0]
+
+
+def assert_matches_spsolve(K, solve):
+    b = np.random.default_rng(11).standard_normal(K.shape[0])
+    ref = spla.spsolve(K, b)
+    assert np.abs(solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("gfun", [UNIFORM, ROTATION],
+                         ids=["uniform", "rotation"])
+def test_operator_stores_no_zeros(mesh16, gfun):
+    # the downwind blocks of a face carry no coupling: none is stored
+    K = dg_operator(mesh16, gfun)
+    assert np.count_nonzero(K.data) == K.nnz
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["mesh16", "perturbed16"])
+def test_acyclic_flow_factorised_in_downstream_order(mesh16, perturbed,
+                                                     monkeypatch):
+    K = dg_operator(perturbed_square(16, 3) if perturbed else mesh16, UNIFORM)
+    solve, (A, kwargs, lu) = factorise_recorded(K, monkeypatch)
+    assert kwargs == {"permc_spec": "NATURAL"}
+    # each cell's equation reads only itself and cells upwind of it, which
+    # come later: the factorised matrix is block upper triangular
+    rows, cols = A.nonzero()
+    assert np.all(rows // 3 <= cols // 3)
+    assert np.any(rows // 3 != cols // 3)
+    assert lu.L.nnz + lu.U.nnz <= 1.5 * K.nnz
+    assert_matches_spsolve(K, solve)
+
+
+def test_cyclic_flow_factorised_with_colamd(mesh16, monkeypatch):
+    K = dg_operator(mesh16, ROTATION)
+    solve, (A, kwargs, _) = factorise_recorded(K, monkeypatch)
+    assert A is K and kwargs == {}
+    assert_matches_spsolve(K, solve)
 
 
 # -- inflow datum construction ---------------------------------------------------
