@@ -14,13 +14,13 @@ flux.  Upwinding adds nonnegative interfacial dissipation, which is what
 makes the discrete sign inequality of the transported quantity hold
 unconditionally (see :func:`sign_functional`).
 
-The matrix stores only the upwind couplings: a face block is kept where
-the flux enters its row's cell, so the pattern follows the sign of
-alpha*u.n.  When the upwind cell graph is acyclic, the sparse LU is taken
-with the cells in downstream-first order, where the matrix is block upper
-triangular; the factors then keep the 3x3 block pattern of the matrix and
-the solve is the exact sweep along the flow.  When the flow closes on
-itself, the columns are ordered by COLAMD.
+The matrix stores only the upwind couplings, the blocks of each face's
+upwind side, on interior and boundary faces alike, so its pattern follows
+the sign of alpha*u.n.  When the upwind cell graph is acyclic, the sparse
+LU is taken with the cells in downstream-first order, where the matrix is
+block upper triangular; the factors then keep the 3x3 block pattern of the
+matrix and the solve is the exact sweep along the flow.  When the flow
+closes on itself, the columns are ordered by COLAMD.
 """
 
 from __future__ import annotations
@@ -130,77 +130,62 @@ def _edge_sign(u, alpha):
 
 def _assemble_operator(u, nu, alpha, eps_n):
     """Upwind DG matrix (CSC, no stored zeros) and alpha*u.n at the
-    boundary-edge quadrature points, which :func:`_inflow_load` takes."""
+    boundary-edge quadrature points, which :func:`_inflow_load` takes.
+
+    Every edge carries the flux of its upwind side: with s = alpha*u.n out
+    of side 0 it is s+ z0 + s- z1, tested with v0 - v1.  On a boundary edge
+    z1 is the datum, which :func:`_inflow_load` imposes, so only side 0
+    enters the matrix, and only where s > eps_n.  The block of row side r
+    and column side c is (-1)^r sum_q w s_c T_r T_c with s_0 = s+ and
+    s_1 = s-; it is built only for the sides c whose weight is nonzero
+    somewhere on the edge, the blocks of each face's upwind side.
+    """
     ctx = u.space.context
     mesh = ctx.mesh
     nt = mesh.num_triangles
-    ndof = 3 * nt
     w = ctx.cell_qweights
     V = ctx.p1_at_q              # (3, nq)
-    GL = ctx.grad_lambda         # (nt, 3, 2)
     a = alpha * fes.velocity_cell_values(u)  # (nt, nq, 2)
 
-    # cell part: nu*(z, v) - (z, a . grad v)
-    mass = np.einsum("tq,jq,iq->tij", w, V, V)
-    adotgrad = np.einsum("tqd,tid->tqi", a, GL)      # a . grad(phi_i)
-    conv = -np.einsum("tq,jq,tqi->tij", w, V, adotgrad)
-    local = nu * mass + conv
-    cell_dofs = (3 * np.arange(nt))[:, None] + np.arange(3)[None, :]
-    rows = np.repeat(cell_dofs, 3, axis=1).ravel()
-    cols = np.tile(cell_dofs, (1, 3)).ravel()
+    # cell part: nu*(z, v) - (z, a . grad v), as matrix products
+    adotgrad = a @ ctx.grad_lambda.transpose(0, 2, 1)  # a . grad(phi_i)
+    mass = (w @ (V[:, None] * V).reshape(9, -1).T).reshape(nt, 3, 3)
+    conv = (w[:, :, None] * adotgrad).transpose(0, 2, 1) @ V.T
+    local = nu * mass - conv
+    cell_dofs = 3 * np.arange(nt)[:, None] + np.arange(3)
+    rows = [np.repeat(cell_dofs, 3, axis=1).ravel()]
+    cols = [np.tile(cell_dofs, (1, 3)).ravel()]
     data = [local.ravel()]
-    rix = [rows]
-    cix = [cols]
 
+    # face part: the flux weight s_c of each side, and the blocks of the
+    # (edge, c) pairs where it is nonzero somewhere on the edge
     s = _edge_sign(u, alpha)     # (ne, nqe)
-    we = mesh.edge_qweights
+    interior = ctx.edge_interior[:, None]
+    sc = np.stack([np.where(interior | (s > eps_n), np.maximum(s, 0.0), 0.0),
+                   np.where(interior, np.minimum(s, 0.0), 0.0)], axis=1)
+    e, c = np.nonzero(sc.any(axis=2))
+    T = ctx.edge_p1_trace        # (ne, 2, 3, nqe)
+    blk = np.einsum("kq,kjq,kriq->krij", mesh.edge_qweights[e] * sc[e, c],
+                    T[e, c], T[e], optimize=True)
+    blk[:, 1] *= -1.0            # tested with v0 - v1
+    # rows of the sides that have a cell: a boundary edge has only side 0
+    k, r = np.nonzero(mesh.edge_cells[e] >= 0)
+    row_dofs = 3 * mesh.edge_cells[e[k], r, None] + np.arange(3)
+    col_dofs = 3 * mesh.edge_cells[e[k], c[k], None] + np.arange(3)
+    rows.append(np.repeat(row_dofs, 3, axis=1).ravel())
+    cols.append(np.tile(col_dofs, (1, 3)).ravel())
+    data.append(blk[k, r].ravel())
 
-    # interior faces: upwind flux s_plus z- + s_minus z+ against [v]
-    interior = np.nonzero(ctx.edge_interior)[0]
-    if interior.size:
-        si = s[interior]
-        wi = we[interior]
-        sp_ = np.maximum(si, 0.0)
-        sm_ = np.minimum(si, 0.0)
-        T0 = ctx.edge_p1_trace[interior, 0]  # (nei, 3, nqe)
-        T1 = ctx.edge_p1_trace[interior, 1]
-        c0 = mesh.edge_cells[interior, 0]
-        c1 = mesh.edge_cells[interior, 1]
-        d0 = (3 * c0)[:, None] + np.arange(3)[None, :]
-        d1 = (3 * c1)[:, None] + np.arange(3)[None, :]
-
-        def face_block(weight, Tj, Ti, drow, dcol, sign):
-            blk = sign * np.einsum("eq,ejq,eiq->eij", weight, Tj, Ti)
-            rix.append(np.repeat(drow, 3, axis=1).ravel())
-            cix.append(np.tile(dcol, (1, 3)).ravel())
-            data.append(blk.ravel())
-
-        face_block(wi * sp_, T0, T0, d0, d0, +1.0)
-        face_block(wi * sm_, T1, T0, d0, d1, +1.0)
-        face_block(wi * sp_, T0, T1, d1, d0, -1.0)
-        face_block(wi * sm_, T1, T1, d1, d1, -1.0)
-
-    # boundary faces: outflow keeps the interior trace in the matrix,
-    # inflow imposes the datum through the right-hand side (_inflow_load)
-    sb = s[mesh.boundary_edge_ids]   # (nb, nqe)
-    Tb, db = _boundary_traces(ctx)
-    s_out = np.where(sb > eps_n, sb, 0.0)
-    blk = np.einsum("eq,ejq,eiq->eij", mesh.boundary_quad_weights() * s_out,
-                    Tb, Tb)
-    rix.append(np.repeat(db, 3, axis=1).ravel())
-    cix.append(np.tile(db, (1, 3)).ravel())
-    data.append(blk.ravel())
-
-    # the downwind blocks of a face are zero wherever the flux does not
-    # change sign on it, and so are the blocks of inflow faces: keep only
-    # the real couplings, and drop sums that cancel exactly
+    # each P1 trace vanishes at the vertex opposite its edge, so every block
+    # has zero rows and columns: keep only the real couplings, and drop sums
+    # that cancel exactly
     data = np.concatenate(data)
     keep = data != 0.0
     K = sp.coo_matrix(
-        (data[keep], (np.concatenate(rix)[keep], np.concatenate(cix)[keep])),
-        shape=(ndof, ndof)).tocsc()
+        (data[keep], (np.concatenate(rows)[keep], np.concatenate(cols)[keep])),
+        shape=(3 * nt, 3 * nt)).tocsc()
     K.eliminate_zeros()
-    return K, sb
+    return K, s[mesh.boundary_edge_ids]
 
 
 def _factorise(K):
@@ -235,15 +220,6 @@ def _factorise(K):
     return solve
 
 
-def _boundary_traces(ctx):
-    """P1 traces (nb, 3, nqe) and DG dofs (nb, 3) of the boundary cells."""
-    mesh = ctx.mesh
-    bids = mesh.boundary_edge_ids
-    cb = mesh.edge_cells[bids, 0]
-    return (ctx.edge_p1_trace[bids, 0],
-            (3 * cb)[:, None] + np.arange(3)[None, :])
-
-
 def _inflow_load(ctx, sb, eps_n, datum):
     """Inflow load of ``datum`` and its inflow-set mismatch measure, for
     boundary signs ``sb`` from :func:`_assemble_operator`.
@@ -251,13 +227,15 @@ def _inflow_load(ctx, sb, eps_n, datum):
     The mismatch measure is the arc length over which the sign of
     alpha*u.n disagrees with the datum's inflow edge set.
     """
-    wb = ctx.mesh.boundary_quad_weights()
-    Tb, db = _boundary_traces(ctx)
+    mesh = ctx.mesh
+    bids = mesh.boundary_edge_ids
+    wb = mesh.boundary_quad_weights()
     s_in = np.where(sb < -eps_n, sb, 0.0)
     qv = datum.values
-    load = np.zeros(3 * ctx.mesh.num_triangles)
-    lvec = np.einsum("eq,eiq->ei", -wb * s_in * qv, Tb)
-    np.add.at(load, db.ravel(), lvec.ravel())
+    load = np.zeros(3 * mesh.num_triangles)
+    lvec = np.einsum("eq,eiq->ei", -wb * s_in * qv, ctx.edge_p1_trace[bids, 0])
+    dofs = 3 * mesh.edge_cells[bids, 0, None] + np.arange(3)
+    np.add.at(load, dofs.ravel(), lvec.ravel())
 
     # an empty datum imposes zero wherever the velocity says inflow, so a
     # mismatch is only meaningful against a declared inflow edge set
@@ -297,9 +275,8 @@ def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None):
         return space.new_field(rhs.coefficients / nu)
     ctx = space.context
     div = fes.velocity_weak_divergence_l2(u)
-    un = fes.norms(u)
     if div_tol is None:
-        div_tol = 1e-8 * max(1.0, un.h1_semi)
+        div_tol = 1e-8 * max(1.0, fes.norms(u).h1_semi)
     if div > div_tol:
         warnings.warn(
             f"transport velocity has weak divergence {div:.3e} above "
@@ -412,10 +389,8 @@ def green_residual(z, u, phi, part, phi_grad=None, localized=False):
     flux = 0.0
     if sel.size:
         eids = bids[sel]
-        tr = fes.velocity_edge_values(u)[eids]
+        un = _edge_sign(u, 1.0)[eids]
         zb = fes.vorticity_edge_values(z, 0)[eids]
-        n = mesh.edge_normals[eids]
-        un = tr[:, :, 0] * n[:, None, 0] + tr[:, :, 1] * n[:, None, 1]
         bpts = mesh.edge_qpoints[eids]
         phib = evaluate(phi, bpts[..., 0], bpts[..., 1])
         flux = float((mesh.edge_qweights[eids] * zb * un * phib).sum())

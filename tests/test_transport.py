@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import perturbed_square
-from gradetwo import meshes, spaces, transport
+from conftest import perturbed_square, ring_mesh
+from gradetwo import manufactured, meshes, spaces, transport
 from gradetwo.errors import ContractionViolated, DegenerateInflow, MaxIterations
 
 UNIFORM = lambda x, y: (1.0, 0.0)  # noqa: E731
@@ -185,6 +185,123 @@ def test_cyclic_flow_factorised_with_colamd(mesh16, monkeypatch):
     solve, (A, kwargs, _) = factorise_recorded(K, monkeypatch)
     assert A is K and kwargs == {}
     assert_matches_spsolve(K, solve)
+
+
+def reference_operator(u, nu, alpha, eps_n):
+    """The upwind DG matrix, dense, one cell and one edge Gauss point at a
+    time, from the mesh arrays and the velocity's nodal values alone.
+
+    Cells: nu (z, v) - (z, alpha u . grad v).  Edges: the flux of the
+    upwind side, s+ z0 + s- z1 with s = alpha u.n out of side 0, against
+    v0 - v1; a boundary edge has only side 0 and keeps s > eps_n only.
+    """
+    ctx = u.space.context
+    mesh = ctx.mesh
+    nv = ctx.num_scalar_nodes
+    R = np.zeros((3 * mesh.num_triangles,) * 2)
+
+    def affine(t):
+        """Barycentric map of cell t: lambda = A @ (x, y, 1)."""
+        return np.linalg.inv(np.vstack([mesh.vertices[mesh.triangles[t]].T,
+                                        np.ones(3)]))
+
+    def velocity(t):
+        """alpha u on cell t: the quadratic through its six nodal values."""
+        nodes = ctx.cell_scalar_nodes[t]
+        x0, h = mesh.vertices[mesh.triangles[t, 0]], math.sqrt(mesh.areas[t])
+
+        def mono(p):
+            x, y = (p - x0) / h
+            return np.array([1.0, x, y, x * x, x * y, y * y])
+
+        coef = np.linalg.solve(
+            np.array([mono(p) for p in ctx.velocity_nodes[nodes]]),
+            np.stack([u.coefficients[:nv][nodes],
+                      u.coefficients[nv:][nodes]], axis=1))
+        return lambda p: alpha * mono(p) @ coef
+
+    for t in range(mesh.num_triangles):
+        A, a = affine(t), velocity(t)
+        dofs = 3 * t + np.arange(3)
+        for lam, wq in zip(spaces.TRI_QP, spaces.TRI_QW):
+            p = lam @ mesh.vertices[mesh.triangles[t]]
+            w = wq * mesh.areas[t]
+            R[np.ix_(dofs, dofs)] += w * np.outer(
+                nu * lam - A[:, :2] @ a(p), lam)
+
+    for e, (va, vb) in enumerate(mesh.edges):
+        pa, pb = mesh.vertices[va], mesh.vertices[vb]
+        cells = [t for t in mesh.edge_cells[e] if t >= 0]
+        n = np.array([pb[1] - pa[1], pa[0] - pb[0]]) / np.linalg.norm(pb - pa)
+        if n @ (pa - mesh.vertices[mesh.triangles[cells[0]]].mean(axis=0)) < 0:
+            n = -n
+        a = velocity(cells[0])
+        for tq, wq in zip(meshes.EDGE_QP, meshes.EDGE_QW):
+            p = (1.0 - tq) * pa + tq * pb
+            w = wq * np.linalg.norm(pb - pa)
+            s = a(p) @ n
+            if len(cells) == 2:
+                weights = [max(s, 0.0), min(s, 0.0)]
+            else:
+                weights = [s if s > eps_n else 0.0]
+            traces = [(1.0 - tq) * (mesh.triangles[t] == va)
+                      + tq * (mesh.triangles[t] == vb) for t in cells]
+            for r, (tr, vr) in enumerate(zip(cells, traces)):
+                for tc, vc, sc in zip(cells, traces, weights):
+                    R[np.ix_(3 * tr + np.arange(3), 3 * tc + np.arange(3))] \
+                        += (-1) ** r * w * sc * np.outer(vr, vc)
+    return R
+
+
+TRIG = manufactured.manufactured_case("trig", 1.0, 0.1).u
+MESHES = {"mesh16": lambda: meshes.unit_square_mesh(16),
+          "perturbed16": lambda: perturbed_square(16, 3),
+          "ring": lambda: ring_mesh(3)}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+@pytest.mark.parametrize("gfun, eps_n", [
+    (UNIFORM, 1e-12), (ROTATION, 1e-12), (TRIG, 1e-12),
+    # |s| = 1e-13 <= eps_n on the top and bottom edges: no outflow block
+    # there, while interior edges with the same |s| keep theirs
+    (lambda x, y: (1.0, 1e-13), 1e-12),
+    # the same rule with a flux large enough to show in the entries
+    (lambda x, y: (1.0, 0.3), 0.5),
+], ids=["uniform", "rotation", "trig", "tiny-y", "eps-above-y"])
+def test_operator_matches_reference_loop(mesh_name, gfun, eps_n):
+    mesh = MESHES[mesh_name]()
+    u = spaces.interpolate(gfun, spaces.build_spaces(mesh).velocity)
+    if gfun is TRIG and mesh_name == "mesh16":
+        # both sides of a face are upwind somewhere on 44 interior edges
+        s = transport._edge_sign(u, 0.7)[u.space.context.edge_interior]
+        flips = (s.max(axis=1) > 0) & (s.min(axis=1) < 0)
+        assert np.count_nonzero(flips) == 44
+    K, _ = transport._assemble_operator(u, 0.8, 0.7, eps_n)
+    R = reference_operator(u, 0.8, 0.7, eps_n)
+    K = K.toarray()
+    assert np.abs(K - R).max() <= 1e-13 * np.abs(K).max()
+    assert np.array_equal(K != 0.0, R != 0.0)
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["mesh16", "perturbed16"])
+@pytest.mark.parametrize("alpha", [1.0, -0.7])
+@pytest.mark.parametrize("gfun", [UNIFORM, lambda x, y: (2.0, -1.0), ROTATION],
+                         ids=["uniform", "2,-1", "rotation"])
+def test_operator_energy_identity(mesh16, perturbed, alpha, gfun):
+    # for a divergence-free u, testing with v = z turns the advection form
+    # into the upwind dissipation: z'Kz = nu ||z||^2 + sign functional
+    mesh = perturbed_square(16, 3) if perturbed else mesh16
+    sp_ = spaces.build_spaces(mesh)
+    u = spaces.interpolate(gfun, sp_.velocity)
+    nu = 0.6
+    K, _ = transport._assemble_operator(u, nu, alpha, 1e-12)
+    z = sp_.vorticity.new_field(
+        np.random.default_rng(3).standard_normal(sp_.vorticity.dof_count))
+    rhs = (nu * spaces.norms(z).l2 ** 2
+           + transport.sign_functional_report(z, u, alpha).total)
+    c = z.coefficients
+    assert abs(c @ (K @ c) - rhs) <= 1e-12 * rhs
 
 
 # -- inflow datum construction ---------------------------------------------------
