@@ -147,11 +147,14 @@ def _assemble_operator(u, nu, alpha, eps_n):
     V = ctx.p1_at_q              # (3, nq)
     a = alpha * fes.velocity_cell_values(u)  # (nt, nq, 2)
 
-    # cell part: nu*(z, v) - (z, a . grad v), as matrix products
-    adotgrad = a @ ctx.grad_lambda.transpose(0, 2, 1)  # a . grad(phi_i)
-    mass = (w @ (V[:, None] * V).reshape(9, -1).T).reshape(nt, 3, 3)
-    conv = (w[:, :, None] * adotgrad).transpose(0, 2, 1) @ V.T
-    local = nu * mass - conv
+    # cell part: nu*(z, v) - (z, a . grad v), by broadcasts and
+    # two-operand einsums; none calls BLAS, so the assembly runs on the
+    # calling thread alone and wakes no BLAS thread pool
+    GL = ctx.grad_lambda         # (nt, 3, 2)
+    adotgrad = a[..., :1] * GL[:, None, :, 0] + a[..., 1:] * GL[:, None, :, 1]
+    mass = np.einsum("tq,kq->tk", w, (V[:, None] * V).reshape(9, -1))
+    conv = np.einsum("tqi,tqj->tij", adotgrad, w[:, :, None] * V.T)
+    local = nu * mass.reshape(nt, 3, 3) - conv
     cell_dofs = 3 * np.arange(nt)[:, None] + np.arange(3)
     rows = [np.repeat(cell_dofs, 3, axis=1).ravel()]
     cols = [np.tile(cell_dofs, (1, 3)).ravel()]
