@@ -5,7 +5,8 @@ zero vorticity guess: given z_n, solve the generalized Stokes problem for
 (u_n, p_n), feed the transport right-hand side  nu*curl(u_n) + alpha*curl(f)
 and the inflow datum back into the transport solve, and under-relax.  On
 convergence one more Stokes solve pairs the velocity and pressure with the
-converged vorticity.
+converged vorticity.  Every Stokes solve after the first starts GMRES from
+the previous (u, p); each call of :func:`fixed_point_solve` starts cold.
 
 One solve pipeline is sequential; independent problem specs (continuation
 points, probe starts) are safe to run concurrently since all shared
@@ -177,10 +178,12 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
     scale = None
     best_dz = np.inf
     u = p = None
+    z_prev_norm = fes.norms(z).l2
     stokes_failure = ""
     for _ in range(spec.max_iter):
         try:
-            u, p = solve_generalized_stokes(stokes_setup, z)
+            u, p = solve_generalized_stokes(
+                stokes_setup, z, guess=None if u is None else (u, p))
         except LinearSolveFailure as exc:
             if not report.iterations:  # the starting z is the caller's
                 raise
@@ -202,7 +205,6 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
         report.u_h1.append(fes.norms(u).h1_semi)
         report.p_l2.append(fes.norms(p).l2)
         report.z_h1_broken.append(zn.h1_semi)
-        z_prev_norm = fes.norms(z).l2
         z = z_new
         if scale is None:
             scale = max(1.0, zn.l2, datum.max_abs())
@@ -217,6 +219,7 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
             report.stopping_reason = "diverged"
             break
         best_dz = min(best_dz, dz)
+        z_prev_norm = zn.l2
     report.wall_time = time.perf_counter() - t0
     if not report.converged:
         raise NotConverged(
@@ -226,7 +229,7 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
             "outside the small-data regime of the fixed-point argument",
             report=report)
     # pair (u, p) with the converged vorticity
-    u, p = solve_generalized_stokes(stokes_setup, z)
+    u, p = solve_generalized_stokes(stokes_setup, z, guess=(u, p))
     report.wall_time = time.perf_counter() - t0
     return u, p, z, report
 

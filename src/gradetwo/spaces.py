@@ -408,17 +408,18 @@ def error_h1(field: Field, exact_grad: Callable) -> float:
     return float(np.sqrt((ctx.cell_qweights * diff).sum()))
 
 
-def velocity_weak_divergence_l2(field: Field) -> float:
+def velocity_weak_divergence_l2(field: Field, grads=None) -> float:
     """L2 norm of the P1 projection of div u.
 
     This is the quantity the divergence constraint of the mixed method
     actually controls: solver-precision small for Stokes solutions and for
     interpolants of solenoidal fields, order one for genuinely
-    compressible data.
+    compressible data.  ``grads`` may pass ``velocity_cell_gradients(field)``
+    when the caller already has it.
     """
     ctx = field.space.context
     mesh = ctx.mesh
-    g = velocity_cell_gradients(field)
+    g = velocity_cell_gradients(field) if grads is None else grads
     div = g[:, :, 0, 0] + g[:, :, 1, 1]
     P = ctx.p1_at_q
     r_cell = np.einsum("tq,kq,tq->tk", ctx.cell_qweights, P, div)

@@ -75,6 +75,45 @@ def test_determinism_bitwise(mesh8):
     assert res1[3].z_l2 == res2[3].z_l2
 
 
+def gmres_iterations(monkeypatch):
+    """Iterations of each Stokes GMRES call, counted through its callback."""
+    counts = []
+    gmres = stokes.spla.gmres
+
+    def counted(*args, **kwargs):
+        counts.append(0)
+
+        def callback(_):
+            counts[-1] += 1
+        return gmres(*args, callback=callback, callback_type="pr_norm",
+                     **kwargs)
+
+    monkeypatch.setattr(stokes.spla, "gmres", counted)
+    return counts
+
+
+def test_stokes_solves_warm_started(mesh8, monkeypatch):
+    """The pairing solve starts from the last iterate's (u, p), so it needs
+    at most half the iterations of the first solve at nonzero z."""
+    counts = gmres_iterations(monkeypatch)
+    case = manufactured.manufactured_case("trig", 1.0, 0.1)
+    _, _, _, rep = fixed_point_solve(case.problem_spec(mesh8))
+    assert rep.converged and rep.iterations > 2
+    assert len(counts) == rep.iterations + 1
+    assert 0 < counts[-1] <= counts[1] // 2, counts
+
+
+def test_no_warm_state_across_calls(mesh8):
+    """Each fixed_point_solve starts cold, even on a shared set-up."""
+    spec = manufactured.manufactured_case("trig", 1.0, 0.1).problem_spec(mesh8)
+    setup = driver.prepare(spec)
+    first = fixed_point_solve(spec, setup=setup)
+    second = fixed_point_solve(spec, setup=setup)
+    for a, b in zip(first[:3], second[:3]):
+        assert np.array_equal(a.coefficients, b.coefficients)
+    assert first[3].dz_l2 == second[3].dz_l2
+
+
 def test_setup_work_once_per_solve(mesh8, monkeypatch):
     """The flux check and the Stokes factorisation run once per
     fixed_point_solve, however many coupling iterations it takes."""

@@ -167,3 +167,73 @@ def test_gmres_matches_direct(spaces8, random_z, data):
     u_ref, p_ref = direct_reference(spaces8, nu, z, f, g)
     assert np.abs(u.coefficients - u_ref).max() < 1e-8
     assert np.abs(p.coefficients - p_ref).max() < 1e-7
+
+
+def counted_gmres(monkeypatch):
+    """Record each GMRES call's starting vector and iteration count."""
+    calls = []
+    gmres = spla.gmres
+
+    def wrapper(*args, **kwargs):
+        calls.append({"x0": kwargs.get("x0"), "iterations": 0})
+
+        def callback(_):
+            calls[-1]["iterations"] += 1
+        return gmres(*args, callback=callback, callback_type="pr_norm",
+                     **kwargs)
+
+    monkeypatch.setattr(stokes.spla, "gmres", wrapper)
+    return calls
+
+
+def trig_inflow(spaces_):
+    case = manufactured.manufactured_case("trig", 1.0, 0.1)
+    return case, spaces.interpolate(case.z, spaces_.vorticity)
+
+
+def test_warm_start_matches_direct(spaces8, monkeypatch):
+    case, z = trig_inflow(spaces8)
+    rng = np.random.default_rng(5)
+    nearby = z.space.new_field(z.coefficients * (
+        1.0 + 1e-3 * rng.standard_normal(z.space.dof_count)))
+    prepared = stokes.prepare_generalized_stokes(
+        spaces8, case.nu, case.f, case.u)
+    calls = counted_gmres(monkeypatch)
+    cold = stokes.solve_generalized_stokes(prepared, z)
+    u, p = stokes.solve_generalized_stokes(
+        prepared, z, guess=stokes.solve_generalized_stokes(prepared, nearby))
+    cold_call, _, warm_call = calls
+    assert cold_call["x0"] is None and warm_call["x0"] is not None
+    assert warm_call["iterations"] < cold_call["iterations"]
+    u_ref, p_ref = direct_reference(spaces8, case.nu, z, case.f, case.u)
+    for uu, pp in (cold, (u, p)):
+        assert np.abs(uu.coefficients - u_ref).max() < 1e-8
+        assert np.abs(pp.coefficients - p_ref).max() < 1e-7
+
+
+def test_bad_guess_falls_back_to_zero_start(spaces8, monkeypatch):
+    case, z = trig_inflow(spaces8)
+    prepared = stokes.prepare_generalized_stokes(
+        spaces8, case.nu, case.f, case.u)
+    rng = np.random.default_rng(7)
+    scale = 1e3 * max(np.abs(prepared.rhs).max(), 1.0)
+    guess = (spaces8.velocity.new_field(
+                 scale * rng.standard_normal(spaces8.velocity.dof_count)),
+             spaces8.pressure.new_field(
+                 scale * rng.standard_normal(spaces8.pressure.dof_count)))
+    calls = counted_gmres(monkeypatch)
+    u, p = stokes.solve_generalized_stokes(prepared, z, guess=guess)
+    assert calls[0]["x0"] is None
+    u_ref, p_ref = direct_reference(spaces8, case.nu, z, case.f, case.u)
+    assert np.abs(u.coefficients - u_ref).max() < 1e-8
+    assert np.abs(p.coefficients - p_ref).max() < 1e-7
+
+
+def test_wrong_size_guess_raises(spaces8, spaces16, zero_z):
+    prepared = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
+    u8, p8 = stokes.solve_generalized_stokes(prepared, zero_z)
+    u16 = spaces16.velocity.new_field()
+    p16 = spaces16.pressure.new_field()
+    for guess in ((u16, p8), (u8, p16)):
+        with pytest.raises(ValueError, match="guess"):
+            stokes.solve_generalized_stokes(prepared, zero_z, guess=guess)
