@@ -156,9 +156,10 @@ class FeContext:
     def p1_mass_lu(self):
         """Factorisation of the continuous P1 mass matrix, built on first use.
 
-        Not built with the context: only the weak-divergence check of a
-        transport solve or an energy report needs it, and at n = 128 it
-        takes about 0.1 s, two thirds of :func:`build_spaces`.  The matrix
+        Not built with the context: only a prepared Stokes problem (its
+        Schur surrogate), the weak-divergence check of a transport solve or
+        an energy report needs it, and at n = 128 it takes about 0.1 s, two
+        thirds of :func:`build_spaces`.  The matrix
         is symmetric, so its columns are ordered by minimum degree on
         A^T + A, as the Stokes Laplacian is.
         """

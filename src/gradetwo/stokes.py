@@ -13,20 +13,24 @@ square and uniquely solvable.  Dirichlet values are eliminated
 symmetrically.
 
 Only the skew block depends on z.  :func:`prepare_generalized_stokes` does
-the rest once per problem, including one sparse LU of the Dirichlet-reduced
-scalar Laplacian that both velocity components share.
-:func:`solve_generalized_stokes` assembles the z-weighted mass and runs
-GMRES with a block upper-triangular preconditioner: that LU for the
-velocity, the lumped pressure mass over nu for the Schur complement (Elman,
-Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).
-The iteration count does not grow with the mesh but grows with max|z|/nu.
-A solve may start GMRES from a guess, such as the solution at the previous
-z of a coupling loop; it is used only when its residual is below that of
-the zero start.  On the trig case at n=32 (nu=1, alpha=0.1, the seed-11
-mesh of perfbench's coupled-trig) the nine solves of one coupling loop take
-46, 54, 46, 42, 37, 30, 26, 16 and 21 iterations warm-started, against 46
-and then 57 each from zero.  Solves are pure functions of their inputs and
-leave the prepared problem unchanged.
+the rest once per problem: the reduced bordered matrix at z = 0, whose
+pattern already holds the two skew blocks, integer maps from the cell
+pairs of the z-weighted mass into its data and into the right-hand side,
+and one sparse LU of the Dirichlet-reduced scalar Laplacian that both
+velocity components share.  :func:`solve_generalized_stokes` contracts z
+at the quadrature points, scatters the result into a copy of that
+matrix's data and runs GMRES with a block upper-triangular
+preconditioner: that LU for the velocity, the consistent pressure mass
+over nu for the Schur complement (Elman, Silvester & Wathen, *Finite
+Elements and Fast Iterative Solvers*, 2014).  The iteration count does
+not grow with the mesh but grows with max|z|/nu.  A solve may start GMRES
+from a guess, such as the solution at the previous z of a coupling loop;
+it is used only when its residual is below that of the zero start.  On
+the trig case at n=32 (nu=1, alpha=0.1, the seed-11 mesh of perfbench's
+coupled-trig) the nine solves of one coupling loop take 31, 39, 36, 33,
+29, 25, 22, 26 and 9 iterations warm-started, against 31 and then 42 each
+from zero.  Solves are pure functions of their inputs and leave the
+prepared problem unchanged.
 """
 
 from __future__ import annotations
@@ -72,20 +76,32 @@ class PreparedStokes(NamedTuple):
     """The z-independent part of a generalized Stokes problem.
 
     Unknowns of the reduced bordered system: each velocity component on the
-    ``free`` scalar nodes, the pressure, the multiplier.  ``rhs`` is its
-    right-hand side for z = 0 and ``lu`` factorises ``K_ff``.
+    ``free`` scalar nodes, the pressure, the multiplier.  ``matrix`` and
+    ``rhs`` are the system at z = 0; a solve fills the skew blocks of a
+    copy of ``matrix.data`` through ``cell_map`` and ``skew_pos`` and
+    corrects ``rhs`` through ``fb_rows`` and ``fb_cols``.  ``lu``
+    factorises the free-free scalar Laplacian.
     """
 
     spaces: fes.Spaces
     free: np.ndarray         # unconstrained scalar velocity nodes, ascending
     fixed: np.ndarray        # boundary scalar velocity nodes
     g_fixed: np.ndarray      # Dirichlet values at ``fixed``, shape (nb, 2)
-    K_ff: sp.csr_matrix      # nu-scaled scalar Laplacian, free x free
+    matrix: sp.csr_matrix    # reduced bordered matrix at z = 0, canonical
     Bt: sp.csr_matrix        # transposed divergence block, 2*free x pressure
-    border: sp.csr_matrix    # pressure integrals, one column
     rhs: np.ndarray
     lu: object
-    schur: np.ndarray        # lumped pressure mass over nu
+    nu: float
+    schur: object            # LU of the consistent P1 pressure mass M_p (the
+                             # context's); the Schur surrogate is M_p / nu
+    vv: np.ndarray           # V_a*V_b at the cell quadrature points, (36, nq)
+    cell_map: np.ndarray     # int32: cell pair (t, 6a+b) -> entry of the
+                             # free-free skew pattern (first ns), of the
+                             # free-fixed pattern (next nfb) or a dump slot
+    skew_pos: np.ndarray     # int32 (2, ns): data positions in ``matrix``
+                             # of the -M_z (row u1, col u2) and +M_z blocks
+    fb_rows: np.ndarray      # int32 (nfb,): free row of each free-fixed entry
+    fb_cols: np.ndarray      # int32 (nfb,): its index into ``fixed``
 
 
 class StokesEnergyReport(NamedTuple):
@@ -98,7 +114,8 @@ class StokesEnergyReport(NamedTuple):
 
 
 def _scalar_matrix(ctx, cell_blocks):
-    """Sum (nt, 6, 6) cell blocks into a CSR matrix over the scalar nodes."""
+    """Sum cell blocks, 6x6 row-major per cell, into a CSR matrix over the
+    scalar nodes."""
     n = ctx.num_scalar_nodes
     nodes = ctx.cell_scalar_nodes  # (nt, 6)
     rows = np.repeat(nodes, 6, axis=1).ravel()
@@ -117,17 +134,29 @@ def _stiffness(ctx, nu):
     return K
 
 
-def _zmass(ctx, z):
-    """z-weighted scalar P2 mass matrix."""
+def _mass_products(ctx):
+    """V_a*V_b of the P2 basis at the cell quadrature points, (36, nq)."""
+    V = ctx.p2_at_q  # (6, nq)
+    return (V[:, None] * V).reshape(36, -1)
+
+
+def _zmass_cells(ctx, z, vv):
+    """Cell blocks of the z-weighted P2 mass, shape (nt, 36), row-major.
+
+    One two-operand einsum, which calls no BLAS, as the transport assembly.
+    """
     if not np.all(np.isfinite(z.coefficients)):
         raise ValueError("non-finite coefficient field z")
-    V = ctx.p2_at_q  # (6, nq)
-    Mz = _scalar_matrix(ctx, np.einsum(
-        "tq,tq,aq,bq->tab", ctx.cell_qweights, fes.scalar_cell_values(z),
-        V, V))
-    if not np.all(np.isfinite(Mz.data)):
+    cells = np.einsum("tq,kq->tk",
+                      ctx.cell_qweights * fes.scalar_cell_values(z), vv)
+    if not np.all(np.isfinite(cells)):
         raise LinearSolveFailure("non-finite entries in the coupling block")
-    return Mz
+    return cells
+
+
+def _zmass(ctx, z):
+    """z-weighted scalar P2 mass matrix."""
+    return _scalar_matrix(ctx, _zmass_cells(ctx, z, _mass_products(ctx)))
 
 
 def _skew(Mz):
@@ -239,8 +268,10 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
         raise ValueError("nu must be positive")
     ctx = spaces_.context
     check_flux_compatibility(ctx.mesh, g, flux_tol)
+    n = ctx.num_scalar_nodes
     fixed = ctx.boundary_scalar_nodes
-    free = np.setdiff1d(np.arange(ctx.num_scalar_nodes), fixed)
+    free = np.setdiff1d(np.arange(n), fixed)
+    nf = free.size
     g_fixed = _boundary_values(ctx, g)
     K = _stiffness(ctx, nu)[free]
     K_ff = K[:, free]
@@ -255,11 +286,72 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     except RuntimeError as exc:
         raise LinearSolveFailure(
             f"viscous block factorisation failed: {exc}") from exc
+
+    # the cell pairs of the z-weighted mass: free-free pairs fill the skew
+    # blocks, free-fixed pairs the right-hand side, the rest are dropped
+    free_ix = np.full(n, -1)
+    free_ix[free] = np.arange(nf)
+    fixed_ix = np.full(n, -1)
+    fixed_ix[fixed] = np.arange(fixed.size)
+    nodes = ctx.cell_scalar_nodes
+    r = free_ix[np.repeat(nodes, 6, axis=1).ravel()]
+    cf = free_ix[np.tile(nodes, (1, 6)).ravel()]
+    cb = fixed_ix[np.tile(nodes, (1, 6)).ravel()]
+    ff = (r >= 0) & (cf >= 0)
+    fb = (r >= 0) & (cb >= 0)
+    # sorted keys are the entries of a canonical CSR pattern
+    skew, skew_of_pair = np.unique(r[ff] * nf + cf[ff], return_inverse=True)
+    bnd, bnd_of_pair = np.unique(r[fb] * fixed.size + cb[fb],
+                                 return_inverse=True)
+    cell_map = np.full(r.size, skew.size + bnd.size, dtype=np.int32)
+    cell_map[ff] = skew_of_pair
+    cell_map[fb] = skew.size + bnd_of_pair
+    sr, sc = np.divmod(skew, nf)
+    S0 = sp.csr_matrix((np.zeros(skew.size), (sr, sc)), shape=(nf, nf))
+    Bt = sp.vstack([Bx[:, free].T, By[:, free].T]).tocsr()
     mean_vec = _pressure_integrals(ctx.mesh)
+    border = sp.csr_matrix(mean_vec[:, None])
+    matrix = sp.bmat([[sp.bmat([[K_ff, S0], [S0, K_ff]]), Bt, None],
+                      [Bt.T, None, border],
+                      [None, border.T, None]], format="csr")
+    matrix.sum_duplicates()
+    skew_pos = np.stack([_positions(matrix, sr, nf + sc),
+                         _positions(matrix, nf + sr, sc)]).astype(np.int32)
     return PreparedStokes(
-        spaces_, free, fixed, g_fixed, K_ff,
-        sp.vstack([Bx[:, free].T, By[:, free].T]).tocsr(),
-        sp.csr_matrix(mean_vec[:, None]), rhs, lu, mean_vec / nu)
+        spaces_, free, fixed, g_fixed, matrix, Bt, rhs, lu, nu,
+        ctx.p1_mass_lu, _mass_products(ctx), cell_map, skew_pos,
+        (bnd // fixed.size).astype(np.int32),
+        (bnd % fixed.size).astype(np.int32))
+
+
+def _positions(A, rows, cols):
+    """Data positions of the entries (rows, cols) of canonical CSR ``A``."""
+    keys = (np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * A.shape[1]
+            + A.indices)
+    return np.searchsorted(keys, rows * A.shape[1] + cols)
+
+
+def _bordered_system(prep, z):
+    """The reduced bordered matrix and right-hand side at coefficient ``z``.
+
+    The matrix shares ``indices`` and ``indptr`` with ``prep.matrix`` and
+    owns its data; nothing of ``prep`` is written.
+    """
+    ctx = prep.spaces.context
+    ns = prep.skew_pos.shape[1]
+    m = np.bincount(prep.cell_map, _zmass_cells(ctx, z, prep.vv).ravel(),
+                    minlength=ns + prep.fb_rows.size + 1)
+    data = prep.matrix.data.copy()
+    data[prep.skew_pos[0]] = -m[:ns]
+    data[prep.skew_pos[1]] = m[:ns]
+    K = sp.csr_matrix((data, prep.matrix.indices, prep.matrix.indptr),
+                      shape=prep.matrix.shape)
+    mg = m[ns:ns + prep.fb_rows.size, None] * prep.g_fixed[prep.fb_cols]
+    nf = prep.free.size
+    rhs = prep.rhs.copy()
+    rhs[:nf] += np.bincount(prep.fb_rows, mg[:, 1], minlength=nf)
+    rhs[nf:2 * nf] -= np.bincount(prep.fb_rows, mg[:, 0], minlength=nf)
+    return K, rhs
 
 
 def solve_generalized_stokes(prepared, z, guess=None):
@@ -276,23 +368,14 @@ def solve_generalized_stokes(prepared, z, guess=None):
     prep = prepared
     spaces_ = prep.spaces
     ctx = spaces_.context
-    Mz = _zmass(ctx, z)[prep.free]
-    Mz_ff = Mz[:, prep.free]
-    Mz_fb = Mz[:, prep.fixed]
-    velocity = sp.bmat([[prep.K_ff, -Mz_ff], [Mz_ff, prep.K_ff]])
-    K = sp.bmat([[velocity, prep.Bt, None],
-                 [prep.Bt.T, None, prep.border],
-                 [None, prep.border.T, None]], format="csr")
+    K, rhs = _bordered_system(prep, z)
     nf = prep.free.size
-    rhs = prep.rhs.copy()
-    rhs[:nf] += Mz_fb @ prep.g_fixed[:, 1]
-    rhs[nf:2 * nf] -= Mz_fb @ prep.g_fixed[:, 0]
 
     def precondition(r):
-        # block upper-triangular: pressure from the Schur surrogate, velocity
-        # from the shared LU on each component of r_u - B^T p, multiplier
-        # by the identity
-        p = -r[2 * nf:-1] / prep.schur
+        # block upper-triangular: pressure from the Schur surrogate M_p/nu,
+        # velocity from the shared LU on each component of r_u - B^T p,
+        # multiplier by the identity
+        p = -prep.nu * prep.schur.solve(r[2 * nf:-1])
         ru = (r[:2 * nf] - prep.Bt @ p).reshape(2, nf).T
         return np.concatenate([prep.lu.solve(ru).T.ravel(), p, r[-1:]])
 
@@ -301,9 +384,9 @@ def solve_generalized_stokes(prepared, z, guess=None):
         x0 = _reduced_guess(prep, *guess)
         if not np.linalg.norm(rhs - K @ x0) < np.linalg.norm(rhs):
             x0 = None
-    # one cycle of 200 holds a typical solve (trig case, n=32: 57 iterations
-    # from zero, 16 to 54 warm-started); up to five cycles for strong
-    # coupling, where the count grows with |z|/nu
+    # one cycle of 200 holds a typical solve (trig case, n=32: 42
+    # iterations from zero, 9 to 39 warm-started); up to five cycles for
+    # strong coupling, where the count grows with |z|/nu
     M = spla.LinearOperator(K.shape, precondition)
     x, info = spla.gmres(K, rhs, x0=x0, rtol=1e-12, atol=0.0, restart=200,
                          maxiter=5, M=M)

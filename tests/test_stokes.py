@@ -8,6 +8,8 @@ import scipy.sparse.linalg as spla
 from gradetwo import manufactured, meshes, spaces, stokes
 from gradetwo.errors import FluxIncompatible
 
+from conftest import perturbed_square
+
 
 @pytest.fixture(scope="module")
 def zero_z(spaces8):
@@ -120,9 +122,10 @@ def test_flux_incompatible_raises(spaces8, zero_z):
     assert err.value.flux == pytest.approx(2.0, rel=1e-12)
 
 
-def direct_reference(spaces_, nu, z, f, g):
-    """The bordered saddle system solved by sparse LU, Dirichlet values
-    eliminated from the full matrix."""
+def reference_system(spaces_, nu, z, f, g):
+    """The bordered saddle system from the full assembly, Dirichlet values
+    eliminated: the reduced matrix and right-hand side, the full lift and
+    the kept unknowns."""
     sys = stokes.assemble_generalized_stokes(spaces_, nu, z)
     n_u = spaces_.velocity.dof_count
     n_p = spaces_.pressure.dof_count
@@ -148,10 +151,104 @@ def direct_reference(spaces_, nu, z, f, g):
     keep = np.ones(K.shape[0], dtype=bool)
     keep[sys.dirichlet_nodes] = False
     idx = np.nonzero(keep)[0]
-    x = spla.spsolve(K[idx][:, idx].tocsc(), (rhs - K @ lift)[idx])
+    return K[idx][:, idx], (rhs - K @ lift)[idx], lift, idx
+
+
+def direct_reference(spaces_, nu, z, f, g):
+    """The bordered saddle system solved by sparse LU."""
+    K, rhs, lift, idx = reference_system(spaces_, nu, z, f, g)
     full = lift.copy()
-    full[idx] += x
+    full[idx] += spla.spsolve(K.tocsc(), rhs)
+    n_u = spaces_.velocity.dof_count
+    n_p = spaces_.pressure.dof_count
     return full[:n_u], full[n_u:n_u + n_p]
+
+
+def structure(spaces_, z):
+    """Stored entries of the reduced reference matrix, as a 0/1 matrix:
+    every entry the blocks store, numerical zeros included."""
+    sys = stokes.assemble_generalized_stokes(spaces_, 1.0, z)
+
+    def ones(X):
+        X = sp.csr_matrix(X, copy=True)
+        X.data[:] = 1.0
+        return X
+    m = ones(sp.csr_matrix(sys.mean_vec[:, None]))
+    B = ones(sys.B)
+    S = sp.bmat([[ones(sys.A) + ones(sys.C), B.T, None],
+                 [B, None, m],
+                 [None, m.T, None]], format="csr")
+    keep = np.ones(S.shape[0], dtype=bool)
+    keep[sys.dirichlet_nodes] = False
+    idx = np.nonzero(keep)[0]
+    return S[idx][:, idx]
+
+
+@pytest.mark.parametrize("mesh", ["unit8", "perturbed16"])
+def test_filled_system_matches_reference(spaces8, mesh):
+    # the skew blocks and the boundary coupling of each solve are scattered
+    # into a template built once; compare with the full assembly
+    spaces_ = spaces8 if mesh == "unit8" else spaces.build_spaces(
+        perturbed_square(16, 3))
+    case = manufactured.manufactured_case("trig", 0.7, 0.1)
+    rng = np.random.default_rng(13)
+    z = spaces_.vorticity.new_field(
+        5.0 * rng.standard_normal(spaces_.vorticity.dof_count))
+    prepared = stokes.prepare_generalized_stokes(
+        spaces_, case.nu, case.f, case.u)
+    K, rhs = stokes._bordered_system(prepared, z)
+    K_ref, rhs_ref, _, _ = reference_system(spaces_, case.nu, z, case.f,
+                                            case.u)
+    scale = np.abs(K_ref.data).max()
+    assert K.shape == K_ref.shape
+    assert abs(K - K_ref).max() <= 1e-14 * scale
+    assert np.abs(rhs - rhs_ref).max() <= 1e-14 * scale
+    # no stored entry outside the reference structure
+    mine = sp.csr_matrix(K, copy=True)
+    mine.data[:] = 1.0
+    assert (mine - mine.multiply(structure(spaces_, z))).count_nonzero() == 0
+
+
+def test_solve_is_pure_and_guarded(spaces8):
+    case, z1 = trig_inflow(spaces8)
+    rng = np.random.default_rng(17)
+    z2 = spaces8.vorticity.new_field(
+        10.0 * rng.standard_normal(spaces8.vorticity.dof_count))
+    prepared = stokes.prepare_generalized_stokes(
+        spaces8, case.nu, case.f, case.u)
+
+    def arrays(prep):
+        out = {}
+        for name, value in zip(prep._fields, prep):
+            if isinstance(value, np.ndarray):
+                out[name] = value.copy()
+            elif sp.issparse(value):
+                for part in ("data", "indices", "indptr"):
+                    out[f"{name}.{part}"] = getattr(value, part).copy()
+            elif hasattr(value, "perm_c"):  # a SuperLU factorisation
+                for part in ("perm_c", "perm_r"):
+                    out[f"{name}.{part}"] = getattr(value, part).copy()
+                for part in ("L", "U"):
+                    out[f"{name}.{part}"] = getattr(value, part).data.copy()
+        return out
+
+    before = arrays(prepared)
+    u1, p1 = stokes.solve_generalized_stokes(prepared, z1)
+    stokes.solve_generalized_stokes(prepared, z2)
+    u3, p3 = stokes.solve_generalized_stokes(prepared, z1)
+    assert np.array_equal(u1.coefficients, u3.coefficients)
+    assert np.array_equal(p1.coefficients, p3.coefficients)
+    after = arrays(prepared)
+    assert after.keys() == before.keys()
+    assert "matrix.data" in after and "schur.perm_c" in after
+    for name, value in before.items():
+        assert np.array_equal(after[name], value), name
+    for bad in (np.nan, np.inf):
+        coeffs = z1.coefficients.copy()
+        coeffs[5] = bad
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            stokes.solve_generalized_stokes(
+                prepared, z1.space.new_field(coeffs))
 
 
 @pytest.mark.parametrize("data", ["random_z", "trig_inflow"])
