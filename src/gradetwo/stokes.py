@@ -113,14 +113,17 @@ class StokesEnergyReport(NamedTuple):
     div_broken_l2: float  # pointwise L2 norm of div u (consistency level)
 
 
+def _cell_pairs(ctx):
+    """Row and column scalar nodes of each cell's 6x6 pairs, row-major."""
+    nodes = ctx.cell_scalar_nodes  # (nt, 6)
+    return np.repeat(nodes, 6, axis=1).ravel(), np.tile(nodes, (1, 6)).ravel()
+
+
 def _scalar_matrix(ctx, cell_blocks):
     """Sum cell blocks, 6x6 row-major per cell, into a CSR matrix over the
     scalar nodes."""
     n = ctx.num_scalar_nodes
-    nodes = ctx.cell_scalar_nodes  # (nt, 6)
-    rows = np.repeat(nodes, 6, axis=1).ravel()
-    cols = np.tile(nodes, (1, 6)).ravel()
-    return sp.coo_matrix((cell_blocks.ravel(), (rows, cols)),
+    return sp.coo_matrix((cell_blocks.ravel(), _cell_pairs(ctx)),
                          shape=(n, n)).tocsr()
 
 
@@ -293,10 +296,8 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     free_ix[free] = np.arange(nf)
     fixed_ix = np.full(n, -1)
     fixed_ix[fixed] = np.arange(fixed.size)
-    nodes = ctx.cell_scalar_nodes
-    r = free_ix[np.repeat(nodes, 6, axis=1).ravel()]
-    cf = free_ix[np.tile(nodes, (1, 6)).ravel()]
-    cb = fixed_ix[np.tile(nodes, (1, 6)).ravel()]
+    rows, cols = _cell_pairs(ctx)
+    r, cf, cb = free_ix[rows], free_ix[cols], fixed_ix[cols]
     ff = (r >= 0) & (cf >= 0)
     fb = (r >= 0) & (cb >= 0)
     # sorted keys are the entries of a canonical CSR pattern
