@@ -10,6 +10,7 @@ the corresponding commands.  Unknown keys are rejected so typos fail fast.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -109,6 +110,17 @@ class RunConfig:
             strict=self.strict)
 
 
+def _finite(text, name, positive=False):
+    """Parse a finite float, positive if asked; errors name ``name``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {text!r}")
+    return _positive(value, name) if positive else value
+
+
 def _positive(value, name):
     if not (value > 0.0):
         raise ConfigError(f"{name} must be positive, got {value}")
@@ -148,12 +160,8 @@ def load_config(path, require_mesh=True):
     elif require_mesh:
         raise ConfigError("[problem] mesh is required")
 
-    try:
-        nu = float(get("problem", "nu", "1.0"))
-        alpha = float(get("problem", "alpha", "0.0"))
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value in [problem]: {exc}") from exc
-    _positive(nu, "[problem] nu")
+    nu = _finite(get("problem", "nu", "1.0"), "[problem] nu", positive=True)
+    alpha = _finite(get("problem", "alpha", "0.0"), "[problem] alpha")
     variant = get("problem", "variant", "P_II")
     if variant not in ("P_I", "P_II"):
         raise ConfigError(f"[problem] variant must be P_I or P_II, got {variant!r}")
@@ -217,8 +225,9 @@ def load_config(path, require_mesh=True):
         u=_vector_fn(get("transport", "u_x", "0"),
                      get("transport", "u_y", "0"), "[transport] u"),
         rhs=_scalar_fn(get("transport", "rhs", "0"), "[transport] rhs"),
-        nu=_positive(float(get("transport", "nu", str(nu))), "[transport] nu"),
-        alpha=float(get("transport", "alpha", str(alpha))))
+        nu=_finite(get("transport", "nu", str(nu)), "[transport] nu", True),
+        alpha=_finite(get("transport", "alpha", str(alpha)),
+                      "[transport] alpha"))
 
     return RunConfig(
         path=os.path.abspath(path), mesh_path=mesh_path, nu=nu, alpha=alpha,

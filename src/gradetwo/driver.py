@@ -16,6 +16,7 @@ structures are read-only after setup.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -76,8 +77,10 @@ class ProblemSpec:
     def __post_init__(self):
         if isinstance(self.mesh, str):
             object.__setattr__(self, "mesh", load_mesh(self.mesh))
-        if not (self.nu > 0.0):
-            raise ValueError("nu must be positive")
+        if not (0.0 < self.nu < math.inf):
+            raise ValueError("nu must be positive and finite")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if not (0.0 < self.relaxation <= 1.0):
             raise ValueError("relaxation must lie in (0, 1]")
         if self.variant not in ("P_I", "P_II"):
@@ -108,10 +111,6 @@ class IterationReport:
     @property
     def converged(self):
         return self.stopping_reason == "converged"
-
-    def contraction_ratios(self):
-        d = self.dz_l2
-        return [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 0.0]
 
 
 class _Setup(NamedTuple):

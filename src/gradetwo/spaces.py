@@ -13,6 +13,9 @@ Cell quadrature is a 7-point rule exact through degree 5 (the skew coupling
 form pairs a linear coefficient with two quadratics); edge quadrature is the
 3-point Gauss rule of :mod:`gradetwo.meshes`, also exact through degree 5,
 whose edge normals, points and weights the context reads from the mesh.
+Traces on an edge come from the edge's own nodes, through two tables that
+serve every edge (:data:`EDGE_P1`, :data:`EDGE_P2`) and, for DG fields, the
+dof index :attr:`FeContext.edge_dg_dofs`.
 
 Space descriptors and the tabulation context are immutable after
 construction and safe to share across threads, with one exception: the
@@ -72,6 +75,14 @@ def p2_values(bary):
                     + [4.0 * b[(i + 1) % 3] * b[(i + 2) % 3] for i in range(3)])
 
 
+# an edge's Gauss points in barycentrics of (v0, v1, the opposite vertex)
+_EDGE_BARY = np.stack([1.0 - EDGE_QP, EDGE_QP, 0.0 * EDGE_QP], axis=1)
+# traces on an edge from its own nodes, in the order of ``mesh.edges``:
+# P1 at (v0, v1), shape (2, nqe); P2 at (v0, v1, midpoint), shape (3, nqe)
+EDGE_P1 = p1_values(_EDGE_BARY)[:2]
+EDGE_P2 = p2_values(_EDGE_BARY)[[0, 1, 5]]
+
+
 def _grad_lambda(vertices, triangles, areas):
     """Barycentric gradients per cell; shape (nt, 3, 2)."""
     p = vertices[triangles]  # (nt, 3, 2)
@@ -118,28 +129,22 @@ class FeContext:
         corners = np.eye(3)
         self.p2_grad_at_corners = _p2_grads(corners, self.grad_lambda)
 
+        # cell P1 mass, (nt, 3, 3): one two-operand einsum, no BLAS call
+        V = self.p1_at_q
+        self.p1_cell_mass = np.einsum(
+            "tq,kq->tk", self.cell_qweights, (V[:, None] * V).reshape(9, -1)
+        ).reshape(nt, 3, 3)
+
         # edge (face) structures; geometry comes from the mesh ------------
         edges = mesh.edges
         ne = edges.shape[0]
         self.edge_interior = mesh.edge_cells[:, 1] >= 0
-
-        def edge_bary(cells):
-            """Barycentrics of the edge Gauss points in ``cells``, (ne, nqe, 3);
-            zero where a boundary edge has no second cell."""
-            tri = np.where(cells[:, None] >= 0, mesh.triangles[cells], -1)
-            tri = tri[:, None, :]
-            return ((tri == edges[:, None, 0:1]) * (1.0 - EDGE_QP)[None, :, None]
-                    + (tri == edges[:, None, 1:2]) * EDGE_QP[None, :, None])
-
-        bary0 = edge_bary(mesh.edge_cells[:, 0])
-        bary1 = edge_bary(mesh.edge_cells[:, 1])
-        # P1 traces equal the barycentric coordinates themselves
-        self.edge_p1_trace = np.stack(
-            [bary0.transpose(0, 2, 1), bary1.transpose(0, 2, 1)], axis=1
-        )  # (ne, 2, 3, nqe)
-        # the velocity is continuous, so its trace is taken from side 0
-        self.edge_p2_trace = p2_values(bary0).transpose(1, 0, 2).copy()
-        # (ne, 6, nqe)
+        # DG dof of each edge vertex in each side's cell, (ne, 2, 2); -1 on
+        # the missing side of a boundary edge (cell -1, masked here)
+        cells = mesh.edge_cells[:, :, None]
+        tri = mesh.triangles[cells]                      # (ne, 2, 1, 3)
+        local = np.argmax(tri == edges[:, None, :, None], axis=3)
+        self.edge_dg_dofs = np.where(cells >= 0, 3 * cells + local, -1)
 
         # velocity scalar node layout: vertices then edge midpoints
         self.num_scalar_nodes = mesh.num_vertices + ne
@@ -158,20 +163,18 @@ class FeContext:
 
         Not built with the context: only a prepared Stokes problem (its
         Schur surrogate), the weak-divergence check of a transport solve or
-        an energy report needs it, and at n = 128 it takes about 0.1 s, two
-        thirds of :func:`build_spaces`.  The matrix
+        an energy report needs it, and at n = 128 it takes about 0.04 s, half
+        as long as :func:`build_spaces`.  The matrix
         is symmetric, so its columns are ordered by minimum degree on
         A^T + A, as the Stokes Laplacian is.
         """
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
         tri = self.mesh.triangles
-        P = self.p1_at_q
-        mass_cell = np.einsum("tq,kq,lq->tkl", self.cell_qweights, P, P)
         rows = np.repeat(tri, 3, axis=1).ravel()
         cols = np.tile(tri, (1, 3)).ravel()
         return spla.splu(
-            sp.coo_matrix((mass_cell.ravel(), (rows, cols))).tocsc(),
+            sp.coo_matrix((self.p1_cell_mass.ravel(), (rows, cols))).tocsc(),
             permc_spec="MMD_AT_PLUS_A")
 
 
@@ -284,13 +287,21 @@ def velocity_cell_values(field: Field):
 
 def velocity_cell_gradients(field: Field):
     """(nt, nq, 2, 2) gradients; [t, q, i, j] = d u_i / d x_j."""
+    return _velocity_gradients(field, field.space.context.p2_grad_at_q)
+
+
+def velocity_corner_gradients(field: Field):
+    """(nt, 3, 2, 2) gradients at the cell corners, laid out as
+    :func:`velocity_cell_gradients`."""
+    return _velocity_gradients(field, field.space.context.p2_grad_at_corners)
+
+
+def _velocity_gradients(field, basis_grads):
     ctx = field.space.context
     n = ctx.num_scalar_nodes
     nodes = ctx.cell_scalar_nodes
-    cx = field.coefficients[:n][nodes]
-    cy = field.coefficients[n:][nodes]
-    gx = np.einsum("ta,taqd->tqd", cx, ctx.p2_grad_at_q)
-    gy = np.einsum("ta,taqd->tqd", cy, ctx.p2_grad_at_q)
+    gx = np.einsum("ta,taqd->tqd", field.coefficients[:n][nodes], basis_grads)
+    gy = np.einsum("ta,taqd->tqd", field.coefficients[n:][nodes], basis_grads)
     return np.stack([gx, gy], axis=2)
 
 
@@ -318,25 +329,21 @@ def _cell_scalar_coeffs(field):
 
 
 def velocity_edge_values(field: Field):
-    """(ne, nqe, 2) velocity traces on all edges (continuous field)."""
+    """(ne, nqe, 2) velocity traces on all edges, from their own nodes."""
     ctx = field.space.context
-    n = ctx.num_scalar_nodes
-    c0 = ctx.mesh.edge_cells[:, 0]
-    nodes = ctx.cell_scalar_nodes[c0]  # (ne, 6)
-    tr = ctx.edge_p2_trace             # (ne, 6, nqe)
-    vx = np.einsum("ea,eaq->eq", field.coefficients[:n][nodes], tr)
-    vy = np.einsum("ea,eaq->eq", field.coefficients[n:][nodes], tr)
-    return np.stack([vx, vy], axis=2)
+    mesh = ctx.mesh
+    nodes = np.column_stack([mesh.edges,
+                             mesh.num_vertices + np.arange(mesh.num_edges)])
+    c = field.coefficients.reshape(2, ctx.num_scalar_nodes)[:, nodes]
+    return np.einsum("cea,aq->eqc", c, EDGE_P2)
 
 
 def vorticity_edge_values(field: Field, side):
-    """(ne, nqe) one-sided traces of a DG scalar; side 0/1 per edge_cells."""
-    ctx = field.space.context
-    cells = ctx.mesh.edge_cells[:, side]
-    cells = np.maximum(cells, 0)
-    coeffs = field.coefficients.reshape(-1, 3)[cells]  # (ne, 3)
-    tr = ctx.edge_p1_trace[:, side]  # (ne, 3, nqe)
-    return np.einsum("ea,eaq->eq", coeffs, tr)
+    """(ne, nqe) one-sided DG traces; side 0/1 per edge_cells, 0 if none."""
+    dofs = field.space.context.edge_dg_dofs[:, side]  # (ne, 2)
+    vals = np.einsum("ea,aq->eq", field.coefficients[dofs], EDGE_P1)
+    vals[dofs[:, 0] < 0] = 0.0
+    return vals
 
 
 def curl_of_velocity(field: Field, vorticity_space: SpaceDescriptor) -> Field:
@@ -345,15 +352,8 @@ def curl_of_velocity(field: Field, vorticity_space: SpaceDescriptor) -> Field:
     curl u = d u2/dx - d u1/dy is linear on each cell, so sampling it at the
     cell corners is an exact representation, not a projection.
     """
-    ctx = field.space.context
-    n = ctx.num_scalar_nodes
-    nodes = ctx.cell_scalar_nodes
-    cx = field.coefficients[:n][nodes]
-    cy = field.coefficients[n:][nodes]
-    g = ctx.p2_grad_at_corners  # (nt, 6, 3, 2)
-    du2dx = np.einsum("ta,taq->tq", cy, g[:, :, :, 0])
-    du1dy = np.einsum("ta,taq->tq", cx, g[:, :, :, 1])
-    return vorticity_space.new_field((du2dx - du1dy).ravel())
+    g = velocity_corner_gradients(field)
+    return vorticity_space.new_field((g[:, :, 1, 0] - g[:, :, 0, 1]).ravel())
 
 
 # -- norms --------------------------------------------------------------------

@@ -16,11 +16,12 @@ unconditionally (see :func:`sign_functional`).
 
 The matrix stores only the upwind couplings, the blocks of each face's
 upwind side, on interior and boundary faces alike, so its pattern follows
-the sign of alpha*u.n.  When the upwind cell graph is acyclic, the sparse
-LU is taken with the cells in downstream-first order, where the matrix is
-block upper triangular; the factors then keep the 3x3 block pattern of the
-matrix and the solve is the exact sweep along the flow.  When the flow
-closes on itself, the columns are ordered by COLAMD.
+the sign of alpha*u.n; a face block is 2x2, over the two vertices of its
+edge, the only DG nodes with a nonzero trace there.  When the upwind cell
+graph is acyclic, the sparse LU is taken with the cells in downstream-first
+order, where the matrix is block upper triangular; the factors then keep
+the 3x3 block pattern of the matrix and the solve is the exact sweep along
+the flow.  When the flow closes on itself, the columns are ordered by COLAMD.
 """
 
 from __future__ import annotations
@@ -120,6 +121,11 @@ def build_inflow_datum(mesh, variant, h, g, part):
     return InflowDatum(variant, values, edges)
 
 
+# products E_i E_j of the P1 edge table at each edge Gauss point, (nqe, 2, 2)
+_EDGE_P1_PAIRS = np.ascontiguousarray(
+    (fes.EDGE_P1[:, None] * fes.EDGE_P1).transpose(2, 0, 1))
+
+
 def _edge_sign(u, alpha):
     """alpha * u.n at all edge quadrature points, shape (ne, nqe)."""
     ctx = u.space.context
@@ -136,9 +142,10 @@ def _assemble_operator(u, nu, alpha, eps_n):
     of side 0 it is s+ z0 + s- z1, tested with v0 - v1.  On a boundary edge
     z1 is the datum, which :func:`_inflow_load` imposes, so only side 0
     enters the matrix, and only where s > eps_n.  The block of row side r
-    and column side c is (-1)^r sum_q w s_c T_r T_c with s_0 = s+ and
-    s_1 = s-; it is built only for the sides c whose weight is nonzero
-    somewhere on the edge, the blocks of each face's upwind side.
+    and column side c is (-1)^r sum_q w s_c E_i E_j over the edge's two
+    vertices i, j (E the P1 edge table), with s_0 = s+ and s_1 = s-; it is
+    built only for the sides c whose weight is nonzero somewhere on the
+    edge, the blocks of each face's upwind side.
     """
     ctx = u.space.context
     mesh = ctx.mesh
@@ -152,40 +159,34 @@ def _assemble_operator(u, nu, alpha, eps_n):
     # calling thread alone and wakes no BLAS thread pool
     GL = ctx.grad_lambda         # (nt, 3, 2)
     adotgrad = a[..., :1] * GL[:, None, :, 0] + a[..., 1:] * GL[:, None, :, 1]
-    mass = np.einsum("tq,kq->tk", w, (V[:, None] * V).reshape(9, -1))
     conv = np.einsum("tqi,tqj->tij", adotgrad, w[:, :, None] * V.T)
-    local = nu * mass.reshape(nt, 3, 3) - conv
+    local = nu * ctx.p1_cell_mass - conv
     cell_dofs = 3 * np.arange(nt)[:, None] + np.arange(3)
     rows = [np.repeat(cell_dofs, 3, axis=1).ravel()]
     cols = [np.tile(cell_dofs, (1, 3)).ravel()]
     data = [local.ravel()]
 
-    # face part: the flux weight s_c of each side, and the blocks of the
-    # (edge, c) pairs where it is nonzero somewhere on the edge
+    # face part: the flux weight s_c of each side, and one 2x2 block for
+    # each (edge, c) pair where it is nonzero somewhere on the edge
     s = _edge_sign(u, alpha)     # (ne, nqe)
     interior = ctx.edge_interior[:, None]
     sc = np.stack([np.where(interior | (s > eps_n), np.maximum(s, 0.0), 0.0),
                    np.where(interior, np.minimum(s, 0.0), 0.0)], axis=1)
     e, c = np.nonzero(sc.any(axis=2))
-    T = ctx.edge_p1_trace        # (ne, 2, 3, nqe)
-    blk = np.einsum("kq,kjq,kriq->krij", mesh.edge_qweights[e] * sc[e, c],
-                    T[e, c], T[e], optimize=True)
-    blk[:, 1] *= -1.0            # tested with v0 - v1
-    # rows of the sides that have a cell: a boundary edge has only side 0
-    k, r = np.nonzero(mesh.edge_cells[e] >= 0)
-    row_dofs = 3 * mesh.edge_cells[e[k], r, None] + np.arange(3)
-    col_dofs = 3 * mesh.edge_cells[e[k], c[k], None] + np.arange(3)
-    rows.append(np.repeat(row_dofs, 3, axis=1).ravel())
-    cols.append(np.tile(col_dofs, (1, 3)).ravel())
-    data.append(blk[k, r].ravel())
+    blk = np.einsum("kq,qij->kij", mesh.edge_qweights[e] * sc[e, c],
+                    _EDGE_P1_PAIRS)
+    # rows of the sides that have a cell (a boundary edge has only side 0),
+    # tested with v0 - v1
+    dofs = ctx.edge_dg_dofs      # (ne, 2, 2)
+    k, r = np.nonzero(dofs[e, :, 0] >= 0)
+    rows.append(np.repeat(dofs[e[k], r], 2, axis=1).ravel())
+    cols.append(np.tile(dofs[e[k], c[k]], (1, 2)).ravel())
+    data.append((np.where(r == 0, 1.0, -1.0)[:, None, None] * blk[k]).ravel())
 
-    # each P1 trace vanishes at the vertex opposite its edge, so every block
-    # has zero rows and columns: keep only the real couplings, and drop sums
-    # that cancel exactly
-    data = np.concatenate(data)
-    keep = data != 0.0
+    # every face entry sums terms of one sign, one of them nonzero; drop
+    # the sums with the cell part that cancel exactly
     K = sp.coo_matrix(
-        (data[keep], (np.concatenate(rows)[keep], np.concatenate(cols)[keep])),
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(3 * nt, 3 * nt)).tocsc()
     K.eliminate_zeros()
     return K, s[mesh.boundary_edge_ids]
@@ -210,11 +211,15 @@ def _factorise(K):
     ncomp, labels = connected_components(
         sp.csr_matrix((np.ones(C.nnz), (cols, rows)), shape=(nt, nt)),
         directed=True, connection="strong")
-    if ncomp < nt or np.any(labels[rows] > labels[cols]):
-        return spla.splu(K).solve
-    order = np.argsort(labels)
-    dofs = (3 * order[:, None] + np.arange(3)).ravel()
-    lu = spla.splu(K[dofs][:, dofs], permc_spec="NATURAL")
+    cyclic = ncomp < nt or np.any(labels[rows] > labels[cols])
+    dofs = (3 * np.argsort(labels)[:, None] + np.arange(3)).ravel()
+    try:
+        lu = (spla.splu(K) if cyclic
+              else spla.splu(K[dofs][:, dofs], permc_spec="NATURAL"))
+    except RuntimeError as exc:
+        raise LinearSolveFailure(f"transport LU failed: {exc}") from exc
+    if cyclic:
+        return lu.solve
 
     def solve(b):
         z = np.empty_like(b)
@@ -236,9 +241,8 @@ def _inflow_load(ctx, sb, eps_n, datum):
     s_in = np.where(sb < -eps_n, sb, 0.0)
     qv = datum.values
     load = np.zeros(3 * mesh.num_triangles)
-    lvec = np.einsum("eq,eiq->ei", -wb * s_in * qv, ctx.edge_p1_trace[bids, 0])
-    dofs = 3 * mesh.edge_cells[bids, 0, None] + np.arange(3)
-    np.add.at(load, dofs.ravel(), lvec.ravel())
+    lvec = np.einsum("eq,iq->ei", -wb * s_in * qv, fes.EDGE_P1)
+    np.add.at(load, ctx.edge_dg_dofs[bids, 0].ravel(), lvec.ravel())
 
     # an empty datum imposes zero wherever the velocity says inflow, so a
     # mismatch is only meaningful against a declared inflow edge set
@@ -338,12 +342,8 @@ def sign_functional_report(z, u, alpha):
     we = mesh.edge_qweights
     z0 = fes.vorticity_edge_values(z, 0)
     interior = np.nonzero(ctx.edge_interior)[0]
-    jumps = 0.0
-    if interior.size:
-        z1 = fes.vorticity_edge_values(z, 1)
-        jump = z0[interior] - z1[interior]
-        jumps = float(0.5 * (we[interior] * np.abs(s[interior])
-                             * jump ** 2).sum())
+    jump = z0[interior] - fes.vorticity_edge_values(z, 1)[interior]
+    jumps = float(0.5 * (we[interior] * np.abs(s[interior]) * jump ** 2).sum())
     bids = mesh.boundary_edge_ids
     sb = s[bids]
     wb = we[bids]
@@ -417,22 +417,11 @@ class GradientTransportResult(NamedTuple):
     iterations: int
     deltas: tuple  # successive L2 increments, one per iteration
 
-    def gradient_max_norm(self):
-        return max(np.abs(self.fx.coefficients).max(initial=0.0),
-                   np.abs(self.fy.coefficients).max(initial=0.0))
-
 
 def velocity_gradient_max(u):
     """Max Frobenius norm of grad u over cell corner samples."""
-    ctx = u.space.context
-    n = ctx.num_scalar_nodes
-    nodes = ctx.cell_scalar_nodes
-    g = ctx.p2_grad_at_corners  # (nt, 6, 3, 2)
-    cx = u.coefficients[:n][nodes]
-    cy = u.coefficients[n:][nodes]
-    gx = np.einsum("ta,taqd->tqd", cx, g)
-    gy = np.einsum("ta,taqd->tqd", cy, g)
-    frob = np.sqrt((gx ** 2 + gy ** 2).sum(axis=2))
+    g = fes.velocity_corner_gradients(u)  # (nt, 3, 2, 2)
+    frob = np.sqrt((g[:, :, 0] ** 2 + g[:, :, 1] ** 2).sum(axis=2))
     return float(frob.max(initial=0.0))
 
 

@@ -335,6 +335,44 @@ def test_transport_command_exponential_case(tmp_path, square_mesh_file):
     read_minimal_vtk(str(tmp_path / "out" / "transport.vtk"))
 
 
+
+@pytest.mark.parametrize("command", ["solve", "transport"])
+def test_nonfinite_alpha_exit1(tmp_path, square_mesh_file, capsys, command):
+    if command == "solve":
+        text = ZERO_CFG.replace("alpha = 0.3", "alpha = inf")
+    else:
+        # [transport] alpha falls back on [problem] alpha
+        text = TRANSPORT_CFG.replace("variant = P_II",
+                                     "variant = P_II\nalpha = inf").replace(
+            "alpha = 1.0\n", "")
+    cfg = write_cfg(tmp_path, text, mesh=square_mesh_file,
+                    out=str(tmp_path / "out"))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[problem] alpha" in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("problem", "alpha", "nan"),
+    ("problem", "nu", "abc"),
+    ("transport", "nu", "inf"),
+    ("transport", "alpha", "-inf"),
+    ("transport", "alpha", "fast"),
+])
+def test_bad_constant_names_key(tmp_path, square_mesh_file, capsys,
+                                section, key, value):
+    if section == "problem":
+        text = TRANSPORT_CFG.replace("variant = P_II",
+                                     f"variant = P_II\n{key} = {value}")
+    else:
+        text = TRANSPORT_CFG.replace(f"{key} = 1.0", f"{key} = {value}")
+    cfg = write_cfg(tmp_path, text, mesh=square_mesh_file,
+                    out=str(tmp_path / "out"))
+    assert cli.main(["transport", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"[{section}] {key}" in err
+    assert not (tmp_path / "out").exists()
+
 def test_transport_alpha_zero_division(tmp_path, square_mesh_file):
     text = TRANSPORT_CFG.replace("rhs = 0", "rhs = 2").replace(
         "alpha = 1.0", "alpha = 0.0").replace("nu = 1.0", "nu = 2.0")

@@ -26,6 +26,13 @@ def test_spec_validation(mesh8):
         ProblemSpec(mesh=mesh8, nu=1.0, alpha=0.0, variant="P_III")
 
 
+
+@pytest.mark.parametrize("nu,alpha", [(math.inf, 0.0), (math.nan, 0.0),
+                                      (1.0, math.inf), (1.0, math.nan)])
+def test_spec_rejects_nonfinite_constants(mesh8, nu, alpha):
+    with pytest.raises(ValueError, match="finite"):
+        ProblemSpec(mesh=mesh8, nu=nu, alpha=alpha)
+
 def test_spec_loads_mesh_from_path(tmp_path):
     path = tmp_path / "m.m2d"
     meshes.save_mesh(meshes.unit_square_mesh(2), str(path))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradetwo import meshes, spaces
-from conftest import l2_orders
+from conftest import l2_orders, perturbed_square, ring_mesh
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,52 @@ def test_curl_exact_for_quadratics(spaces8):
     cu = spaces.curl_of_velocity(u, spaces8.vorticity)
     assert spaces.error_l2(cu, lambda x, y: 2 * x - 2 * y) < 1e-13
 
+
+
+def edge_point_barycentrics(mesh, cells, edge_ids):
+    """Barycentrics of the Gauss points of ``edge_ids`` in ``cells``,
+    (len, nqe, 3), solved from each cell's vertex coordinates."""
+    corners = mesh.vertices[mesh.triangles[cells]]  # (m, 3, 2)
+    A = np.concatenate([np.ones((len(cells), 1, 3)),
+                        corners.transpose(0, 2, 1)], axis=1)
+    pts = mesh.edge_qpoints[edge_ids]               # (m, nqe, 2)
+    b = np.concatenate([np.ones(pts.shape[:2] + (1,)), pts], axis=2)
+    return np.linalg.solve(A[:, None], b[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("name", ["square8", "perturbed16", "ring3"])
+def test_edge_traces_match_cell_evaluation(name):
+    mesh = {"square8": lambda: meshes.unit_square_mesh(8),
+            "perturbed16": lambda: perturbed_square(16, 3),
+            "ring3": lambda: ring_mesh(3)}[name]()
+    sp_ = spaces.build_spaces(mesh)
+    rng = np.random.default_rng(11)
+    u = sp_.velocity.new_field(rng.standard_normal(sp_.velocity.dof_count))
+    z = sp_.vorticity.new_field(rng.standard_normal(sp_.vorticity.dof_count))
+    ne = mesh.num_edges
+    all_edges = np.arange(ne)
+
+    # the velocity in side 0's cell: P2 nodes are the vertices, then the
+    # midpoints of the edges opposite them
+    c0 = mesh.edge_cells[:, 0]
+    nodes = np.concatenate([mesh.triangles,
+                            mesh.num_vertices + mesh.cell_edges], axis=1)[c0]
+    phi = spaces.p2_values(edge_point_barycentrics(mesh, c0, all_edges))
+    coef = u.coefficients.reshape(2, -1)[:, nodes]   # (2, ne, 6)
+    expect = np.einsum("cea,aeq->eqc", coef, phi)
+    got = spaces.velocity_edge_values(u)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    for side in (0, 1):
+        cells = mesh.edge_cells[:, side]
+        has = cells >= 0
+        expect = np.zeros(mesh.edge_qpoints.shape[:2])
+        expect[has] = np.einsum(
+            "ea,eqa->eq", z.coefficients.reshape(-1, 3)[cells[has]],
+            edge_point_barycentrics(mesh, cells[has], all_edges[has]))
+        got = spaces.vorticity_edge_values(z, side)
+        assert np.all(got[~has] == 0.0)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 def test_weak_divergence_split(spaces8):
     solenoidal = spaces.interpolate(lambda x, y: (y, x), spaces8.velocity)

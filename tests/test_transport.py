@@ -3,11 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import perturbed_square, ring_mesh
 from gradetwo import manufactured, meshes, spaces, transport
-from gradetwo.errors import ContractionViolated, DegenerateInflow, MaxIterations
+from gradetwo.errors import (
+    ContractionViolated,
+    DegenerateInflow,
+    LinearSolveFailure,
+    MaxIterations,
+)
 
 UNIFORM = lambda x, y: (1.0, 0.0)  # noqa: E731
 
@@ -186,6 +192,14 @@ def test_cyclic_flow_factorised_with_colamd(mesh16, monkeypatch):
     assert A is K and kwargs == {}
     assert_matches_spsolve(K, solve)
 
+
+
+@pytest.mark.parametrize("dense", [np.diag([1.0, 1.0, 0.0]), np.ones((6, 6))],
+                         ids=["acyclic", "cyclic"])
+def test_factorise_singular_raises(dense):
+    # a singular matrix (as alpha = inf makes) is a typed solver failure
+    with pytest.raises(LinearSolveFailure, match="transport LU"):
+        transport._factorise(sp.csc_matrix(dense))
 
 def reference_operator(u, nu, alpha, eps_n):
     """The upwind DG matrix, dense, one cell and one edge Gauss point at a
