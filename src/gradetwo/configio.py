@@ -225,7 +225,8 @@ def load_config(path, require_mesh=True):
         u=_vector_fn(get("transport", "u_x", "0"),
                      get("transport", "u_y", "0"), "[transport] u"),
         rhs=_scalar_fn(get("transport", "rhs", "0"), "[transport] rhs"),
-        nu=_finite(get("transport", "nu", str(nu)), "[transport] nu", True),
+        nu=_finite(get("transport", "nu", str(nu)), "[transport] nu",
+                   positive=True),
         alpha=_finite(get("transport", "alpha", str(alpha)),
                       "[transport] alpha"))
 

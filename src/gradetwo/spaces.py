@@ -140,7 +140,8 @@ class FeContext:
         ne = edges.shape[0]
         self.edge_interior = mesh.edge_cells[:, 1] >= 0
         # DG dof of each edge vertex in each side's cell, (ne, 2, 2); -1 on
-        # the missing side of a boundary edge (cell -1, masked here)
+        # the missing side of a boundary edge, whose cell index -1 picks the
+        # last triangle until np.where masks it
         cells = mesh.edge_cells[:, :, None]
         tri = mesh.triangles[cells]                      # (ne, 2, 1, 3)
         local = np.argmax(tri == edges[:, None, :, None], axis=3)

@@ -211,15 +211,14 @@ def _factorise(K):
     ncomp, labels = connected_components(
         sp.csr_matrix((np.ones(C.nnz), (cols, rows)), shape=(nt, nt)),
         directed=True, connection="strong")
-    cyclic = ncomp < nt or np.any(labels[rows] > labels[cols])
-    dofs = (3 * np.argsort(labels)[:, None] + np.arange(3)).ravel()
     try:
-        lu = (spla.splu(K) if cyclic
-              else spla.splu(K[dofs][:, dofs], permc_spec="NATURAL"))
+        if ncomp < nt or np.any(labels[rows] > labels[cols]):
+            return spla.splu(K).solve
+        order = np.argsort(labels)
+        dofs = (3 * order[:, None] + np.arange(3)).ravel()
+        lu = spla.splu(K[dofs][:, dofs], permc_spec="NATURAL")
     except RuntimeError as exc:
         raise LinearSolveFailure(f"transport LU failed: {exc}") from exc
-    if cyclic:
-        return lu.solve
 
     def solve(b):
         z = np.empty_like(b)
