@@ -118,11 +118,7 @@ def _finite(text, name, positive=False):
         raise ConfigError(f"{name} must be a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {text!r}")
-    return _positive(value, name) if positive else value
-
-
-def _positive(value, name):
-    if not (value > 0.0):
+    if positive and not value > 0.0:
         raise ConfigError(f"{name} must be positive, got {value}")
     return value
 
@@ -172,26 +168,21 @@ def load_config(path, require_mesh=True):
     curl_f_text = get("data", "curl_f")
     curl_f = _scalar_fn(curl_f_text, "[data] curl_f") if curl_f_text else None
 
-    def fnum(key, default):
+    def fnum(key, default, positive=False):
         raw = get("solver", key, default)
         if raw is None:
             return None
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric [solver] {key}: {exc}") from exc
+        return _finite(raw, f"[solver] {key}", positive)
 
-    fp_tol = _positive(fnum("fp_tol", "1e-8"), "[solver] fp_tol")
+    fp_tol = fnum("fp_tol", "1e-8", positive=True)
     relaxation = fnum("relaxation", "1.0")
     if not (0.0 < relaxation <= 1.0):
         raise ConfigError("[solver] relaxation must lie in (0, 1]")
-    flux_tol = fnum("flux_tol", None)
-    if flux_tol is not None:
-        _positive(flux_tol, "[solver] flux_tol")
+    flux_tol = fnum("flux_tol", None, positive=True)
     eps_n = fnum("eps_n", None)
     if eps_n is not None and eps_n < 0.0:
         raise ConfigError("[solver] eps_n must be nonnegative")
-    div_tol = fnum("div_tol", None)
+    div_tol = fnum("div_tol", None, positive=True)
     try:
         max_iter = int(get("solver", "max_iter", "200"))
     except ValueError as exc:

@@ -20,17 +20,22 @@ and one sparse LU of the Dirichlet-reduced scalar Laplacian that both
 velocity components share.  :func:`solve_generalized_stokes` contracts z
 at the quadrature points, scatters the result into a copy of that
 matrix's data and runs GMRES with a block upper-triangular
-preconditioner: that LU for the velocity, the consistent pressure mass
-over nu for the Schur complement (Elman, Silvester & Wathen, *Finite
-Elements and Fast Iterative Solvers*, 2014).  The iteration count does
-not grow with the mesh but grows with max|z|/nu.  A solve may start GMRES
-from a guess, such as the solution at the previous z of a coupling loop;
-it is used only when its residual is below that of the zero start.  On
-the trig case at n=32 (nu=1, alpha=0.1, the seed-11 mesh of perfbench's
-coupled-trig) the nine solves of one coupling loop take 31, 39, 36, 33,
-29, 25, 22, 26 and 9 iterations warm-started, against 31 and then 42 each
-from zero.  Solves are pure functions of their inputs and leave the
-prepared problem unchanged.
+preconditioner: that LU for the velocity, and for the pressure and the
+multiplier the exact inverse of the bordered Schur surrogate
+[[-M_p/nu, m], [m^T, 0]], with M_p the consistent pressure mass and m
+the pressure integrals (Elman, Silvester & Wathen, *Finite Elements and
+Fast Iterative Solvers*, 2014).  Since M_p 1 = m, that inverse costs one
+mass solve, and the zero mean holds at any GMRES tolerance.  The
+iteration count does not grow with the mesh but grows with max|z|/nu.  A
+solve may start GMRES from a guess, such as the solution at the previous
+z of a coupling loop; it is used only when its residual is below that of
+the zero start.  On the trig case at n=32 (nu=1, alpha=0.1, the seed-11
+mesh of perfbench's coupled-trig) the eight solves of one coupling loop,
+at the loop's rtol of 1e-10, take 25, 32, 28, 24, 20, 17, 12 and 6
+iterations warm-started, and the pairing solve at 1e-12 takes 11; from
+zero they take 25 and then 34 each (29 and then 44 at 1e-12).  Solves
+are pure functions of their inputs and leave the prepared problem
+unchanged.
 """
 
 from __future__ import annotations
@@ -355,41 +360,46 @@ def _bordered_system(prep, z):
     return K, rhs
 
 
-def solve_generalized_stokes(prepared, z, guess=None):
+def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):
     """Solve for (u, p) given the prepared problem and coefficient ``z``.
 
     ``guess`` is an optional ``(u, p)`` pair on the same spaces, typically
     the solution at a nearby ``z``; GMRES starts from it when its residual
     is below that of the zero start, and from zero otherwise.  A guess of
-    the wrong size raises ``ValueError``.  Returns velocity and zero-mean
-    pressure fields; the residual of the reduced bordered system is checked
-    against 1e-7 times its scale and the pressure mean is asserted below
-    1e-10.
+    the wrong size raises ``ValueError``.  GMRES stops at ``rtol`` times
+    the norm of the reduced right-hand side.  Returns velocity and
+    zero-mean pressure fields; the residual of the reduced bordered system
+    is checked against 1e-7 times its scale and the pressure mean is
+    asserted below 1e-10.
     """
     prep = prepared
     spaces_ = prep.spaces
     ctx = spaces_.context
     K, rhs = _bordered_system(prep, z)
     nf = prep.free.size
+    area = ctx.mesh.areas.sum()
 
     def precondition(r):
-        # block upper-triangular: pressure from the Schur surrogate M_p/nu,
-        # velocity from the shared LU on each component of r_u - B^T p,
-        # multiplier by the identity
-        p = -prep.nu * prep.schur.solve(r[2 * nf:-1])
+        # block upper-triangular: pressure and multiplier from the exact
+        # inverse of the bordered surrogate [[-M_p/nu, m], [m^T, 0]] (exact
+        # since M_p 1 = m), velocity from the shared LU on each component
+        # of r_u - B^T p
+        rp = r[2 * nf:-1]
+        lam = (r[-1] / prep.nu + rp.sum()) / area
+        p = prep.nu * (lam - prep.schur.solve(rp))
         ru = (r[:2 * nf] - prep.Bt @ p).reshape(2, nf).T
-        return np.concatenate([prep.lu.solve(ru).T.ravel(), p, r[-1:]])
+        return np.concatenate([prep.lu.solve(ru).T.ravel(), p, [lam]])
 
     x0 = None
     if guess is not None:
         x0 = _reduced_guess(prep, *guess)
         if not np.linalg.norm(rhs - K @ x0) < np.linalg.norm(rhs):
             x0 = None
-    # one cycle of 200 holds a typical solve (trig case, n=32: 42
-    # iterations from zero, 9 to 39 warm-started); up to five cycles for
-    # strong coupling, where the count grows with |z|/nu
+    # one cycle of 200 holds a typical solve (trig case, n=32: 44
+    # iterations from zero at rtol 1e-12, 6 to 32 warm-started); up to
+    # five cycles for strong coupling, where the count grows with |z|/nu
     M = spla.LinearOperator(K.shape, precondition)
-    x, info = spla.gmres(K, rhs, x0=x0, rtol=1e-12, atol=0.0, restart=200,
+    x, info = spla.gmres(K, rhs, x0=x0, rtol=rtol, atol=0.0, restart=200,
                          maxiter=5, M=M)
     if info != 0:
         raise LinearSolveFailure(f"GMRES did not converge (info={info})")

@@ -373,6 +373,18 @@ def test_bad_constant_names_key(tmp_path, square_mesh_file, capsys,
     assert err.startswith("error:") and f"[{section}] {key}" in err
     assert not (tmp_path / "out").exists()
 
+@pytest.mark.parametrize("key,value", [
+    ("eps_n", "nan"), ("fp_tol", "inf"), ("flux_tol", "inf"),
+    ("div_tol", "nan"), ("div_tol", "0")])
+def test_bad_solver_tolerance_names_key(tmp_path, square_mesh_file, capsys,
+                                        key, value):
+    cfg = write_cfg(tmp_path, SOLVE_CFG + f"\n[solver]\n{key} = {value}\n",
+                    mesh=square_mesh_file, out=str(tmp_path / "out"))
+    assert cli.main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"[solver] {key}" in err
+
+
 def test_transport_alpha_zero_division(tmp_path, square_mesh_file):
     text = TRANSPORT_CFG.replace("rhs = 0", "rhs = 2").replace(
         "alpha = 1.0", "alpha = 0.0").replace("nu = 1.0", "nu = 2.0")

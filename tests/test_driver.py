@@ -33,6 +33,15 @@ def test_spec_rejects_nonfinite_constants(mesh8, nu, alpha):
     with pytest.raises(ValueError, match="finite"):
         ProblemSpec(mesh=mesh8, nu=nu, alpha=alpha)
 
+@pytest.mark.parametrize("name,value", [
+    ("fp_tol", math.nan), ("fp_tol", math.inf), ("fp_tol", 0.0),
+    ("flux_tol", math.inf), ("div_tol", math.nan), ("div_tol", -1.0),
+    ("eps_n", math.nan), ("eps_n", -1e-3)])
+def test_spec_rejects_bad_tolerances(mesh8, name, value):
+    with pytest.raises(ValueError, match=name):
+        ProblemSpec(mesh=mesh8, nu=1.0, alpha=0.0, **{name: value})
+
+
 def test_spec_loads_mesh_from_path(tmp_path):
     path = tmp_path / "m.m2d"
     meshes.save_mesh(meshes.unit_square_mesh(2), str(path))
@@ -108,6 +117,46 @@ def test_stokes_solves_warm_started(mesh8, monkeypatch):
     assert rep.converged and rep.iterations > 2
     assert len(counts) == rep.iterations + 1
     assert 0 < counts[-1] <= counts[1] // 2, counts
+
+
+def gmres_rtols(monkeypatch):
+    """The rtol of each Stokes GMRES call."""
+    rtols = []
+    gmres = stokes.spla.gmres
+
+    def recorded(*args, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(stokes.spla, "gmres", recorded)
+    return rtols
+
+
+@pytest.mark.parametrize("fp_tol,loop_rtol", [(1e-8, 1e-10),
+                                               (1e-11, 1e-12)])
+def test_loop_stokes_tolerance(mesh8, monkeypatch, fp_tol, loop_rtol):
+    """Loop solves stop at min(1e-10, max(1e-12, fp_tol/100)); the pairing
+    solve at 1e-12."""
+    rtols = gmres_rtols(monkeypatch)
+    spec = manufactured.manufactured_case("trig", 1.0, 0.1).problem_spec(
+        mesh8, fp_tol=fp_tol)
+    _, _, _, rep = fixed_point_solve(spec)
+    assert rep.converged
+    assert rtols == [loop_rtol] * rep.iterations + [1e-12]
+
+
+def test_loop_tolerance_keeps_fixed_point(mesh8, monkeypatch):
+    """The loop tolerance leaves the iteration count and z (to 10*fp_tol)
+    as with every solve at 1e-12."""
+    spec = manufactured.manufactured_case("trig", 1.0, 0.1).problem_spec(mesh8)
+    _, _, z, rep = fixed_point_solve(spec)
+    solve = driver.solve_generalized_stokes
+    monkeypatch.setattr(driver, "solve_generalized_stokes",
+                        lambda *a, **kw: solve(*a, **{**kw, "rtol": 1e-12}))
+    _, _, z_tight, rep_tight = fixed_point_solve(spec)
+    assert rep.iterations == rep_tight.iterations
+    dz = np.abs(z.coefficients - z_tight.coefficients).max()
+    assert dz <= 10 * spec.fp_tol * np.abs(z_tight.coefficients).max()
 
 
 def test_no_warm_state_across_calls(mesh8):

@@ -308,6 +308,21 @@ def test_warm_start_matches_direct(spaces8, monkeypatch):
         assert np.abs(pp.coefficients - p_ref).max() < 1e-7
 
 
+def test_loop_tolerance_matches_direct(spaces8, random_z, monkeypatch):
+    """A solve at the coupling loop's rtol of 1e-10 stays within the direct
+    solve's tolerances and keeps the zero mean, in fewer iterations."""
+    f = lambda x, y: (math.sin(2 * x), math.cos(y))  # noqa: E731
+    prepared = stokes.prepare_generalized_stokes(spaces8, 1.0, f, ZERO_V)
+    calls = counted_gmres(monkeypatch)
+    stokes.solve_generalized_stokes(prepared, random_z)
+    u, p = stokes.solve_generalized_stokes(prepared, random_z, rtol=1e-10)
+    assert calls[1]["iterations"] < calls[0]["iterations"], calls
+    assert abs(spaces.pressure_mean(p)) < 1e-10
+    u_ref, p_ref = direct_reference(spaces8, 1.0, random_z, f, ZERO_V)
+    assert np.abs(u.coefficients - u_ref).max() < 1e-8
+    assert np.abs(p.coefficients - p_ref).max() < 1e-7
+
+
 def test_bad_guess_falls_back_to_zero_start(spaces8, monkeypatch):
     case, z = trig_inflow(spaces8)
     prepared = stokes.prepare_generalized_stokes(
