@@ -18,20 +18,18 @@ serve every edge (:data:`EDGE_P1`, :data:`EDGE_P2`) and, for DG fields, the
 dof index :attr:`FeContext.edge_dg_dofs`.
 
 Space descriptors and the tabulation context are immutable after
-construction and safe to share across threads, with one exception: the
-context's P1 mass factorisation (:attr:`FeContext.p1_mass_lu`) is built on
-first use and then kept.  It is the one cache; building it is deterministic
-and idempotent, so concurrent first uses at worst build it twice.  Field
+construction, cache nothing and are safe to share across threads.  Field
 coefficient vectors belong to one writer at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .meshes import EDGE_QP
 from .userdata import evaluate
@@ -158,25 +156,24 @@ class FeContext:
         self.boundary_scalar_nodes = np.concatenate(
             [bverts, mesh.num_vertices + mesh.boundary_edge_ids])
 
-    @cached_property
-    def p1_mass_lu(self):
-        """Factorisation of the continuous P1 mass matrix, built on first use.
 
-        Not built with the context: only a prepared Stokes problem (its
-        Schur surrogate), the weak-divergence check of a transport solve or
-        an energy report needs it, and at n = 128 it takes about 0.04 s, half
-        as long as :func:`build_spaces`.  The matrix
-        is symmetric, so its columns are ordered by minimum degree on
-        A^T + A, as the Stokes Laplacian is.
-        """
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-        tri = self.mesh.triangles
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        return spla.splu(
-            sp.coo_matrix((self.p1_cell_mass.ravel(), (rows, cols))).tocsc(),
-            permc_spec="MMD_AT_PLUS_A")
+def p1_mass_matrix(ctx):
+    """The consistent P1 mass matrix over the mesh vertices (COO, with the
+    cell contributions not yet summed)."""
+    tri = ctx.mesh.triangles
+    nv = ctx.mesh.num_vertices
+    return sp.coo_matrix((ctx.p1_cell_mass.ravel(),
+                          (np.repeat(tri, 3, axis=1).ravel(),
+                           np.tile(tri, (1, 3)).ravel())), shape=(nv, nv))
+
+
+def factorise_p1_mass(ctx):
+    """Sparse LU of the P1 mass matrix, built afresh on every call.
+
+    The matrix is symmetric, so its columns are ordered by minimum degree
+    on A^T + A, as the Stokes Laplacian is.
+    """
+    return spla.splu(p1_mass_matrix(ctx).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 @dataclass(frozen=True)
@@ -410,6 +407,11 @@ def error_h1(field: Field, exact_grad: Callable) -> float:
     return float(np.sqrt((ctx.cell_qweights * diff).sum()))
 
 
+# CG steps on the P1 mass: 4 * 9^-16 = 2e-15 bounds the relative error of
+# r^T M^-1 r (see velocity_weak_divergence_l2)
+MASS_CG_STEPS = 16
+
+
 def velocity_weak_divergence_l2(field: Field, grads=None) -> float:
     """L2 norm of the P1 projection of div u.
 
@@ -418,14 +420,41 @@ def velocity_weak_divergence_l2(field: Field, grads=None) -> float:
     interpolants of solenoidal fields, order one for genuinely
     compressible data.  ``grads`` may pass ``velocity_cell_gradients(field)``
     when the caller already has it.
+
+    With r the P1 load of div u, the norm is sqrt(r^T M^-1 r) for the P1
+    mass M, taken by :data:`MASS_CG_STEPS` steps of Jacobi-preconditioned
+    conjugate gradients from zero.  The Jacobi-scaled P1 mass has its
+    spectrum in [1/2, 2] on any triangle mesh (Wathen, IMA J. Numer. Anal.
+    7, 1987), so after k steps r^T x_k falls short of r^T M^-1 r by the
+    squared M-norm error, at most 4 * 9^-k of it: 2e-15 relative at k = 16.
+    The step count is fixed, so no tolerance enters and the result repeats
+    bit for bit.
     """
     ctx = field.space.context
     mesh = ctx.mesh
     g = velocity_cell_gradients(field) if grads is None else grads
     div = g[:, :, 0, 0] + g[:, :, 1, 1]
-    P = ctx.p1_at_q
-    r_cell = np.einsum("tq,kq,tq->tk", ctx.cell_qweights, P, div)
-    r = np.zeros(mesh.num_vertices)
-    np.add.at(r, mesh.triangles.ravel(), r_cell.ravel())
-    d = ctx.p1_mass_lu.solve(r)
-    return float(np.sqrt(max(d @ r, 0.0)))
+    r_cell = np.einsum("tq,kq->tk", ctx.cell_qweights * div, ctx.p1_at_q)
+    r = np.bincount(mesh.triangles.ravel(), r_cell.ravel(),
+                    minlength=mesh.num_vertices)
+    M = p1_mass_matrix(ctx).tocsr()
+    # a vertex no cell references has a zero row and a zero load: skip it
+    diag = M.diagonal()
+    dinv = 1.0 / np.where(diag > 0.0, diag, np.inf)
+    # inner products as sums, not BLAS dots, which thread on long vectors
+    x = np.zeros_like(r)
+    res = r.copy()
+    s = dinv * res
+    d = s.copy()
+    rho = (res * s).sum()
+    for _ in range(MASS_CG_STEPS):
+        if rho == 0.0:
+            break
+        Md = M @ d
+        step = rho / (d * Md).sum()
+        x += step * d
+        res -= step * Md
+        s = dinv * res
+        rho, rho_old = (res * s).sum(), rho
+        d = s + (rho / rho_old) * d
+    return float(np.sqrt(max((x * r).sum(), 0.0)))

@@ -97,8 +97,8 @@ class PreparedStokes(NamedTuple):
     rhs: np.ndarray
     lu: object
     nu: float
-    schur: object            # LU of the consistent P1 pressure mass M_p (the
-                             # context's); the Schur surrogate is M_p / nu
+    schur: object            # LU of the consistent P1 pressure mass M_p,
+                             # taken once here; the Schur surrogate is M_p / nu
     vv: np.ndarray           # V_a*V_b at the cell quadrature points, (36, nq)
     cell_map: np.ndarray     # int32: cell pair (t, 6a+b) -> entry of the
                              # free-free skew pattern (first ns), of the
@@ -325,7 +325,7 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
                          _positions(matrix, nf + sr, sc)]).astype(np.int32)
     return PreparedStokes(
         spaces_, free, fixed, g_fixed, matrix, Bt, rhs, lu, nu,
-        ctx.p1_mass_lu, _mass_products(ctx), cell_map, skew_pos,
+        fes.factorise_p1_mass(ctx), _mass_products(ctx), cell_map, skew_pos,
         (bnd // fixed.size).astype(np.int32),
         (bnd % fixed.size).astype(np.int32))
 
@@ -398,7 +398,9 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):
     # one cycle of 200 holds a typical solve (trig case, n=32: 44
     # iterations from zero at rtol 1e-12, 6 to 32 warm-started); up to
     # five cycles for strong coupling, where the count grows with |z|/nu
-    M = spla.LinearOperator(K.shape, precondition)
+    # with its dtype given, scipy does not probe the preconditioner with a
+    # zero vector on every solve
+    M = spla.LinearOperator(K.shape, precondition, dtype=float)
     x, info = spla.gmres(K, rhs, x0=x0, rtol=rtol, atol=0.0, restart=200,
                          maxiter=5, M=M)
     if info != 0:

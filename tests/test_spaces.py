@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,6 +167,40 @@ def test_weak_divergence_split(spaces8):
     expanding = spaces.interpolate(lambda x, y: (x, y), spaces8.velocity)
     assert spaces.velocity_weak_divergence_l2(expanding) == pytest.approx(
         2.0, rel=1e-12)
+
+
+def lu_weak_divergence(u):
+    """sqrt(r^T M^-1 r) with a sparse LU of the assembled P1 mass M over
+    the vertices that some cell references (the ring mesh has others)."""
+    ctx = u.space.context
+    used, tri = np.unique(ctx.mesh.triangles, return_inverse=True)
+    g = spaces.velocity_cell_gradients(u)
+    r_cell = np.einsum("tq,kq,tq->tk", ctx.cell_qweights, ctx.p1_at_q,
+                       g[:, :, 0, 0] + g[:, :, 1, 1])
+    r = np.zeros(used.size)
+    np.add.at(r, tri.ravel(), r_cell.ravel())
+    M = sp.coo_matrix((ctx.p1_cell_mass.ravel(),
+                       (np.repeat(tri, 3, axis=1).ravel(),
+                        np.tile(tri, (1, 3)).ravel()))).tocsc()
+    return math.sqrt(r @ spla.splu(M).solve(r))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meshes.unit_square_mesh(16),
+    lambda: perturbed_square(16, 3),
+    lambda: ring_mesh(3)], ids=["square", "perturbed", "ring"])
+def test_weak_divergence_matches_mass_lu(build):
+    sp_ = spaces.build_spaces(build())
+    rng = np.random.default_rng(11)
+    fields = [
+        spaces.interpolate(lambda x, y: (np.sin(x) * y, x * x - np.cos(y)),
+                           sp_.velocity),
+        sp_.velocity.new_field(rng.standard_normal(sp_.velocity.dof_count))]
+    for u in fields:
+        ref = lu_weak_divergence(u)
+        assert ref > 0.1
+        assert spaces.velocity_weak_divergence_l2(u) == pytest.approx(
+            ref, rel=1e-13)
 
 
 @given(st.floats(min_value=-5, max_value=5, allow_nan=False))

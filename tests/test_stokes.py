@@ -341,6 +341,35 @@ def test_bad_guess_falls_back_to_zero_start(spaces8, monkeypatch):
     assert np.abs(p.coefficients - p_ref).max() < 1e-7
 
 
+class CountedLU:
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+def test_preconditioner_applied_once_per_iteration(spaces8, monkeypatch):
+    """Each preconditioner call makes one velocity LU solve.  Past one per
+    GMRES iteration, scipy makes two per solve of one restart cycle: for
+    the preconditioned right-hand side and for the cycle's first vector."""
+    case, z = trig_inflow(spaces8)
+    nearby = z.space.new_field(1.001 * z.coefficients)
+    prepared = stokes.prepare_generalized_stokes(
+        spaces8, case.nu, case.f, case.u)
+    lu = CountedLU(prepared.lu)
+    prepared = prepared._replace(lu=lu)
+    calls = counted_gmres(monkeypatch)
+    guess = None
+    for coefficient in (nearby, z):
+        before = lu.calls
+        guess = stokes.solve_generalized_stokes(prepared, coefficient,
+                                                guess=guess)
+        assert 0 < calls[-1]["iterations"] < 200
+        assert lu.calls - before == calls[-1]["iterations"] + 2
+
+
 def test_wrong_size_guess_raises(spaces8, spaces16, zero_z):
     prepared = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
     u8, p8 = stokes.solve_generalized_stokes(prepared, zero_z)

@@ -1,10 +1,12 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from conftest import perturbed_square, ring_mesh
 from gradetwo import manufactured, meshes, spaces, transport
@@ -117,6 +119,47 @@ def test_divergence_warning(mesh8, spaces8):
                                   transport.empty_datum(mesh8), part)
 
 
+@pytest.mark.parametrize("factor, warns", [(1.001, True), (0.999, False)],
+                         ids=["above", "below"])
+def test_divergence_warning_threshold(mesh8, spaces8, factor, warns):
+    # u = (y, x) + eps (x, y) has weak divergence 2 eps and |u|_H1 =
+    # sqrt(2 + 2 eps^2), so the default div_tol is 1e-8 sqrt(2 + 2 eps^2);
+    # eps puts the divergence a factor off that threshold
+    eps = factor * 0.5e-8 * math.sqrt(2.0)
+    flow = lambda x, y: (y + eps * x, x + eps * y)  # noqa: E731
+    u = spaces.interpolate(flow, spaces8.velocity)
+    div = spaces.velocity_weak_divergence_l2(u)
+    assert div == pytest.approx(2.0 * eps, rel=1e-6)
+    part = meshes.classify_boundary(mesh8, flow, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        transport.solve_transport(u, 1.0, 1.0, spaces8.vorticity.new_field(),
+                                  transport.empty_datum(mesh8), part)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == (1 if warns else 0), messages
+    assert all("weak divergence" in m for m in messages)
+
+
+def test_solve_factorises_only_the_transport_matrix(monkeypatch):
+    """A solve on freshly built spaces takes one sparse LU: the DG matrix's.
+    The divergence check needs none."""
+    mesh = meshes.unit_square_mesh(8)
+    sp_ = spaces.build_spaces(mesh)
+    u = spaces.interpolate(UNIFORM, sp_.velocity)
+    part = meshes.classify_boundary(mesh, UNIFORM, 1.0)
+    callers = []
+    splu = spla.splu
+
+    def recorded(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    transport.solve_transport(u, 1.0, 1.0, sp_.vorticity.new_field(),
+                              transport.empty_datum(mesh), part)
+    assert callers == [transport.__name__]
+
+
 def test_inflow_mismatch_warning(mesh16, spaces16):
     # datum declared on the left edge, but the actual flow enters right
     part_g = meshes.classify_boundary(mesh16, UNIFORM, 1.0)
@@ -132,6 +175,7 @@ def test_inflow_mismatch_warning(mesh16, spaces16):
 # -- the DG system and its factorisation ------------------------------------------
 
 ROTATION = lambda x, y: (0.5 - y, x - 0.5)  # noqa: E731
+TRIG = manufactured.manufactured_case("trig", 1.0, 0.1).u
 
 
 def dg_operator(mesh, gfun):
@@ -192,6 +236,29 @@ def test_cyclic_flow_factorised_with_colamd(mesh16, monkeypatch):
     assert A is K and kwargs == {}
     assert_matches_spsolve(K, solve)
 
+
+
+def test_short_cycles_swept_in_component_order(mesh16, monkeypatch):
+    # the trig velocity is upwind on both sides of some faces: its cell
+    # graph has 2-cell cycles, which the sweep solves as 6x6 blocks
+    K = dg_operator(mesh16, TRIG)
+    solve, (A, kwargs, lu) = factorise_recorded(K, monkeypatch)
+    assert kwargs == {"permc_spec": "NATURAL"}
+    rows, cols = (i // 3 for i in A.nonzero())
+    nt = A.shape[0] // 3
+    _, labels = connected_components(
+        sp.csr_matrix((np.ones(rows.size), (cols, rows)), shape=(nt, nt)),
+        directed=True, connection="strong")
+    assert np.bincount(labels).max() == 2
+    # each component's cells are contiguous, and a cell reads only cells of
+    # its own component and of components after it: block upper triangular
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    assert np.unique(labels[starts]).size == starts.size
+    below = rows > cols
+    assert np.any(below)
+    assert np.array_equal(labels[rows[below]], labels[cols[below]])
+    assert lu.L.nnz + lu.U.nnz <= 1.5 * K.nnz
+    assert_matches_spsolve(K, solve)
 
 
 @pytest.mark.parametrize("dense", [np.diag([1.0, 1.0, 0.0]), np.ones((6, 6))],
@@ -267,7 +334,6 @@ def reference_operator(u, nu, alpha, eps_n):
     return R
 
 
-TRIG = manufactured.manufactured_case("trig", 1.0, 0.1).u
 MESHES = {"mesh16": lambda: meshes.unit_square_mesh(16),
           "perturbed16": lambda: perturbed_square(16, 3),
           "ring": lambda: ring_mesh(3)}
