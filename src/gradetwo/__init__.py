@@ -50,8 +50,6 @@ from .meshes import (
 )
 from .spaces import Field, SpaceDescriptor, Spaces, build_spaces, interpolate, norms
 from .stokes import (
-    SaddleSystem,
-    assemble_generalized_stokes,
     prepare_generalized_stokes,
     solve_generalized_stokes,
     stokes_energy_report,
@@ -73,8 +71,8 @@ __all__ = [
     "DegenerateInflow", "Field", "FluxIncompatible", "GradeTwoError",
     "InflowDatum", "IterationReport", "LinearSolveFailure", "MaxIterations",
     "Mesh", "MeshFormatError", "MeshTopologyError", "NotConverged",
-    "ProblemSpec", "SaddleSystem", "SpaceDescriptor", "Spaces",
-    "assemble_generalized_stokes", "boundary_components", "build_inflow_datum",
+    "ProblemSpec", "SpaceDescriptor", "Spaces", "boundary_components",
+    "build_inflow_datum",
     "build_spaces", "classify_boundary", "convergence_study", "diagnostics",
     "fixed_point_solve", "flux_per_component", "green_residual",
     "interpolate", "load_mesh", "manufactured_case",

@@ -155,6 +155,10 @@ class FeContext:
         bverts = np.unique(mesh.boundary_edges)
         self.boundary_scalar_nodes = np.concatenate(
             [bverts, mesh.num_vertices + mesh.boundary_edge_ids])
+        # freeze all arrays; the context is shared read-only from here on
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def p1_mass_matrix(ctx):
@@ -372,11 +376,6 @@ def norms(field: Field) -> FieldNorms:
         h1 = np.sqrt((ctx.mesh.areas * (g ** 2).sum(axis=1)).sum())
     linf = float(np.abs(field.coefficients).max(initial=0.0))
     return FieldNorms(float(l2), float(h1), linf)
-
-
-def integrate(ctx: FeContext, cell_values):
-    """Integrate (nt, nq) samples against the cell quadrature."""
-    return float((ctx.cell_qweights * cell_values).sum())
 
 
 def error_l2(field: Field, exact: Callable) -> float:

@@ -40,7 +40,6 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,34 +47,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import spaces as fes
-from .errors import FluxIncompatible, LinearSolveFailure
+from .errors import FluxIncompatible, LinearSolveFailure, MeshTopologyError
 from .meshes import flux_per_component, normal_boundary_data
 from .userdata import evaluate
 
 __all__ = [
-    "SaddleSystem", "PreparedStokes", "StokesEnergyReport",
-    "assemble_generalized_stokes", "prepare_generalized_stokes",
+    "PreparedStokes", "StokesEnergyReport", "prepare_generalized_stokes",
     "solve_generalized_stokes", "stokes_energy_report", "default_flux_tol",
 ]
-
-@dataclass
-class SaddleSystem:
-    """Assembled blocks of the generalized Stokes problem.
-
-    ``A`` is the (nu-scaled) vector Laplacian, ``C`` the skew coupling from
-    the vorticity coefficient, ``B`` the pressure/divergence block with
-    entries -(q, div v), and ``mean_vec`` the pressure integrals backing the
-    zero-mean multiplier.  ``dirichlet_nodes`` lists constrained velocity
-    dofs in ascending order.
-    """
-
-    A: sp.csr_matrix
-    C: sp.csr_matrix
-    B: sp.csr_matrix
-    mean_vec: np.ndarray
-    dirichlet_nodes: np.ndarray
-    spaces: fes.Spaces
-
 
 class PreparedStokes(NamedTuple):
     """The z-independent part of a generalized Stokes problem.
@@ -112,7 +91,7 @@ class PreparedStokes(NamedTuple):
 class StokesEnergyReport(NamedTuple):
     viscous: float        # nu * |u|_H1^2
     forcing: float        # (f, u)
-    skew: float           # u^T C(z) u of the assembled coupling block
+    skew: float           # u^T C(z) u of the filled coupling block
     balance_gap: float    # |viscous - forcing| (meaningful for g = 0)
     div_weak_l2: float    # L2 norm of the pressure-space projection of div u
     div_broken_l2: float  # pointwise L2 norm of div u (consistency level)
@@ -162,16 +141,6 @@ def _zmass_cells(ctx, z, vv):
     return cells
 
 
-def _zmass(ctx, z):
-    """z-weighted scalar P2 mass matrix."""
-    return _scalar_matrix(ctx, _zmass_cells(ctx, z, _mass_products(ctx)))
-
-
-def _skew(Mz):
-    """(z x w, v) = int z * (w1 v2 - w2 v1): rows v-, cols w-component."""
-    return sp.bmat([[None, -Mz], [Mz, None]], format="csr")
-
-
 def _divergence_blocks(spaces_):
     """B split by velocity component, each (pressure rows, scalar nodes)."""
     ctx = spaces_.context
@@ -196,27 +165,6 @@ def _pressure_integrals(mesh):
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
     return out
-
-
-def assemble_generalized_stokes(spaces_, nu, z):
-    """Assemble the saddle blocks for viscosity ``nu`` and coefficient ``z``.
-
-    ``z`` is a vorticity-space field; the skew block satisfies v^T C v = 0
-    exactly (the two off-diagonal component blocks are transposes of one
-    z-weighted mass matrix with opposite signs).
-    """
-    if not (nu > 0.0):
-        raise ValueError("nu must be positive")
-    ctx = spaces_.context
-    C = _skew(_zmass(ctx, z))
-    K = _stiffness(ctx, nu)
-    A = sp.bmat([[K, None], [None, K]], format="csr")
-    B = sp.hstack(_divergence_blocks(spaces_)).tocsr()
-    n = ctx.num_scalar_nodes
-    nodes = ctx.boundary_scalar_nodes
-    dirichlet = np.sort(np.concatenate([nodes, n + nodes]))
-    return SaddleSystem(A, C, B, _pressure_integrals(ctx.mesh), dirichlet,
-                        spaces_)
 
 
 def _cell_values(ctx, f):
@@ -266,16 +214,26 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     """Do the z-independent work of the generalized Stokes problem once.
 
     ``f`` and ``g`` are callables ``(x, y) -> (vx, vy)``, called with
-    coordinate arrays through :func:`gradetwo.userdata.evaluate`.  The
-    boundary data must be flux-compatible on every boundary component
-    (checked first, raising :class:`FluxIncompatible`).  The result serves
-    any number of :func:`solve_generalized_stokes` calls with the same
-    ``nu``, ``f`` and ``g``.
+    coordinate arrays through :func:`gradetwo.userdata.evaluate`.  Checked
+    first: every mesh vertex belongs to a triangle (else the velocity block
+    and the pressure mass have zero rows; :class:`MeshTopologyError`), and
+    the boundary data are flux-compatible on every boundary component
+    (:class:`FluxIncompatible`).  The result serves any number of
+    :func:`solve_generalized_stokes` calls with the same ``nu``, ``f`` and
+    ``g``.
     """
     if not (nu > 0.0):
         raise ValueError("nu must be positive")
     ctx = spaces_.context
-    check_flux_compatibility(ctx.mesh, g, flux_tol)
+    mesh = ctx.mesh
+    orphans = np.flatnonzero(np.bincount(mesh.triangles.ravel(),
+                                         minlength=mesh.num_vertices) == 0)
+    if orphans.size:
+        raise MeshTopologyError(
+            f"{orphans.size} mesh vertices belong to no triangle (first: "
+            f"vertex {orphans[0]}); the Stokes problem needs every vertex "
+            "in a cell")
+    check_flux_compatibility(mesh, g, flux_tol)
     n = ctx.num_scalar_nodes
     fixed = ctx.boundary_scalar_nodes
     free = np.setdiff1d(np.arange(n), fixed)
@@ -440,12 +398,12 @@ def stokes_energy_report(u, p, z, f, nu):
     """Evaluate both sides of the energy identity and divergence norms.
 
     For homogeneous boundary data the identity nu*|u|_H1^2 = (f, u) holds to
-    solver precision.  The skew term is u^T C(z) u with the assembled
-    coupling block, which vanishes to round-off when that block is
-    skew-symmetric.  The weak divergence is the pressure-space projection
-    of div u (the quantity the constraint actually controls); the broken
-    norm is the pointwise one and sits at discretization level for
-    interpolated data.
+    solver precision.  The skew term is u^T C(z) u, summed over the cell
+    blocks of the z-weighted mass that the solves fill into the coupling
+    block; it vanishes to round-off when that block is skew-symmetric.
+    The weak divergence is the pressure-space projection of div u (the
+    quantity the constraint actually controls); the broken norm is the
+    pointwise one and sits at discretization level for interpolated data.
     """
     ctx = u.space.context
     w = ctx.cell_qweights
@@ -453,8 +411,11 @@ def stokes_energy_report(u, p, z, f, nu):
     viscous = nu * float((w * (grads ** 2).sum(axis=(2, 3))).sum())
     forcing = float((w[:, :, None] * _cell_values(ctx, f)
                      * fes.velocity_cell_values(u)).sum())
-    coeffs = u.coefficients
-    skew = float(coeffs @ (_skew(_zmass(ctx, z)) @ coeffs))
+    # u^T C u = (M_z u1, u2) - (M_z u2, u1), cell by cell
+    c = u.coefficients.reshape(2, -1)[:, ctx.cell_scalar_nodes]
+    mz = _zmass_cells(ctx, z, _mass_products(ctx)).reshape(-1, 6, 6)
+    skew = float(np.einsum("ta,tab,tb->", c[1], mz, c[0])
+                 - np.einsum("ta,tab,tb->", c[0], mz, c[1]))
     div = grads[:, :, 0, 0] + grads[:, :, 1, 1]
     div_broken = float(np.sqrt((w * div ** 2).sum()))
     div_weak = fes.velocity_weak_divergence_l2(u, grads)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradetwo import meshes, spaces
+from gradetwo import meshes, spaces, stokes
 
 
 @pytest.fixture(scope="session")
@@ -96,3 +96,22 @@ def fd_laplacian(f, x, y, h=1e-4):
 def l2_orders(errors, ratio=2.0):
     return [math.log(errors[i] / errors[i + 1]) / math.log(ratio)
             for i in range(len(errors) - 1)]
+
+
+def filled_coupling(prepared, z):
+    """The skew blocks a Stokes solve fills into the reduced bordered
+    matrix at ``z``: its velocity block less that of the z = 0 template."""
+    K, _ = stokes._bordered_system(prepared, z)
+    nv = 2 * prepared.free.size
+    return (K - prepared.matrix)[:nv, :nv].tocsr()
+
+
+def skew_defect(C, rng, samples):
+    """max |v^T C v| / (||C||_F ||v||^2) over ``samples`` random vectors v:
+    round-off for a skew-symmetric C."""
+    cnorm = math.sqrt(float((C.data ** 2).sum()))
+    worst = 0.0
+    for _ in range(samples):
+        v = rng.standard_normal(C.shape[0])
+        worst = max(worst, abs(v @ (C @ v)) / (cnorm * (v @ v)))
+    return worst

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from gradetwo import driver, manufactured, meshes, spaces, stokes
+from gradetwo import driver, manufactured, meshes, spaces, stokes, transport
 from gradetwo.driver import ProblemSpec, fixed_point_solve
-from gradetwo.errors import DegenerateInflow, NotConverged
+from gradetwo.errors import DegenerateInflow, MeshTopologyError, NotConverged
+
+from conftest import ring_mesh
 
 SMALL_F = lambda x, y: (1e-4 * math.sin(math.pi * y),  # noqa: E731
                         1e-4 * math.cos(math.pi * x))
@@ -236,6 +238,22 @@ def test_not_converged_raises_with_report(mesh8):
     assert rep is not None
     assert rep.stopping_reason in ("diverged", "max_iter")
     assert rep.iterations >= 1
+
+
+def test_orphan_vertices_stop_the_solve_not_the_transport():
+    # ring_mesh keeps the hole's 4 interior vertices, which no cell uses
+    mesh = ring_mesh(3)
+    with pytest.raises(MeshTopologyError, match="4 mesh vertices"):
+        fixed_point_solve(ProblemSpec(mesh=mesh, nu=1.0, alpha=0.1))
+    uniform = lambda x, y: (1.0, 0.0)  # noqa: E731
+    sp_ = spaces.build_spaces(mesh)
+    part = meshes.classify_boundary(mesh, uniform, 1.0)
+    datum = transport.build_inflow_datum(mesh, "P_II", lambda x, y: 1.0,
+                                         uniform, part)
+    z = transport.solve_transport(
+        spaces.interpolate(uniform, sp_.velocity), 1.0, 1.0,
+        sp_.vorticity.new_field(), datum, part)
+    assert np.all(np.isfinite(z.coefficients))
 
 
 def test_strict_trace_variant_rejects_interior_degeneracy(mesh16):

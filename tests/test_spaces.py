@@ -29,8 +29,14 @@ def test_quadrature_exact_through_degree5(spaces8):
     ctx = spaces8.context
     pts = ctx.cell_qpoints
     for a, b in [(0, 0), (1, 0), (2, 1), (3, 2), (5, 0), (2, 3), (4, 1)]:
-        val = spaces.integrate(ctx, pts[:, :, 0] ** a * pts[:, :, 1] ** b)
+        val = (ctx.cell_qweights * pts[:, :, 0] ** a * pts[:, :, 1] ** b).sum()
         assert val == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-13)
+
+
+def test_context_arrays_read_only(spaces8):
+    ctx = spaces8.context
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.cell_qweights[0, 0] = 1.0
 
 
 def test_edge_quadrature_exact_through_degree5(mesh8):

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gradetwo import manufactured, meshes, spaces, stokes
-from gradetwo.errors import FluxIncompatible
+from gradetwo.errors import FluxIncompatible, MeshTopologyError
 
-from conftest import perturbed_square
+from conftest import filled_coupling, perturbed_square, ring_mesh, skew_defect
 
 
 @pytest.fixture(scope="module")
@@ -32,28 +32,46 @@ def solve(spaces_, nu, z, f, g):
 
 
 def test_zero_coefficient_means_plain_stokes(spaces8, zero_z):
-    sys = stokes.assemble_generalized_stokes(spaces8, 1.0, zero_z)
-    assert sys.C.nnz == 0 or np.abs(sys.C.data).max() == 0.0
+    prepared = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
+    C = filled_coupling(prepared, zero_z)
+    assert C.nnz == 0 or np.abs(C.data).max() == 0.0
 
 
 def test_skew_block_annihilates_velocity(spaces8, random_z):
-    sys = stokes.assemble_generalized_stokes(spaces8, 1.0, random_z)
-    C = sys.C
-    cnorm = math.sqrt((C.data ** 2).sum())
+    prepared = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
+    C = filled_coupling(prepared, random_z)
+    assert skew_defect(C, np.random.default_rng(11), 50) <= 1e-12
+
+
+def shifted_fill(prepared, mutation):
+    """A copy of ``prepared`` whose fill breaks the skew symmetry."""
+    if mutation == "plus_block_rolled":
+        # the +M_z values land one stored entry over
+        return prepared._replace(skew_pos=np.stack(
+            [prepared.skew_pos[0], np.roll(prepared.skew_pos[1], 1)]))
+    # cell 0's 36 pairs go to the entries of cell 20, one pair over; a
+    # straight copy would keep M_z symmetric and the coupling skew
+    cell_map = prepared.cell_map.copy()
+    cell_map[:36] = np.roll(prepared.cell_map[20 * 36:21 * 36], 1)
+    return prepared._replace(cell_map=cell_map)
+
+
+@pytest.mark.parametrize("mutation", ["plus_block_rolled", "cell_moved"])
+def test_skew_defect_sees_a_broken_fill(spaces8, random_z, mutation):
+    prepared = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
     rng = np.random.default_rng(11)
-    free = np.ones(spaces8.velocity.dof_count, dtype=bool)
-    free[sys.dirichlet_nodes] = False
-    for _ in range(50):
-        v = rng.standard_normal(spaces8.velocity.dof_count) * free
-        assert abs(v @ (C @ v)) <= 1e-12 * cnorm * (v @ v)
+    assert skew_defect(filled_coupling(prepared, random_z), rng, 50) <= 1e-12
+    broken = filled_coupling(shifted_fill(prepared, mutation), random_z)
+    assert skew_defect(broken, rng, 50) >= 1e-6
 
 
 def test_viscosity_scaling(spaces8, random_z):
-    s1 = stokes.assemble_generalized_stokes(spaces8, 1.0, random_z)
-    s2 = stokes.assemble_generalized_stokes(spaces8, 2.0, random_z)
-    a_diff = (s2.A - 2.0 * s1.A)
+    s1 = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
+    s2 = stokes.prepare_generalized_stokes(spaces8, 2.0, ZERO_V, ZERO_V)
+    nv = 2 * s1.free.size
+    a_diff = (s2.matrix[:nv, :nv] - 2.0 * s1.matrix[:nv, :nv])
     assert a_diff.nnz == 0 or np.abs(a_diff.data).max() < 1e-12
-    c_diff = (s2.C - s1.C)
+    c_diff = (filled_coupling(s2, random_z) - filled_coupling(s1, random_z))
     assert c_diff.nnz == 0 or np.abs(c_diff.data).max() < 1e-14
 
 
@@ -114,6 +132,14 @@ def test_linearity_in_nu_and_f(spaces8, zero_z, random_z):
     assert np.abs(p2.coefficients - 3.0 * p1.coefficients).max() < 1e-9
 
 
+def test_orphan_vertices_named():
+    # ring_mesh keeps the hole's 4 interior vertices, which no cell uses
+    ring = spaces.build_spaces(ring_mesh(3))
+    with pytest.raises(MeshTopologyError,
+                       match=r"4 mesh vertices .* \(first: vertex 44\)"):
+        stokes.prepare_generalized_stokes(ring, 1.0, ZERO_V, ZERO_V)
+
+
 def test_flux_incompatible_raises(spaces8, zero_z):
     with pytest.raises(FluxIncompatible) as err:
         stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V,
@@ -122,17 +148,34 @@ def test_flux_incompatible_raises(spaces8, zero_z):
     assert err.value.flux == pytest.approx(2.0, rel=1e-12)
 
 
+def full_blocks(spaces_, nu, z):
+    """The unreduced blocks: the nu-scaled vector Laplacian A, the skew
+    coupling C, the divergence block B, the pressure integrals and the
+    Dirichlet velocity dofs in ascending order."""
+    ctx = spaces_.context
+    K = stokes._stiffness(ctx, nu)
+    Mz = stokes._scalar_matrix(
+        ctx, stokes._zmass_cells(ctx, z, stokes._mass_products(ctx)))
+    A = sp.bmat([[K, None], [None, K]], format="csr")
+    C = sp.bmat([[None, -Mz], [Mz, None]], format="csr")
+    B = sp.hstack(stokes._divergence_blocks(spaces_)).tocsr()
+    n = ctx.num_scalar_nodes
+    nodes = ctx.boundary_scalar_nodes
+    dirichlet = np.sort(np.concatenate([nodes, n + nodes]))
+    return A, C, B, stokes._pressure_integrals(ctx.mesh), dirichlet
+
+
 def reference_system(spaces_, nu, z, f, g):
-    """The bordered saddle system from the full assembly, Dirichlet values
-    eliminated: the reduced matrix and right-hand side, the full lift and
-    the kept unknowns."""
-    sys = stokes.assemble_generalized_stokes(spaces_, nu, z)
+    """The bordered saddle system from the unreduced blocks, Dirichlet
+    values eliminated: the reduced matrix and right-hand side, the full
+    lift and the kept unknowns."""
+    A, C, B, mean_vec, dirichlet = full_blocks(spaces_, nu, z)
     n_u = spaces_.velocity.dof_count
     n_p = spaces_.pressure.dof_count
     ctx = spaces_.context
-    m = sp.csr_matrix(sys.mean_vec[:, None])
-    K = sp.bmat([[sys.A + sys.C, sys.B.T, None],
-                 [sys.B, None, m],
+    m = sp.csr_matrix(mean_vec[:, None])
+    K = sp.bmat([[A + C, B.T, None],
+                 [B, None, m],
                  [None, m.T, None]], format="csr")
     # (f, v) by the cell quadrature, one velocity component at a time
     fq = np.array([[f(x, y) for x, y in row] for row in ctx.cell_qpoints])
@@ -149,7 +192,7 @@ def reference_system(spaces_, nu, z, f, g):
     lift[nodes] = gb[:, 0]
     lift[ctx.num_scalar_nodes + nodes] = gb[:, 1]
     keep = np.ones(K.shape[0], dtype=bool)
-    keep[sys.dirichlet_nodes] = False
+    keep[dirichlet] = False
     idx = np.nonzero(keep)[0]
     return K[idx][:, idx], (rhs - K @ lift)[idx], lift, idx
 
@@ -167,19 +210,19 @@ def direct_reference(spaces_, nu, z, f, g):
 def structure(spaces_, z):
     """Stored entries of the reduced reference matrix, as a 0/1 matrix:
     every entry the blocks store, numerical zeros included."""
-    sys = stokes.assemble_generalized_stokes(spaces_, 1.0, z)
+    A, C, B, mean_vec, dirichlet = full_blocks(spaces_, 1.0, z)
 
     def ones(X):
         X = sp.csr_matrix(X, copy=True)
         X.data[:] = 1.0
         return X
-    m = ones(sp.csr_matrix(sys.mean_vec[:, None]))
-    B = ones(sys.B)
-    S = sp.bmat([[ones(sys.A) + ones(sys.C), B.T, None],
+    m = ones(sp.csr_matrix(mean_vec[:, None]))
+    B = ones(B)
+    S = sp.bmat([[ones(A) + ones(C), B.T, None],
                  [B, None, m],
                  [None, m.T, None]], format="csr")
     keep = np.ones(S.shape[0], dtype=bool)
-    keep[sys.dirichlet_nodes] = False
+    keep[dirichlet] = False
     idx = np.nonzero(keep)[0]
     return S[idx][:, idx]
 
