@@ -59,10 +59,8 @@ def shifted_fill(prepared, mutation):
 @pytest.mark.parametrize("mutation", ["plus_block_rolled", "cell_moved"])
 def test_skew_defect_sees_a_broken_fill(spaces8, random_z, mutation):
     prepared = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
-    rng = np.random.default_rng(11)
-    assert skew_defect(filled_coupling(prepared, random_z), rng, 50) <= 1e-12
     broken = filled_coupling(shifted_fill(prepared, mutation), random_z)
-    assert skew_defect(broken, rng, 50) >= 1e-6
+    assert skew_defect(broken, np.random.default_rng(11), 50) >= 1e-6
 
 
 def test_viscosity_scaling(spaces8, random_z):
