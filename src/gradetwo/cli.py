@@ -27,7 +27,6 @@ from .driver import diagnostics, fixed_point_solve, prepare
 from .errors import GradeTwoError, NotConverged
 from .manufactured import convergence_study, manufactured_case
 from .meshes import (
-    boundary_components,
     classify_boundary,
     flux_per_component,
     load_mesh,
@@ -161,10 +160,9 @@ def cmd_mms(cfg, out_dir):
 def cmd_check_boundary(cfg, out_dir):
     mesh = load_mesh(cfg.mesh_path)
     part = classify_boundary(mesh, cfg.g, cfg.alpha, cfg.eps_n)
-    comp = boundary_components(mesh)
-    ncomp = max(comp.values()) + 1 if comp else 0
     fluxes = flux_per_component(mesh, cfg.g)
-    print(f"boundary edges: {mesh.num_boundary_edges} in {ncomp} component(s)")
+    print(f"boundary edges: {mesh.num_boundary_edges} in {len(fluxes)} "
+          "component(s)")
     if part.gamma_minus:
         markers = sorted({int(mesh.boundary_markers[b])
                           for b in part.gamma_minus})

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BoundaryResolutionError,
@@ -58,9 +60,9 @@ class Mesh:
     belongs to exactly one triangle, every interior edge to exactly two,
     all triangles have positive signed area and the boundary edges close
     into loops.  It also tabulates every edge's length, unit normal
-    (pointing out of ``edge_cells[:, 0]``) and Gauss points, and each
-    vertex's two boundary edges (``vertex_boundary_edges``, -1 off the
-    boundary); the ``boundary_*`` arrays are the boundary rows of these.
+    (pointing out of ``edge_cells[:, 0]``) and Gauss points; the
+    ``boundary_*`` arrays are the boundary rows of these.  ``edges`` holds
+    each edge's vertices ascending, and the rows ascend.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers):
@@ -74,20 +76,13 @@ class Mesh:
             raise MeshTopologyError("triangles must be an (nt, 3) array")
         self._validate_indices()
         self._build_geometry()
-        self._build_edges()
-        self._validate_boundary()
+        self._validate_boundary(self._build_edges())
         self._build_edge_geometry()
         bids = self.boundary_edge_ids
         self.boundary_normals = self.edge_normals[bids]
         self.boundary_lengths = self.edge_lengths[bids]
         # freeze all arrays; the mesh is shared read-only from here on
-        for arr in (self.vertices, self.triangles, self.boundary_edges,
-                    self.boundary_markers, self.edges, self.cell_edges,
-                    self.edge_cells, self.areas, self.boundary_edge_ids,
-                    self.vertex_boundary_edges, self.edge_lengths,
-                    self.edge_normals, self.edge_qpoints, self.edge_qweights,
-                    self.boundary_normals,
-                    self.boundary_lengths):
+        for arr in vars(self).values():
             arr.setflags(write=False)
 
     # -- derived quantities ------------------------------------------------
@@ -139,14 +134,21 @@ class Mesh:
             )
         self.areas = signed
 
+    def _edge_codes(self, pairs):
+        """Code ``lo * nv + hi`` of each vertex pair; codes sort as the
+        sorted ``(lo, hi)`` rows do."""
+        nv = self.num_vertices
+        return pairs.min(axis=1) * nv + pairs.max(axis=1)
+
     def _build_edges(self):
+        """Tabulate the edges (ascending codes) and return their codes."""
         t = self.triangles
         nt = t.shape[0]
         # local edge i sits opposite local vertex i
         raw = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
-        raw = raw.reshape(-1, 2)
-        key = np.sort(raw, axis=1)
-        self.edges, inverse = np.unique(key, axis=0, return_inverse=True)
+        codes, inverse = np.unique(self._edge_codes(raw.reshape(-1, 2)),
+                                   return_inverse=True)
+        self.edges = np.stack(np.divmod(codes, self.num_vertices), axis=1)
         self.cell_edges = inverse.reshape(nt, 3)
         counts = np.bincount(inverse, minlength=self.edges.shape[0])
         if counts.max(initial=0) > 2:
@@ -163,24 +165,23 @@ class Mesh:
         self.edge_cells[:, 0] = order[first] // 3
         two = counts == 2
         self.edge_cells[two, 1] = order[first[two] + 1] // 3
+        return codes
 
-    def _validate_boundary(self):
+    def _validate_boundary(self, codes):
+        """Map the declared boundary edges to edge ids, given the ascending
+        edge ``codes``, and check that they tile the boundary in loops."""
         key = np.sort(self.boundary_edges, axis=1)
-        uniq = np.unique(key, axis=0)
-        if uniq.shape[0] != key.shape[0]:
+        wanted = self._edge_codes(key)
+        if np.unique(wanted).size != wanted.size:
             raise MeshTopologyError("duplicate boundary edge in file")
         one_cell = self.edge_cells[:, 1] < 0
-        # map each declared boundary edge to a global edge id; the edges are
-        # sorted, so their codes v0 * nv + v1 ascend
-        nv = self.num_vertices
-        codes = self.edges[:, 0] * nv + self.edges[:, 1]
-        wanted = key[:, 0] * nv + key[:, 1]
-        missing = np.nonzero(~np.isin(wanted, codes))[0]
+        ids = np.searchsorted(codes, wanted)
+        # no code is negative, so the pad matches nothing past the end
+        missing = np.nonzero(np.append(codes, -1)[ids] != wanted)[0]
         if missing.size:
             b = int(missing[0])
             raise MeshTopologyError(f"boundary edge {b} {key[b].tolist()} is "
                                     "not an edge of any triangle")
-        ids = np.searchsorted(codes, wanted)
         shared = np.nonzero(~one_cell[ids])[0]
         if shared.size:
             b = int(shared[0])
@@ -204,12 +205,6 @@ class Mesh:
                 f"boundary vertex {int(bad[0])} touches {int(counts[bad[0]])} "
                 "boundary edges (loops do not close)"
             )
-        # a stable sort by vertex keeps each vertex's two edges ascending
-        order = np.argsort(key.ravel(), kind="stable")
-        self.vertex_boundary_edges = np.full((self.num_vertices, 2), -1,
-                                             dtype=np.int64)
-        self.vertex_boundary_edges[key.ravel()[order[::2]]] = (
-            order // 2).reshape(-1, 2)
 
     def _build_edge_geometry(self):
         pa = self.vertices[self.edges[:, 0]]
@@ -282,26 +277,19 @@ def normal_boundary_data(mesh, g):
 def boundary_components(mesh):
     """Group boundary edges into closed loops.
 
-    Returns a dict mapping boundary-edge id to component id.  Component ids
-    are contiguous, starting from 0, ordered by the smallest edge id they
-    contain.
+    Returns an int array with the component id of each boundary edge (file
+    order).  Component ids are contiguous, starting from 0, ordered by the
+    smallest edge id they contain.
     """
-    ends = mesh.edges[mesh.boundary_edge_ids]
-    comp = {}
-    current = 0
-    for start in range(mesh.num_boundary_edges):
-        if start in comp:
-            continue
-        stack = [start]
-        comp[start] = current
-        while stack:
-            b = stack.pop()
-            for nb_edge in mesh.vertex_boundary_edges[ends[b]].ravel().tolist():
-                if nb_edge not in comp:
-                    comp[nb_edge] = current
-                    stack.append(nb_edge)
-        current += 1
-    return comp
+    ends = mesh.boundary_edges
+    nv = mesh.num_vertices
+    graph = sp.coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                          shape=(nv, nv))
+    labels = connected_components(graph, directed=False)[1][ends[:, 0]]
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    # rank each loop by the first boundary edge it holds
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def classify_boundary(mesh, g, alpha, eps_n=None):
@@ -319,13 +307,15 @@ def classify_boundary(mesh, g, alpha, eps_n=None):
     alpha : float, stress modulus (sign matters, 0 gives an empty inflow set)
     eps_n : float, sign threshold; default ``1e-12 * max(1, max |g|)``
     """
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if eps_n is not None and not (0.0 <= eps_n < np.inf):
+        raise ValueError("eps_n must be nonnegative and finite")
     gv, gn = normal_boundary_data(mesh, g)
     if eps_n is None:
         gscale = float(np.hypot(gv[..., 0], gv[..., 1]).max(initial=0.0))
         eps_n = 1e-12 * max(1.0, gscale)
     eps_n = float(eps_n)
-    if eps_n < 0.0:
-        raise ValueError("eps_n must be nonnegative")
     s = alpha * gn
     neg = s < -eps_n
     pos = s > eps_n
@@ -338,23 +328,21 @@ def classify_boundary(mesh, g, alpha, eps_n=None):
                 "strictly within the edge; refine the mesh to resolve the "
                 "inflow partition"
             )
-    # per boundary vertex (ascending): is each of its two edges inflow?
-    bverts = np.nonzero(mesh.vertex_boundary_edges[:, 0] >= 0)[0]
-    vedges = mesh.vertex_boundary_edges[bverts]
-    inflow = minus[vedges]
-    # junction vertices: the two incident boundary edges disagree
-    junctions = bverts[inflow[:, 0] != inflow[:, 1]]
+    # every boundary vertex touches two boundary edges, so a junction (the
+    # two disagree) is a vertex that touches exactly one inflow edge
+    ends = mesh.boundary_edges[minus]
+    junctions = np.nonzero(np.bincount(ends.ravel(),
+                                       minlength=mesh.num_vertices) == 1)[0]
     # degenerate points: vertices of closure(inflow) where |g.n_-| <= eps_n,
     # measured with the normal of an incident inflow edge
-    degenerate = bverts[:0]
-    closure = inflow.any(axis=1)
-    if closure.any():
-        pts = mesh.vertices[bverts[closure]]
-        gvert = evaluate(g, pts[:, 0], pts[:, 1])
-        n = mesh.boundary_normals[vedges[closure]]  # (m, 2 edges, 2)
-        gnv = gvert[:, None, 0] * n[..., 0] + gvert[:, None, 1] * n[..., 1]
-        hit = (np.abs(gnv) <= eps_n) & inflow[closure]
-        degenerate = bverts[closure][hit.any(axis=1)]
+    degenerate = junctions[:0]
+    if ends.size:
+        verts, at = np.unique(ends.ravel(), return_inverse=True)
+        gvert = evaluate(g, mesh.vertices[verts, 0], mesh.vertices[verts, 1])
+        gvert = gvert[at].reshape(-1, 2, 2)  # (m edges, 2 ends, 2)
+        n = mesh.boundary_normals[minus][:, None, :]
+        gnv = gvert[..., 0] * n[..., 0] + gvert[..., 1] * n[..., 1]
+        degenerate = np.unique(ends[np.abs(gnv) <= eps_n])
     beta = None
     if minus.any():
         m = float(np.abs(gn[minus]).min())
@@ -372,14 +360,9 @@ def classify_boundary(mesh, g, alpha, eps_n=None):
 
 def flux_per_component(mesh, g):
     """Net flux of g through each boundary component (edge quadrature)."""
-    comp = boundary_components(mesh)
-    k = max(comp.values()) + 1 if comp else 0
     per_edge = (normal_boundary_data(mesh, g)[1]
                 * mesh.boundary_quad_weights()).sum(axis=1)
-    out = [0.0] * k
-    for b, c in comp.items():
-        out[c] += float(per_edge[b])
-    return out
+    return np.bincount(boundary_components(mesh), per_edge).tolist()
 
 
 # -- file format ------------------------------------------------------------

@@ -192,6 +192,8 @@ def default_flux_tol(mesh, g):
 
 def check_flux_compatibility(mesh, g, flux_tol=None):
     """Raise :class:`FluxIncompatible` when a component carries net flux."""
+    if flux_tol is not None and not (0.0 < flux_tol < np.inf):
+        raise ValueError("flux_tol must be positive and finite")
     if flux_tol is None:
         flux_tol = default_flux_tol(mesh, g)
     fluxes = flux_per_component(mesh, g)

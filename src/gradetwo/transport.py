@@ -303,6 +303,8 @@ def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None):
     """
     if not (nu > 0.0):
         raise ValueError("nu must be positive")
+    if div_tol is not None and not (0.0 < div_tol < np.inf):
+        raise ValueError("div_tol must be positive and finite")
     space = rhs.space
     if alpha == 0.0:
         # reaction only: both sides live in the same space, so division by

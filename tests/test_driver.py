@@ -44,6 +44,41 @@ def test_spec_rejects_bad_tolerances(mesh8, name, value):
         ProblemSpec(mesh=mesh8, nu=1.0, alpha=0.0, **{name: value})
 
 
+def _classify(**kw):
+    args = dict(g=lambda x, y: (1.0, 0.0), alpha=1.0) | kw
+    meshes.classify_boundary(meshes.unit_square_mesh(4), **args)
+
+
+def _prepare(flux_tol):
+    sp_ = spaces.build_spaces(meshes.unit_square_mesh(4))
+    stokes.prepare_generalized_stokes(sp_, 1.0, lambda x, y: (0.0, 0.0),
+                                      lambda x, y: (x, y), flux_tol=flux_tol)
+
+
+def _transport(div_tol):
+    mesh = meshes.unit_square_mesh(4)
+    sp_ = spaces.build_spaces(mesh)
+    flow = lambda x, y: (x, 0.0)  # noqa: E731
+    u = spaces.interpolate(flow, sp_.velocity)
+    part = meshes.classify_boundary(mesh, flow, 1.0)
+    datum = transport.build_inflow_datum(mesh, "P_II", lambda x, y: 1.0,
+                                         flow, part)
+    transport.solve_transport(u, 1.0, 1.0, sp_.vorticity.new_field(), datum,
+                              part, div_tol=div_tol)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (_classify, "eps_n", math.nan), (_classify, "eps_n", math.inf),
+    (_classify, "alpha", math.nan),
+    (_prepare, "flux_tol", math.nan), (_transport, "div_tol", math.nan)])
+def test_library_rejects_nonfinite_tolerances(call, name, value):
+    """The library calls check what ProblemSpec checks on the driver path;
+    unchecked, these gave no inflow edge, passed a net flux of 2 and
+    silenced the divergence warning."""
+    with pytest.raises(ValueError, match=name):
+        call(**{name: value})
+
+
 def test_spec_loads_mesh_from_path(tmp_path):
     path = tmp_path / "m.m2d"
     meshes.save_mesh(meshes.unit_square_mesh(2), str(path))

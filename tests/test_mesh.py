@@ -109,6 +109,38 @@ def test_interior_edge_declared_boundary(tmp_path):
         meshes.load_mesh(str(path))
 
 
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+SQUARE_TRIS = [(0, 1, 2), (0, 2, 3)]
+SQUARE_LOOP = [(0, 1), (1, 2), (2, 3), (3, 0)]
+# two triangles that meet only at vertex 0
+BOW_TIE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+BOW_TIE_TRIS = [(0, 1, 2), (0, 3, 4)]
+BOW_TIE_LOOPS = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+
+
+@pytest.mark.parametrize("vertices, tris, bedges, message", [
+    (SQUARE, SQUARE_TRIS, SQUARE_LOOP + [(1, 0)],
+     "duplicate boundary edge in file"),
+    (SQUARE, SQUARE_TRIS, [(1, 3)] + SQUARE_LOOP[1:],
+     r"boundary edge 0 \[1, 3\] is not an edge of any triangle"),
+    (SQUARE, SQUARE_TRIS, [(0, 2)] + SQUARE_LOOP[1:],
+     r"boundary edge 0 \[0, 2\] is interior \(shared by two triangles\)"),
+    # a third triangle on edge 0-2, overlapping (0, 2, 3)
+    (SQUARE + [(-1.0, 2.0)], SQUARE_TRIS + [(0, 2, 4)], SQUARE_LOOP,
+     r"edge \[0, 2\] is shared by 3 triangles"),
+    (SQUARE, SQUARE_TRIS, SQUARE_LOOP[:3],
+     r"edge \[0, 3\] lies on the boundary but is not declared in "
+     "boundary_edges; loops do not close"),
+    (BOW_TIE, BOW_TIE_TRIS, BOW_TIE_LOOPS,
+     r"boundary vertex 0 touches 4 boundary edges \(loops do not close\)"),
+], ids=["duplicate", "not_an_edge", "interior", "three_cells", "undeclared",
+        "bow_tie"])
+def test_topology_errors_named(vertices, tris, bedges, message):
+    with pytest.raises(MeshTopologyError, match=message):
+        meshes.Mesh(np.array(vertices), np.array(tris), np.array(bedges),
+                    np.ones(len(bedges), dtype=int))
+
+
 TABLE_MESHES = {
     "square1": lambda: meshes.unit_square_mesh(1),
     "square5": lambda: meshes.unit_square_mesh(5),
@@ -129,14 +161,6 @@ def test_edge_tables_match_loop_reference(name):
     lookup = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
     ids = [lookup[tuple(sorted(e))] for e in mesh.boundary_edges.tolist()]
     assert mesh.boundary_edge_ids.tolist() == ids
-    vertex_edges = {}
-    for b, pair in enumerate(mesh.boundary_edges.tolist()):
-        for v in pair:
-            vertex_edges.setdefault(v, []).append(b)
-    expect = np.full((mesh.num_vertices, 2), -1)
-    for v, edges in vertex_edges.items():
-        expect[v] = edges
-    assert np.array_equal(mesh.vertex_boundary_edges, expect)
 
 
 @pytest.mark.parametrize("name", TABLE_MESHES)
@@ -179,23 +203,78 @@ def test_unit_square_mesh_matches_loop_reference():
 
 def test_boundary_components_square(mesh8):
     comp = meshes.boundary_components(mesh8)
-    assert set(comp.values()) == {0}
+    assert comp.shape == (mesh8.num_boundary_edges,)
+    assert set(comp.tolist()) == {0}
 
 
 def test_boundary_components_ring():
     m = ring_mesh(1)
     comp = meshes.boundary_components(m)
-    assert set(comp.values()) == {0, 1}
+    assert set(comp.tolist()) == {0, 1}
     # the outer loop contains edge 0 by construction, so it gets id 0
-    outer = {b for b, c in comp.items() if c == 0}
-    inner = {b for b, c in comp.items() if c == 1}
-    assert len(outer) == 12 and len(inner) == 4
+    assert np.count_nonzero(comp == 0) == 12
+    assert np.count_nonzero(comp == 1) == 4
 
 
 def test_component_count_refinement_invariant():
     for k in (1, 2, 3):
         comp = meshes.boundary_components(ring_mesh(k))
-        assert max(comp.values()) == 1
+        assert comp.max() == 1
+
+
+def edges_at_vertex(mesh):
+    """Reference: boundary-edge ids touching each boundary vertex."""
+    at = {}
+    for b, pair in enumerate(mesh.boundary_edges.tolist()):
+        for v in pair:
+            at.setdefault(v, []).append(b)
+    return at
+
+
+def loop_components(mesh):
+    """Reference: walk each boundary loop edge to edge, numbering the loops
+    in the order of their smallest edge id."""
+    at = edges_at_vertex(mesh)
+    comp = [-1] * mesh.num_boundary_edges
+    current = 0
+    for start in range(mesh.num_boundary_edges):
+        if comp[start] >= 0:
+            continue
+        comp[start] = current
+        stack = [start]
+        while stack:
+            b = stack.pop()
+            for v in mesh.boundary_edges[b].tolist():
+                for other in at[v]:
+                    if comp[other] < 0:
+                        comp[other] = current
+                        stack.append(other)
+        current += 1
+    return comp
+
+
+def test_loop_numbering_follows_first_edge():
+    base = ring_mesh(2)
+    # put a hole edge (marker 2) first, the rest in a fixed shuffle
+    perm = np.random.default_rng(5).permutation(base.num_boundary_edges)
+    hole = int(np.flatnonzero(base.boundary_markers[perm] == 2)[0])
+    perm[[0, hole]] = perm[[hole, 0]]
+    m = meshes.Mesh(base.vertices, base.triangles, base.boundary_edges[perm],
+                    base.boundary_markers[perm])
+    comp = meshes.boundary_components(m)
+    ref = loop_components(m)
+    assert comp.tolist() == ref
+    assert set(m.boundary_markers[comp == 0].tolist()) == {2}
+    g = lambda x, y: (0.5 * x, 0.5 * y)
+    flux = meshes.flux_per_component(m, g)
+    per_edge = (meshes.normal_boundary_data(m, g)[1]
+                * m.boundary_quad_weights()).sum(axis=1)
+    expect = [0.0, 0.0]
+    for b, c in enumerate(ref):
+        expect[c] += per_edge[b]
+    assert flux == pytest.approx(expect, rel=1e-14)
+    # the hole, measured with the normal into it, first; then the outer loop
+    assert flux == pytest.approx([-1.0, 9.0], rel=1e-13)
 
 
 # -- classification -----------------------------------------------------------
@@ -250,6 +329,34 @@ def test_classify_degenerate_interior_vertex(mesh16):
     assert mid in part.degenerate_points
     assert mid in part.interior_degeneracies()
     assert part.beta is None or part.beta > 0  # beta may degrade, never negative
+
+
+@pytest.mark.parametrize("name", ["ring", "perturbed"])
+def test_classify_vertex_sets_match_loop_reference(name):
+    """Junctions and degenerate points equal a per-vertex loop over the
+    boundary edges.  g.n = -sin^2(pi y) on the inflow sides vanishes at
+    their end points, and inside the ring's outer left side."""
+    mesh = TABLE_MESHES[name]()
+    g = lambda x, y: (np.sin(np.pi * y) ** 2, 0.0)
+    part = meshes.classify_boundary(mesh, g, 1.0)
+    inflow = set(part.gamma_minus)
+    normals = mesh.boundary_normals
+    junctions, degenerate = [], []
+    for v, edges in sorted(edges_at_vertex(mesh).items()):
+        flags = [b in inflow for b in edges]
+        if flags[0] != flags[1]:
+            junctions.append(v)
+        x, y = mesh.vertices[v]
+        gv = g(x, y)
+        if any(abs(gv[0] * normals[b, 0] + gv[1] * normals[b, 1])
+               <= part.eps_n for b in edges if b in inflow):
+            degenerate.append(v)
+    assert part.junctions == tuple(junctions)
+    assert part.degenerate_points == tuple(degenerate)
+    assert junctions and degenerate
+    if name == "ring":
+        # the outer left side at y = 1 and y = 2
+        assert part.interior_degeneracies() == (2, 4)
 
 
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False),
