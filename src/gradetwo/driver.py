@@ -139,10 +139,11 @@ def _inflow(spec):
     that depends on alpha."""
     part = classify_boundary(spec.mesh, spec.g, spec.alpha, spec.eps_n)
     interior_bad = part.interior_degeneracies()
-    if interior_bad:
+    # P_I cannot divide by g.n there: build_inflow_datum raises below
+    if interior_bad and spec.variant == "P_II":
         msg = ("normal boundary data vanishes strictly inside the inflow "
                f"boundary at vertices {list(interior_bad)}")
-        if spec.variant == "P_II" and spec.strict:
+        if spec.strict:
             raise DegenerateInflow(msg + " (strict trace-variant mode)")
         warnings.warn(msg, stacklevel=4)
     datum = trs.build_inflow_datum(

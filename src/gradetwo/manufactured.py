@@ -140,8 +140,10 @@ class ManufacturedCase:
 
 def manufactured_case(name, nu, alpha):
     """Construct a registered case; raises ValueError on unknown names."""
-    if not (nu > 0.0):
-        raise ValueError("nu must be positive")
+    if not (0.0 < nu < np.inf):
+        raise ValueError("nu must be positive and finite")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if name not in _CASES:
         raise ValueError(f"unknown manufactured case {name!r}; "
                          f"known cases: {', '.join(CASE_NAMES)}")

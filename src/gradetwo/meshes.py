@@ -51,10 +51,10 @@ class Mesh:
 
     Parameters
     ----------
-    vertices : (nv, 2) float array
+    vertices : (nv, 2) float array, finite
     triangles : (nt, 3) int array, positively oriented
     boundary_edges : (nb, 2) int array
-    boundary_markers : (nb,) int array
+    boundary_markers : (nb,) int array, one marker per boundary edge
 
     Construction validates the conformity invariants: every boundary edge
     belongs to exactly one triangle, every interior edge to exactly two,
@@ -74,6 +74,16 @@ class Mesh:
             raise MeshTopologyError("vertices must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshTopologyError("triangles must be an (nt, 3) array")
+        if self.boundary_edges.ndim != 2 or self.boundary_edges.shape[1] != 2:
+            raise MeshTopologyError("boundary_edges must be an (nb, 2) array")
+        if self.boundary_markers.shape != self.boundary_edges.shape[:1]:
+            raise MeshTopologyError(
+                f"boundary_markers has shape {self.boundary_markers.shape}, "
+                f"not {self.boundary_edges.shape[:1]}: one per boundary edge")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise MeshTopologyError(f"vertex {bad[0]} has non-finite "
+                                    f"coordinates {self.vertices[bad[0]]}")
         self._validate_indices()
         self._build_geometry()
         self._validate_boundary(self._build_edges())

@@ -17,6 +17,12 @@ Traces on an edge come from the edge's own nodes, through two tables that
 serve every edge (:data:`EDGE_P1`, :data:`EDGE_P2`) and, for DG fields, the
 dof index :attr:`FeContext.edge_dg_dofs`.
 
+:class:`FeContext` tabulates once per mesh what the solvers share: quadrature
+points and weights, basis values and gradients, the cell P1 mass, the DG edge
+dofs, the velocity node layout and the consistent P1 mass M_p (``p1_mass``,
+CSR) with ``p1_integrals`` = M_p 1, which give the Stokes Schur surrogate,
+the weak-divergence norm, the zero-mean border and :func:`pressure_mean`.
+
 Space descriptors and the tabulation context are immutable after
 construction, cache nothing and are safe to share across threads.  Field
 coefficient vectors belong to one writer at a time.
@@ -29,7 +35,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .meshes import EDGE_QP
 from .userdata import evaluate
@@ -132,6 +137,14 @@ class FeContext:
         self.p1_cell_mass = np.einsum(
             "tq,kq->tk", self.cell_qweights, (V[:, None] * V).reshape(9, -1)
         ).reshape(nt, 3, 3)
+        # consistent P1 mass M_p and basis integrals m = M_p 1, bit for bit
+        t = mesh.triangles
+        nv = mesh.num_vertices
+        self.p1_mass = sp.coo_matrix(
+            (self.p1_cell_mass.ravel(), (np.repeat(t, 3, axis=1).ravel(),
+                                         np.tile(t, (1, 3)).ravel())),
+            shape=(nv, nv)).tocsr()
+        self.p1_integrals = self.p1_mass @ np.ones(nv)
 
         # edge (face) structures; geometry comes from the mesh ------------
         edges = mesh.edges
@@ -155,29 +168,11 @@ class FeContext:
         bverts = np.unique(mesh.boundary_edges)
         self.boundary_scalar_nodes = np.concatenate(
             [bverts, mesh.num_vertices + mesh.boundary_edge_ids])
-        # freeze all arrays; the context is shared read-only from here on
-        for value in vars(self).values():
+        # freeze all arrays, the CSR's too; the context is shared read-only
+        M = self.p1_mass
+        for value in [*vars(self).values(), M.data, M.indices, M.indptr]:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-
-
-def p1_mass_matrix(ctx):
-    """The consistent P1 mass matrix over the mesh vertices (COO, with the
-    cell contributions not yet summed)."""
-    tri = ctx.mesh.triangles
-    nv = ctx.mesh.num_vertices
-    return sp.coo_matrix((ctx.p1_cell_mass.ravel(),
-                          (np.repeat(tri, 3, axis=1).ravel(),
-                           np.tile(tri, (1, 3)).ravel())), shape=(nv, nv))
-
-
-def factorise_p1_mass(ctx):
-    """Sparse LU of the P1 mass matrix, built afresh on every call.
-
-    The matrix is symmetric, so its columns are ordered by minimum degree
-    on A^T + A, as the Stokes Laplacian is.
-    """
-    return spla.splu(p1_mass_matrix(ctx).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 @dataclass(frozen=True)
@@ -255,22 +250,15 @@ def interpolate(func: Callable, space: SpaceDescriptor) -> Field:
                          f"{space.kind} nodes")
     field = space.new_field(vals.T.ravel() if velocity else vals)
     if space.kind == "pressure":
-        shift_to_zero_mean(field)
+        field.coefficients -= pressure_mean(field)
     return field
 
 
 def pressure_mean(field: Field) -> float:
-    """Exact mean of a P1 pressure field."""
-    ctx = field.space.context
-    mesh = ctx.mesh
-    cellvals = field.coefficients[mesh.triangles]  # (nt, 3)
-    integral = (mesh.areas * cellvals.mean(axis=1)).sum()
-    return float(integral / mesh.areas.sum())
-
-
-def shift_to_zero_mean(field: Field):
-    """In-place mean removal for pressure fields."""
-    field.coefficients -= pressure_mean(field)
+    """Exact mean (m . p) / sum(m) of a P1 pressure field p."""
+    m = field.space.context.p1_integrals
+    # plain sums, not a BLAS dot, which threads on long vectors
+    return float((m * field.coefficients).sum() / m.sum())
 
 
 # -- evaluation at cell quadrature points ------------------------------------
@@ -436,7 +424,7 @@ def velocity_weak_divergence_l2(field: Field, grads=None) -> float:
     r_cell = np.einsum("tq,kq->tk", ctx.cell_qweights * div, ctx.p1_at_q)
     r = np.bincount(mesh.triangles.ravel(), r_cell.ravel(),
                     minlength=mesh.num_vertices)
-    M = p1_mass_matrix(ctx).tocsr()
+    M = ctx.p1_mass
     # a vertex no cell references has a zero row and a zero load: skip it
     diag = M.diagonal()
     dinv = 1.0 / np.where(diag > 0.0, diag, np.inf)

@@ -12,30 +12,31 @@ net flux of the interpolated boundary data, so the bordered system is
 square and uniquely solvable.  Dirichlet values are eliminated
 symmetrically.
 
-Only the skew block depends on z.  :func:`prepare_generalized_stokes` does
-the rest once per problem: the reduced bordered matrix at z = 0, whose
-pattern already holds the two skew blocks, integer maps from the cell
-pairs of the z-weighted mass into its data and into the right-hand side,
-and one sparse LU of the Dirichlet-reduced scalar Laplacian that both
-velocity components share.  :func:`solve_generalized_stokes` contracts z
-at the quadrature points, scatters the result into a copy of that
-matrix's data and runs GMRES with a block upper-triangular
-preconditioner: that LU for the velocity, and for the pressure and the
-multiplier the exact inverse of the bordered Schur surrogate
-[[-M_p/nu, m], [m^T, 0]], with M_p the consistent pressure mass and m
-the pressure integrals (Elman, Silvester & Wathen, *Finite Elements and
-Fast Iterative Solvers*, 2014).  Since M_p 1 = m, that inverse costs one
-mass solve, and the zero mean holds at any GMRES tolerance.  The
-iteration count does not grow with the mesh but grows with max|z|/nu.  A
-solve may start GMRES from a guess, such as the solution at the previous
-z of a coupling loop; it is used only when its residual is below that of
-the zero start.  On the trig case at n=32 (nu=1, alpha=0.1, the seed-11
-mesh of perfbench's coupled-trig) the eight solves of one coupling loop,
-at the loop's rtol of 1e-10, take 25, 32, 28, 24, 20, 17, 12 and 6
-iterations warm-started, and the pairing solve at 1e-12 takes 11; from
-zero they take 25 and then 34 each (29 and then 44 at 1e-12).  Solves
-are pure functions of their inputs and leave the prepared problem
-unchanged.
+Only the skew block depends on z.  :func:`prepare_generalized_stokes`
+does the rest once per problem: the reduced bordered matrix at z = 0,
+whose pattern already holds the two skew blocks, integer maps from the
+cell pairs of the z-weighted mass into its data and into the right-hand
+side, and two sparse LUs: of the pressure mass and of the
+Dirichlet-reduced scalar Laplacian that both velocity components share.
+:func:`solve_generalized_stokes` contracts z at the quadrature points,
+scatters the result into a copy of that matrix's data and runs GMRES
+with a block upper-triangular preconditioner: that LU for the velocity,
+and for the pressure and the multiplier the exact inverse of the
+bordered Schur surrogate [[-M_p/nu, m], [m^T, 0]], with M_p the
+consistent pressure mass and m the pressure integrals (Elman, Silvester
+& Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).  The
+spaces' context computes m as M_p 1, so M_p 1 = m holds bit for bit;
+that inverse costs one mass solve, and the zero mean holds at any GMRES
+tolerance.  The iteration count does not grow with the mesh but grows
+with max|z|/nu.  A solve may start GMRES from a guess, such as the
+solution at the previous z of a coupling loop; it is used only when its
+residual is below that of the zero start.  On the trig case at n=32
+(nu=1, alpha=0.1, the seed-11 mesh of perfbench's coupled-trig) the
+eight solves of one coupling loop, at the loop's rtol of 1e-10, take 25,
+32, 28, 24, 20, 17, 12 and 6 iterations warm-started, and the pairing
+solve at 1e-12 takes 11; from zero they take 25 and then 34 each (29 and
+then 44 at 1e-12).  Solves are pure functions of their inputs and leave
+the prepared problem unchanged.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class PreparedStokes(NamedTuple):
     rhs: np.ndarray
     lu: object
     nu: float
-    schur: object            # LU of the consistent P1 pressure mass M_p,
+    schur: object            # LU of the context's P1 pressure mass M_p,
                              # taken once here; the Schur surrogate is M_p / nu
     vv: np.ndarray           # V_a*V_b at the cell quadrature points, (36, nq)
     cell_map: np.ndarray     # int32: cell pair (t, 6a+b) -> entry of the
@@ -160,13 +161,6 @@ def _divergence_blocks(spaces_):
         for d in (0, 1))
 
 
-def _pressure_integrals(mesh):
-    """Integral of each P1 pressure basis function (lumped mass)."""
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
-    return out
-
-
 def _cell_values(ctx, f):
     """A vector callable at the cell quadrature points, shape (nt, nq, 2)."""
     pts = ctx.cell_qpoints
@@ -224,8 +218,8 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     :func:`solve_generalized_stokes` calls with the same ``nu``, ``f`` and
     ``g``.
     """
-    if not (nu > 0.0):
-        raise ValueError("nu must be positive")
+    if not (0.0 < nu < np.inf):
+        raise ValueError("nu must be positive and finite")
     ctx = spaces_.context
     mesh = ctx.mesh
     orphans = np.flatnonzero(np.bincount(mesh.triangles.ravel(),
@@ -249,11 +243,13 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
         -(Bx[:, fixed] @ g_fixed[:, 0] + By[:, fixed] @ g_fixed[:, 1]),
         [0.0],
     ])
+    # both matrices are symmetric: columns in minimum degree on A^T + A
     try:
         lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        schur = spla.splu(ctx.p1_mass.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise LinearSolveFailure(
-            f"viscous block factorisation failed: {exc}") from exc
+            f"Stokes set-up factorisation failed: {exc}") from exc
 
     # the cell pairs of the z-weighted mass: free-free pairs fill the skew
     # blocks, free-fixed pairs the right-hand side, the rest are dropped
@@ -275,8 +271,7 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     sr, sc = np.divmod(skew, nf)
     S0 = sp.csr_matrix((np.zeros(skew.size), (sr, sc)), shape=(nf, nf))
     Bt = sp.vstack([Bx[:, free].T, By[:, free].T]).tocsr()
-    mean_vec = _pressure_integrals(ctx.mesh)
-    border = sp.csr_matrix(mean_vec[:, None])
+    border = sp.csr_matrix(ctx.p1_integrals[:, None])
     matrix = sp.bmat([[sp.bmat([[K_ff, S0], [S0, K_ff]]), Bt, None],
                       [Bt.T, None, border],
                       [None, border.T, None]], format="csr")
@@ -284,8 +279,8 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     skew_pos = np.stack([_positions(matrix, sr, nf + sc),
                          _positions(matrix, nf + sr, sc)]).astype(np.int32)
     return PreparedStokes(
-        spaces_, free, fixed, g_fixed, matrix, Bt, rhs, lu, nu,
-        fes.factorise_p1_mass(ctx), _mass_products(ctx), cell_map, skew_pos,
+        spaces_, free, fixed, g_fixed, matrix, Bt, rhs, lu, nu, schur,
+        _mass_products(ctx), cell_map, skew_pos,
         (bnd // fixed.size).astype(np.int32),
         (bnd % fixed.size).astype(np.int32))
 
@@ -337,15 +332,15 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):
     ctx = spaces_.context
     K, rhs = _bordered_system(prep, z)
     nf = prep.free.size
-    area = ctx.mesh.areas.sum()
+    total = ctx.p1_integrals.sum()
 
     def precondition(r):
         # block upper-triangular: pressure and multiplier from the exact
         # inverse of the bordered surrogate [[-M_p/nu, m], [m^T, 0]] (exact
-        # since M_p 1 = m), velocity from the shared LU on each component
-        # of r_u - B^T p
+        # since m is M_p 1, so m^T M_p^-1 = 1^T), velocity from the shared
+        # LU on each component of r_u - B^T p
         rp = r[2 * nf:-1]
-        lam = (r[-1] / prep.nu + rp.sum()) / area
+        lam = (r[-1] / prep.nu + rp.sum()) / total
         p = prep.nu * (lam - prep.schur.solve(rp))
         ru = (r[:2 * nf] - prep.Bt @ p).reshape(2, nf).T
         return np.concatenate([prep.lu.solve(ru).T.ravel(), p, [lam]])

@@ -301,8 +301,10 @@ def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None):
     the edge set carrying the datum on more than 1e-6 of the perimeter is
     reported as a warning with its arc measure.
     """
-    if not (nu > 0.0):
-        raise ValueError("nu must be positive")
+    if not (0.0 < nu < np.inf):
+        raise ValueError("nu must be positive and finite")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if div_tol is not None and not (0.0 < div_tol < np.inf):
         raise ValueError("div_tol must be positive and finite")
     space = rhs.space

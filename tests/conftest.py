@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gradetwo import meshes, spaces, stokes
 
@@ -24,6 +26,22 @@ def spaces8(mesh8):
 @pytest.fixture(scope="session")
 def spaces16(mesh16):
     return spaces.build_spaces(mesh16)
+
+
+@pytest.fixture
+def stokes_splu_shapes(monkeypatch):
+    """The shapes of the matrices that ``splu`` factorises when called from
+    the ``stokes`` module, in call order, while the test runs."""
+    shapes = []
+    splu = spla.splu
+
+    def recorded(A, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == stokes.__name__:
+            shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    return shapes
 
 
 def ring_mesh(k=1):

@@ -4,6 +4,7 @@ Tolerances are pinned here and nowhere else."""
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -161,12 +162,14 @@ def test_criterion_8_guard_rails():
     except FluxIncompatible as exc:
         flux_ok = abs(exc.flux) >= 1e-4
         flux_msg = f"FluxIncompatible flux={exc.flux:.3e}"
-    # flux-variant datum with |g.n| <= eps_n inside the inflow closure
+    # flux-variant datum with |g.n| <= eps_n inside the inflow closure: an
+    # error, with no warning before it
     g = lambda x, y: ((y - 0.5) ** 2, 0.0)
     spec2 = ProblemSpec(mesh=mesh, nu=1.0, alpha=1.0, g=g,
                         h=lambda x, y: 1.0, variant="P_I", flux_tol=1.0)
     try:
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fixed_point_solve(spec2)
         degen_ok = False
         degen_msg = "no error raised"

@@ -1,9 +1,8 @@
 import math
-import sys
+import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from gradetwo import driver, manufactured, meshes, spaces, stokes, transport
 from gradetwo.driver import ProblemSpec, fixed_point_solve
@@ -55,15 +54,14 @@ def _prepare(flux_tol):
                                       lambda x, y: (x, y), flux_tol=flux_tol)
 
 
-def _transport(div_tol):
+def _transport(div_tol=None, nu=1.0, alpha=1.0, flow=lambda x, y: (x, 0.0)):
     mesh = meshes.unit_square_mesh(4)
     sp_ = spaces.build_spaces(mesh)
-    flow = lambda x, y: (x, 0.0)  # noqa: E731
     u = spaces.interpolate(flow, sp_.velocity)
     part = meshes.classify_boundary(mesh, flow, 1.0)
     datum = transport.build_inflow_datum(mesh, "P_II", lambda x, y: 1.0,
                                          flow, part)
-    transport.solve_transport(u, 1.0, 1.0, sp_.vorticity.new_field(), datum,
+    transport.solve_transport(u, nu, alpha, sp_.vorticity.new_field(), datum,
                               part, div_tol=div_tol)
 
 
@@ -77,6 +75,45 @@ def test_library_rejects_nonfinite_tolerances(call, name, value):
     silenced the divergence warning."""
     with pytest.raises(ValueError, match=name):
         call(**{name: value})
+
+
+def _transport_uniform(**kw):
+    _transport(flow=lambda x, y: (1.0, 0.0), **kw)
+
+
+def _prepare_zero(nu):
+    sp_ = spaces.build_spaces(meshes.unit_square_mesh(4))
+    zero = lambda x, y: (0.0, 0.0)  # noqa: E731
+    stokes.prepare_generalized_stokes(sp_, nu, zero, zero)
+
+
+def _manufactured(**kw):
+    manufactured.manufactured_case("trig", **(dict(nu=1.0, alpha=0.1) | kw))
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (_transport_uniform, "alpha", math.nan),
+    (_transport_uniform, "alpha", math.inf),
+    (_transport_uniform, "nu", math.inf),
+    (_prepare_zero, "nu", math.inf),
+    (_manufactured, "nu", math.inf), (_manufactured, "alpha", math.nan)])
+def test_library_rejects_nonfinite_constants(call, name, value):
+    """The library calls check nu and alpha as ProblemSpec does; unchecked,
+    the solvers failed on a singular or non-finite matrix instead, and the
+    manufactured case was accepted."""
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        call(**{name: value})
+
+
+def test_flux_variant_degenerate_inflow_raises_without_warning():
+    """g.n = -(y - 1/2)^2 vanishes at vertex y = 1/2 inside the inflow
+    edge x = 0: P_I raises, and no warning precedes the error."""
+    spec = ProblemSpec(mesh=meshes.unit_square_mesh(8), nu=1.0, alpha=1.0,
+                       g=lambda x, y: ((y - 0.5) ** 2, 0.0), variant="P_I")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInflow, match="vanishes strictly"):
+            driver.prepare(spec)
 
 
 def test_spec_loads_mesh_from_path(tmp_path):
@@ -207,28 +244,24 @@ def test_no_warm_state_across_calls(mesh8):
     assert first[3].dz_l2 == second[3].dz_l2
 
 
-def test_setup_work_once_per_solve(mesh8, monkeypatch):
-    """The flux check and the Stokes factorisation run once per
-    fixed_point_solve, however many coupling iterations it takes."""
-    counts = {"flux_checks": 0, "stokes_lu": 0}
+def test_setup_work_once_per_solve(mesh8, monkeypatch, stokes_splu_shapes):
+    """The flux check and the two Stokes factorisations (velocity block and
+    pressure mass) run once per fixed_point_solve, however many coupling
+    iterations it takes."""
+    flux_checks = []
     check = stokes.check_flux_compatibility
-    splu = spla.splu
 
     def counted_check(*args, **kwargs):
-        counts["flux_checks"] += 1
+        flux_checks.append(1)
         return check(*args, **kwargs)
 
-    def counted_splu(*args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == stokes.__name__:
-            counts["stokes_lu"] += 1
-        return splu(*args, **kwargs)
-
     monkeypatch.setattr(stokes, "check_flux_compatibility", counted_check)
-    monkeypatch.setattr(spla, "splu", counted_splu)
     case = manufactured.manufactured_case("trig", 1.0, 0.1)
     _, _, _, rep = fixed_point_solve(case.problem_spec(mesh8))
     assert rep.converged and rep.iterations > 2
-    assert counts == {"flux_checks": 1, "stokes_lu": 1}
+    assert len(flux_checks) == 1
+    assert len(stokes_splu_shapes) == 2
+    assert (mesh8.num_vertices,) * 2 in stokes_splu_shapes
 
 
 def test_data_evaluated_in_batches(mesh8):
@@ -315,23 +348,15 @@ def test_limit_study_monotone_and_zero_row(mesh8):
     assert not any(r.failed for r in rows)
 
 
-def test_limit_study_factorises_once(mesh8, monkeypatch):
-    """Every row reuses the alpha=0 reference's Stokes factorisation and
-    matches a separate solve at its alpha bit for bit."""
+def test_limit_study_factorises_once(mesh8, monkeypatch, stokes_splu_shapes):
+    """Every row reuses the alpha=0 reference's Stokes factorisations
+    (velocity block and pressure mass) and matches a separate solve at its
+    alpha bit for bit."""
     spec = ProblemSpec(mesh=mesh8, nu=1.0, alpha=0.2, f=SMOOTH_F,
                        curl_f=SMOOTH_CURL_F)
     alphas = [0.2, 0.1, 0.05, 0.0]
-    counts = {"stokes_lu": 0}
-    splu = spla.splu
-
-    def counted_splu(*args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == stokes.__name__:
-            counts["stokes_lu"] += 1
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted_splu)
     rows = driver.navier_stokes_limit_study(spec, alphas)
-    assert counts == {"stokes_lu": 1}
+    assert len(stokes_splu_shapes) == 2
     monkeypatch.undo()
     u0, _, z0, _ = fixed_point_solve(spec.replace(alpha=0.0))
     for row, alpha in zip(rows, alphas):

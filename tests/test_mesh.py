@@ -141,6 +141,34 @@ def test_topology_errors_named(vertices, tris, bedges, message):
                     np.ones(len(bedges), dtype=int))
 
 
+def _square2(vertex4=None, bedges=lambda b: b, markers=lambda m: m):
+    base = meshes.unit_square_mesh(2)
+    v = base.vertices.copy()
+    if vertex4 is not None:
+        v[4] = vertex4
+    return meshes.Mesh(v, base.triangles, bedges(base.boundary_edges),
+                       markers(base.boundary_markers))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(vertex4=(np.nan, 0.5)), r"vertex 4 has non-finite coordinates"),
+    (dict(vertex4=(0.5, np.inf)), r"vertex 4 has non-finite coordinates"),
+    (dict(markers=lambda m: m[:3]),
+     r"boundary_markers has shape \(3,\), not \(8,\): one per boundary"),
+    (dict(markers=lambda m: m[:, None]),
+     r"boundary_markers has shape \(8, 1\), not \(8,\)"),
+    (dict(bedges=lambda b: b[:, :1]), r"boundary_edges must be an \(nb, 2\)"),
+], ids=["nan_vertex", "inf_vertex", "few_markers", "marker_column",
+        "one_column_edges"])
+def test_mesh_arrays_checked(kwargs, message):
+    """Non-finite coordinates, a marker count other than the boundary edge
+    count and a boundary edge array of the wrong shape are named; unchecked,
+    they built a mesh with NaN geometry, built one that save_mesh wrote as
+    a file load_mesh rejects, or failed on an edge lookup."""
+    with pytest.raises(MeshTopologyError, match=message):
+        _square2(**kwargs)
+
+
 TABLE_MESHES = {
     "square1": lambda: meshes.unit_square_mesh(1),
     "square5": lambda: meshes.unit_square_mesh(5),

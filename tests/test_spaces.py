@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradetwo import meshes, spaces
+from gradetwo import meshes, spaces, stokes
 from conftest import l2_orders, perturbed_square, ring_mesh
 
 
@@ -67,6 +67,48 @@ def test_pressure_constant_is_mean_shifted(spaces8):
 def test_pressure_interpolant_zero_mean(spaces8):
     p = spaces.interpolate(lambda x, y: x * 3 + y, spaces8.pressure)
     assert abs(spaces.pressure_mean(p)) < 1e-13
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meshes.unit_square_mesh(8),
+    lambda: perturbed_square(6, 3),
+    lambda: ring_mesh(2)], ids=["square", "perturbed", "ring"])
+def test_p1_mass_maps_one_to_integrals(build):
+    """m = M_p 1 bit for bit, m is the integral of each P1 basis function
+    (a third of the area of each cell around the vertex), and a vertex no
+    cell references has an empty row and a zero integral."""
+    mesh = build()
+    ctx = spaces.build_spaces(mesh).context
+    M, m = ctx.p1_mass, ctx.p1_integrals
+    assert np.array_equal(M @ np.ones(mesh.num_vertices), m)
+    lumped = np.bincount(mesh.triangles.ravel(),
+                         np.repeat(mesh.areas / 3.0, 3),
+                         minlength=mesh.num_vertices)
+    assert np.abs(m - lumped).max() <= 1e-15 * m.max()
+    orphans = np.bincount(mesh.triangles.ravel(),
+                          minlength=mesh.num_vertices) == 0
+    assert np.all(np.diff(M.indptr)[orphans] == 0)
+    assert np.all(m[orphans] == 0.0)
+
+
+def test_p1_mass_read_only(spaces8):
+    M = spaces8.context.p1_mass
+    for arr in (M.data, M.indices, M.indptr, spaces8.context.p1_integrals):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_schur_lu_maps_integrals_to_one(spaces8):
+    zero = lambda x, y: (0.0, 0.0)  # noqa: E731
+    prep = stokes.prepare_generalized_stokes(spaces8, 1.0, zero, zero)
+    ones = prep.schur.solve(spaces8.context.p1_integrals)
+    assert np.abs(ones - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("c", [1.0, -2.5, 1e3, np.pi])
+def test_pressure_mean_of_constant(spaces8, c):
+    p = spaces8.pressure.new_field(np.full(spaces8.pressure.dof_count, c))
+    assert spaces.pressure_mean(p) == pytest.approx(c, rel=1e-15)
 
 
 def test_interpolation_order_at_least_two():

@@ -160,7 +160,7 @@ def full_blocks(spaces_, nu, z):
     n = ctx.num_scalar_nodes
     nodes = ctx.boundary_scalar_nodes
     dirichlet = np.sort(np.concatenate([nodes, n + nodes]))
-    return A, C, B, stokes._pressure_integrals(ctx.mesh), dirichlet
+    return A, C, B, ctx.p1_integrals, dirichlet
 
 
 def reference_system(spaces_, nu, z, f, g):
