@@ -349,9 +349,8 @@ def diagnostics(u, p, z, spec, part):
     speed reciprocal and degeneracy listing."""
     energy = stokes_energy_report(u, p, z, spec.f, spec.nu)
     sign = trs.sign_functional_report(z, u, spec.alpha)
-    green = trs.green_residual(
-        z, u, lambda x, y: x + y, part,
-        phi_grad=lambda x, y: (1.0, 1.0), localized=False)
+    green = trs.green_residual(z, u, lambda x, y: x + y,
+                               lambda x, y: (1.0, 1.0))
     return DiagnosticsReport(
         u_norms=fes.norms(u),
         p_norms=fes.norms(p),

@@ -318,14 +318,19 @@ def _cell_scalar_coeffs(field):
     raise ValueError("expected a scalar field")
 
 
-def velocity_edge_values(field: Field):
-    """(ne, nqe, 2) velocity traces on all edges, from their own nodes."""
+def velocity_edge_coefficients(field: Field):
+    """(2, ne, 3) coefficients of each velocity component at each edge's own
+    nodes (v0, v1, midpoint), the rows of :data:`EDGE_P2`."""
     ctx = field.space.context
     mesh = ctx.mesh
     nodes = np.column_stack([mesh.edges,
                              mesh.num_vertices + np.arange(mesh.num_edges)])
-    c = field.coefficients.reshape(2, ctx.num_scalar_nodes)[:, nodes]
-    return np.einsum("cea,aq->eqc", c, EDGE_P2)
+    return field.coefficients.reshape(2, ctx.num_scalar_nodes)[:, nodes]
+
+
+def velocity_edge_values(field: Field):
+    """(ne, nqe, 2) velocity traces on all edges, from their own nodes."""
+    return np.einsum("cea,aq->eqc", velocity_edge_coefficients(field), EDGE_P2)
 
 
 def vorticity_edge_values(field: Field, side):
@@ -394,34 +399,48 @@ def error_h1(field: Field, exact_grad: Callable) -> float:
     return float(np.sqrt((ctx.cell_qweights * diff).sum()))
 
 
+def velocity_h1_semi(field: Field) -> float:
+    """|u|_H1, exact from the corner gradients: grad u is linear on each
+    cell, and a linear f with corner values f_k has integral
+    area/12 ((sum_k f_k)^2 + sum_k f_k^2), from int lambda_i lambda_j =
+    area (1 + delta_ij) / 12.  Equal to ``norms(field).h1_semi`` up to
+    round-off."""
+    g = velocity_corner_gradients(field).reshape(-1, 3, 4)
+    total = g.sum(axis=1)
+    sq = np.einsum("ti,ti->t", total, total) + np.einsum("tki,tki->t", g, g)
+    return float(np.sqrt((field.space.context.mesh.areas * sq).sum() / 12.0))
+
+
 # CG steps on the P1 mass: 4 * 9^-16 = 2e-15 bounds the relative error of
 # r^T M^-1 r (see velocity_weak_divergence_l2)
 MASS_CG_STEPS = 16
 
 
-def velocity_weak_divergence_l2(field: Field, grads=None) -> float:
+def velocity_weak_divergence_l2(field: Field) -> float:
     """L2 norm of the P1 projection of div u.
 
     This is the quantity the divergence constraint of the mixed method
     actually controls: solver-precision small for Stokes solutions and for
     interpolants of solenoidal fields, order one for genuinely
-    compressible data.  ``grads`` may pass ``velocity_cell_gradients(field)``
-    when the caller already has it.
+    compressible data.
 
-    With r the P1 load of div u, the norm is sqrt(r^T M^-1 r) for the P1
-    mass M, taken by :data:`MASS_CG_STEPS` steps of Jacobi-preconditioned
-    conjugate gradients from zero.  The Jacobi-scaled P1 mass has its
-    spectrum in [1/2, 2] on any triangle mesh (Wathen, IMA J. Numer. Anal.
-    7, 1987), so after k steps r^T x_k falls short of r^T M^-1 r by the
-    squared M-norm error, at most 4 * 9^-k of it: 2e-15 relative at k = 16.
-    The step count is fixed, so no tolerance enters and the result repeats
-    bit for bit.
+    div u is linear on each cell, so its P1 load r, the integrals of
+    div u against the P1 basis, is exact from its corner values d_k:
+    area/12 (sum_k d_k + d_j) on each cell, from int lambda_i lambda_j =
+    area (1 + delta_ij) / 12; no quadrature point enters.  The norm is
+    sqrt(r^T M^-1 r) for the P1 mass M, taken by :data:`MASS_CG_STEPS`
+    steps of Jacobi-preconditioned conjugate gradients from zero.  The
+    Jacobi-scaled P1 mass has its spectrum in [1/2, 2] on any triangle mesh
+    (Wathen, IMA J. Numer. Anal. 7, 1987), so after k steps r^T x_k falls
+    short of r^T M^-1 r by the squared M-norm error, at most 4 * 9^-k of
+    it: 2e-15 relative at k = 16.  The step count is fixed, so no tolerance
+    enters and the result repeats bit for bit.
     """
     ctx = field.space.context
     mesh = ctx.mesh
-    g = velocity_cell_gradients(field) if grads is None else grads
-    div = g[:, :, 0, 0] + g[:, :, 1, 1]
-    r_cell = np.einsum("tq,kq->tk", ctx.cell_qweights * div, ctx.p1_at_q)
+    g = velocity_corner_gradients(field)
+    div = g[:, :, 0, 0] + g[:, :, 1, 1]     # (nt, 3)
+    r_cell = (mesh.areas / 12.0)[:, None] * (div.sum(axis=1)[:, None] + div)
     r = np.bincount(mesh.triangles.ravel(), r_cell.ravel(),
                     minlength=mesh.num_vertices)
     M = ctx.p1_mass

@@ -415,7 +415,7 @@ def stokes_energy_report(u, p, z, f, nu):
                  - np.einsum("ta,tab,tb->", c[0], mz, c[1]))
     div = grads[:, :, 0, 0] + grads[:, :, 1, 1]
     div_broken = float(np.sqrt((w * div ** 2).sum()))
-    div_weak = fes.velocity_weak_divergence_l2(u, grads)
+    div_weak = fes.velocity_weak_divergence_l2(u)
     return StokesEnergyReport(
         viscous=viscous,
         forcing=forcing,

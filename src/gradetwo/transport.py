@@ -17,14 +17,24 @@ unconditionally (see :func:`sign_functional`).
 The matrix stores only the upwind couplings, the blocks of each face's
 upwind side, on interior and boundary faces alike, so its pattern follows
 the sign of alpha*u.n; a face block is 2x2, over the two vertices of its
-edge, the only DG nodes with a nonzero trace there.  The sparse LU is taken
-with the cells in downstream-first order of the strongly connected
-components of the upwind cell graph, where the matrix is block upper
-triangular, whenever the dense diagonal blocks of that order hold no more
-entries than the matrix: then the solve is the exact block sweep along the
-flow (Lesaint & Raviart, 1974), with the small cycles of the flow solved as
-blocks.  A flow that closes on itself in large components, such as a
-rotation, is factorised with COLAMD.
+edge, the only DG nodes with a nonzero trace there.  The stored pattern is
+structural: every 3x3 cell block, a cell entry that cancels to 0.0
+included, plus 4 entries per upwind coupling block, so it does not move
+with round-off.  The kernels are closed forms of the velocity's P2
+coefficients, with no velocity sample: the cell convection block from the
+fixed P2-P1 moment table, alpha*u.n on the edges from the normal contracted
+into each edge's three coefficients, and the divergence check from the
+velocity gradients at the cell corners.
+
+The sparse LU is taken with the cells in downstream-first order of the
+strongly connected components of the upwind cell graph, where the matrix is
+block upper triangular, whenever the dense diagonal blocks of that order
+hold no more entries than the matrix: then the solve is the exact block
+sweep along the flow (Lesaint & Raviart, 1974), with the small cycles of
+the flow solved as blocks.  A flow that closes on itself in large
+components, such as a rotation, is factorised with COLAMD.  Both LUs use
+small SuperLU supernodes and panels (:data:`_SPLU_OPTIONS`): the same fill
+as SuperLU's defaults, in less time and workspace.
 """
 
 from __future__ import annotations
@@ -128,18 +138,50 @@ def build_inflow_datum(mesh, variant, h, g, part):
 _EDGE_P1_PAIRS = np.ascontiguousarray(
     (fes.EDGE_P1[:, None] * fes.EDGE_P1).transpose(2, 0, 1))
 
+# P[b, j] = sum_q w_q phi_b(q) lambda_j(q) over the reference cell, for the P2
+# basis phi and the P1 basis lambda, (6, 3); the cell rule is exact through
+# degree 5 and these products have degree 3, so it is exact
+_P2_P1_MASS = np.einsum("q,bq,jq->bj", fes.TRI_QW, fes.p2_values(fes.TRI_QP),
+                        fes.p1_values(fes.TRI_QP))
+
 
 def _edge_sign(u, alpha):
-    """alpha * u.n at all edge quadrature points, shape (ne, nqe)."""
+    """alpha * u.n at all edge quadrature points, shape (ne, nqe).
+
+    u.n is quadratic along the edge: the normal is contracted into the
+    three edge coefficients of u before the trace table is applied."""
+    c = fes.velocity_edge_coefficients(u)  # (2, ne, 3)
+    n = u.space.context.mesh.edge_normals
+    cn = alpha * (c[0] * n[:, :1] + c[1] * n[:, 1:])
+    return np.einsum("ea,aq->eq", cn, fes.EDGE_P2)
+
+
+def _cell_convection(u, alpha):
+    """(nt, 3, 3) cell blocks conv[t, i, j] = (lambda_j, alpha u . grad
+    lambda_i) over cell t.
+
+    grad lambda_i is constant on the cell, so conv[t, i, j] = sum_d
+    grad lambda_i[d] alpha area_t (c_d @ P)[j], with c_d the cell's six P2
+    coefficients of component d and P = :data:`_P2_P1_MASS`: exact from the
+    coefficients, with no velocity sample.  Broadcasts only: no BLAS call,
+    so the assembly runs on the calling thread alone and wakes no BLAS
+    thread pool.
+    """
     ctx = u.space.context
-    tr = fes.velocity_edge_values(u)  # (ne, nqe, 2)
-    n = ctx.mesh.edge_normals
-    return alpha * (tr[:, :, 0] * n[:, None, 0] + tr[:, :, 1] * n[:, None, 1])
+    c = u.coefficients.reshape(2, -1)[:, ctx.cell_scalar_nodes]  # (2, nt, 6)
+    # m = c @ P as six broadcast products, faster here than an einsum
+    m = c[..., 0, None] * _P2_P1_MASS[0]
+    for b in range(1, 6):
+        m += c[..., b, None] * _P2_P1_MASS[b]
+    m *= (alpha * ctx.mesh.areas)[:, None]  # (2, nt, 3)
+    GL = ctx.grad_lambda                    # (nt, 3, 2)
+    return GL[:, :, :1] * m[0, :, None] + GL[:, :, 1:] * m[1, :, None]
 
 
 def _assemble_operator(u, nu, alpha, eps_n):
-    """Upwind DG matrix (CSC, no stored zeros) and alpha*u.n at the
-    boundary-edge quadrature points, which :func:`_inflow_load` takes.
+    """Upwind DG matrix (CSC) and alpha*u.n at the boundary-edge quadrature
+    points, which :func:`_inflow_load` takes.  The cell blocks are
+    nu times the P1 mass minus :func:`_cell_convection`.
 
     Every edge carries the flux of its upwind side: with s = alpha*u.n out
     of side 0 it is s+ z0 + s- z1, tested with v0 - v1.  On a boundary edge
@@ -153,17 +195,9 @@ def _assemble_operator(u, nu, alpha, eps_n):
     ctx = u.space.context
     mesh = ctx.mesh
     nt = mesh.num_triangles
-    w = ctx.cell_qweights
-    V = ctx.p1_at_q              # (3, nq)
-    a = alpha * fes.velocity_cell_values(u)  # (nt, nq, 2)
 
-    # cell part: nu*(z, v) - (z, a . grad v), by broadcasts and
-    # two-operand einsums; none calls BLAS, so the assembly runs on the
-    # calling thread alone and wakes no BLAS thread pool
-    GL = ctx.grad_lambda         # (nt, 3, 2)
-    adotgrad = a[..., :1] * GL[:, None, :, 0] + a[..., 1:] * GL[:, None, :, 1]
-    conv = np.einsum("tqi,tqj->tij", adotgrad, w[:, :, None] * V.T)
-    local = nu * ctx.p1_cell_mass - conv
+    # cell part: nu*(z, v) - (z, alpha u . grad v)
+    local = nu * ctx.p1_cell_mass - _cell_convection(u, alpha)
     cell_dofs = 3 * np.arange(nt)[:, None] + np.arange(3)
     rows = [np.repeat(cell_dofs, 3, axis=1).ravel()]
     cols = [np.tile(cell_dofs, (1, 3)).ravel()]
@@ -186,13 +220,22 @@ def _assemble_operator(u, nu, alpha, eps_n):
     cols.append(np.tile(dofs[e[k], c[k]], (1, 2)).ravel())
     data.append((np.where(r == 0, 1.0, -1.0)[:, None, None] * blk[k]).ravel())
 
-    # every face entry sums terms of one sign, one of them nonzero; drop
-    # the sums with the cell part that cancel exactly
+    # the stored pattern is structural: every cell block, plus the blocks
+    # coupling a cell to an upwind neighbour, whose entries sum terms of one
+    # sign, one of them nonzero; a cell entry that cancels stays stored
     K = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(3 * nt, 3 * nt)).tocsc()
-    K.eliminate_zeros()
     return K, s[mesh.boundary_edge_ids]
+
+
+# SuperLU's relaxed supernodes and panels (Demmel et al., SIAM J. Matrix
+# Anal. Appl. 20, 1999) at relax 1 and panel 5 instead of the defaults
+# (relax 10, panel 20).  On the perfbench transport matrices (n = 64, 128)
+# the fill stays the same to 0.01%, while the factorisation takes 0.6-0.9x
+# the time and raises peak memory about a third as much (17 against 47 MB
+# for the rotation at n = 128)
+_SPLU_OPTIONS = {"relax": 1, "panel_size": 5}
 
 
 def _factorise(K):
@@ -209,7 +252,7 @@ def _factorise(K):
     ``K.nnz``: always when the graph is acyclic (every component one cell),
     and when the flow's cycles are short, as where a face is upwind on both
     sides.  Otherwise, as for closed streamlines, the columns are ordered
-    by COLAMD.
+    by COLAMD.  Both take :data:`_SPLU_OPTIONS`.
     """
     nt = K.shape[0] // 3
     C = K.tocoo()
@@ -220,10 +263,10 @@ def _factorise(K):
     block_fill = 9 * (np.bincount(labels).astype(np.int64) ** 2).sum()
     try:
         if block_fill > K.nnz or np.any(labels[rows] > labels[cols]):
-            return spla.splu(K).solve
+            return spla.splu(K, permc_spec="COLAMD", **_SPLU_OPTIONS).solve
         order = np.argsort(labels, kind="stable")
         dofs = (3 * order[:, None] + np.arange(3)).ravel()
-        lu = spla.splu(K[dofs][:, dofs], permc_spec="NATURAL")
+        lu = spla.splu(K[dofs][:, dofs], permc_spec="NATURAL", **_SPLU_OPTIONS)
     except RuntimeError as exc:
         raise LinearSolveFailure(f"transport LU failed: {exc}") from exc
 
@@ -271,19 +314,15 @@ def _dg_load(ctx, samples):
 
 def _check_divergence(u, div_tol):
     """Warn when the weak divergence of ``u`` exceeds ``div_tol``, by
-    default 1e-8 |u|_H1.  Both come from one evaluation of the velocity
-    gradients, which is freed before the transport matrix is built.  The
-    divergence takes no factorisation: a fixed number of Jacobi-
-    preconditioned CG steps on the P1 mass, whose scaled spectrum lies in
-    [1/2, 2] (Wathen, 1987), give it to 2e-15 relative
+    default 1e-8 |u|_H1.  Both are exact from the velocity gradients at the
+    cell corners, since grad u is linear on each cell.  The divergence
+    takes no factorisation: a fixed number of Jacobi-preconditioned CG
+    steps on the P1 mass, whose scaled spectrum lies in [1/2, 2] (Wathen,
+    1987), give it to 2e-15 relative
     (:func:`gradetwo.spaces.velocity_weak_divergence_l2`)."""
-    grads = fes.velocity_cell_gradients(u)
-    div = fes.velocity_weak_divergence_l2(u, grads)
+    div = fes.velocity_weak_divergence_l2(u)
     if div_tol is None:
-        # |u|_H1 as fes.norms computes it
-        w = u.space.context.cell_qweights
-        h1 = np.sqrt((w * (grads ** 2).sum(axis=(2, 3))).sum())
-        div_tol = 1e-8 * max(1.0, float(h1))
+        div_tol = 1e-8 * max(1.0, fes.velocity_h1_semi(u))
     if div > div_tol:
         warnings.warn(
             f"transport velocity has weak divergence {div:.3e} above "
@@ -374,27 +413,16 @@ def sign_functional(z, u, alpha):
     return sign_functional_report(z, u, alpha).total
 
 
-def _fd_gradient(phi, h=1e-6):
-    def grad(x, y):
-        return ((phi(x + h, y) - phi(x - h, y)) / (2.0 * h),
-                (phi(x, y + h) - phi(x, y - h)) / (2.0 * h))
-    return grad
-
-
-def green_residual(z, u, phi, part, phi_grad=None, localized=False):
+def green_residual(z, u, phi, phi_grad):
     """Defect of the discrete Green identity for the pair (z, u).
 
     Evaluates |(z u, grad phi) + (phi u, grad z) - boundary flux| where the
-    boundary flux integrates z (u.n) phi over the whole boundary, or over
-    the inflow part only when ``localized`` (phi is then expected to vanish
-    on the complement).  Gradients of z are broken; the residual measures
-    the combined effect of interfacial jumps and the divergence defect of u.
-    ``phi`` and ``phi_grad`` are called with coordinate arrays through
-    :func:`gradetwo.userdata.evaluate`; without ``phi_grad`` a central
-    difference of ``phi`` is used.
+    boundary flux integrates z (u.n) phi over the whole boundary.  Gradients
+    of z are broken; the residual measures the combined effect of
+    interfacial jumps and the divergence defect of u.  ``phi`` and its
+    gradient ``phi_grad`` are called with coordinate arrays through
+    :func:`gradetwo.userdata.evaluate`.
     """
-    if phi_grad is None:
-        phi_grad = _fd_gradient(phi)
     ctx = z.space.context
     mesh = ctx.mesh
     w = ctx.cell_qweights
@@ -409,19 +437,12 @@ def green_residual(z, u, phi, part, phi_grad=None, localized=False):
     adv = uq[:, :, 0] * gz[:, None, 0] + uq[:, :, 1] * gz[:, None, 1]
     vol2 = float((w * phiq * adv).sum())
 
-    bids = mesh.boundary_edge_ids
-    if localized:
-        sel = np.array(sorted(part.gamma_minus), dtype=np.int64)
-    else:
-        sel = np.arange(mesh.num_boundary_edges, dtype=np.int64)
-    flux = 0.0
-    if sel.size:
-        eids = bids[sel]
-        un = _edge_sign(u, 1.0)[eids]
-        zb = fes.vorticity_edge_values(z, 0)[eids]
-        bpts = mesh.edge_qpoints[eids]
-        phib = evaluate(phi, bpts[..., 0], bpts[..., 1])
-        flux = float((mesh.edge_qweights[eids] * zb * un * phib).sum())
+    eids = mesh.boundary_edge_ids
+    un = _edge_sign(u, 1.0)[eids]
+    zb = fes.vorticity_edge_values(z, 0)[eids]
+    bpts = mesh.edge_qpoints[eids]
+    phib = evaluate(phi, bpts[..., 0], bpts[..., 1])
+    flux = float((mesh.edge_qweights[eids] * zb * un * phib).sum())
     return abs(vol1 + vol2 - flux)
 
 

@@ -191,8 +191,7 @@ def test_criterion_9_green_residual_order():
         sp_ = spaces.build_spaces(mesh)
         u = spaces.interpolate(case.u, sp_.velocity)
         z = spaces.interpolate(case.z, sp_.vorticity)
-        part = meshes.classify_boundary(mesh, case.u, case.alpha)
-        errs.append(transport.green_residual(z, u, phi, part, phi_grad=gphi))
+        errs.append(transport.green_residual(z, u, phi, phi_grad=gphi))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = min(orders) >= 1.0
     _report(9, "Green identity defect decay", ok,

@@ -251,6 +251,25 @@ def test_weak_divergence_matches_mass_lu(build):
             ref, rel=1e-13)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: meshes.unit_square_mesh(16),
+    lambda: perturbed_square(16, 3),
+    lambda: ring_mesh(3)], ids=["square", "perturbed", "ring"])
+def test_h1_semi_from_corners_matches_quadrature(build):
+    # |u|_H1 from the corner gradients against the 7-point quadrature of
+    # norms(); the weak divergence is checked against its quadrature load
+    # by test_weak_divergence_matches_mass_lu
+    sp_ = spaces.build_spaces(build())
+    rng = np.random.default_rng(12)
+    fields = [
+        spaces.interpolate(lambda x, y: (np.sin(x) * y, x * x - np.cos(y)),
+                           sp_.velocity),
+        sp_.velocity.new_field(rng.standard_normal(sp_.velocity.dof_count))]
+    for u in fields:
+        assert spaces.velocity_h1_semi(u) == pytest.approx(
+            spaces.norms(u).h1_semi, rel=1e-13)
+
+
 @given(st.floats(min_value=-5, max_value=5, allow_nan=False))
 @settings(max_examples=25, deadline=None)
 def test_norms_scale_linearly(c):

@@ -208,10 +208,22 @@ def assert_matches_spsolve(K, solve):
 
 @pytest.mark.parametrize("gfun", [UNIFORM, ROTATION],
                          ids=["uniform", "rotation"])
-def test_operator_stores_no_zeros(mesh16, gfun):
-    # the downwind blocks of a face carry no coupling: none is stored
-    K = dg_operator(mesh16, gfun)
-    assert np.count_nonzero(K.data) == K.nnz
+def test_operator_stores_structural_pattern(mesh16, gfun):
+    # every cell block is stored, a cell entry that cancels included, plus
+    # one 2x2 block per face side that is upwind somewhere on an interior
+    # face; the downwind blocks of a face carry no coupling and are not
+    # stored, and no coupling entry is zero
+    u = spaces.interpolate(gfun, spaces.build_spaces(mesh16).velocity)
+    part = meshes.classify_boundary(mesh16, gfun, 1.0)
+    K, _ = transport._assemble_operator(u, 1.0, 1.0, part.eps_n)
+    s = transport._edge_sign(u, 1.0)[u.space.context.edge_interior]
+    blocks = np.count_nonzero(s.max(axis=1) > 0.0) + np.count_nonzero(
+        s.min(axis=1) < 0.0)
+    C = K.tocoo()
+    coupling = C.row // 3 != C.col // 3
+    assert np.count_nonzero(~coupling) == 9 * mesh16.num_triangles
+    assert np.count_nonzero(coupling) == 4 * blocks
+    assert np.all(C.data[coupling] != 0.0)
 
 
 @pytest.mark.parametrize("perturbed", [False, True],
@@ -220,7 +232,7 @@ def test_acyclic_flow_factorised_in_downstream_order(mesh16, perturbed,
                                                      monkeypatch):
     K = dg_operator(perturbed_square(16, 3) if perturbed else mesh16, UNIFORM)
     solve, (A, kwargs, lu) = factorise_recorded(K, monkeypatch)
-    assert kwargs == {"permc_spec": "NATURAL"}
+    assert kwargs == {**transport._SPLU_OPTIONS, "permc_spec": "NATURAL"}
     # each cell's equation reads only itself and cells upwind of it, which
     # come later: the factorised matrix is block upper triangular
     rows, cols = A.nonzero()
@@ -233,7 +245,8 @@ def test_acyclic_flow_factorised_in_downstream_order(mesh16, perturbed,
 def test_cyclic_flow_factorised_with_colamd(mesh16, monkeypatch):
     K = dg_operator(mesh16, ROTATION)
     solve, (A, kwargs, _) = factorise_recorded(K, monkeypatch)
-    assert A is K and kwargs == {}
+    assert A is K
+    assert kwargs == {**transport._SPLU_OPTIONS, "permc_spec": "COLAMD"}
     assert_matches_spsolve(K, solve)
 
 
@@ -243,7 +256,7 @@ def test_short_cycles_swept_in_component_order(mesh16, monkeypatch):
     # graph has 2-cell cycles, which the sweep solves as 6x6 blocks
     K = dg_operator(mesh16, TRIG)
     solve, (A, kwargs, lu) = factorise_recorded(K, monkeypatch)
-    assert kwargs == {"permc_spec": "NATURAL"}
+    assert kwargs == {**transport._SPLU_OPTIONS, "permc_spec": "NATURAL"}
     rows, cols = (i // 3 for i in A.nonzero())
     nt = A.shape[0] // 3
     _, labels = connected_components(
@@ -363,6 +376,52 @@ def test_operator_matches_reference_loop(mesh_name, gfun, eps_n):
     assert np.array_equal(K != 0.0, R != 0.0)
 
 
+@pytest.fixture(scope="module")
+def wavy_velocity():
+    """A P2 interpolant of a non-polynomial flow on a perturbed mesh."""
+    sp_ = spaces.build_spaces(perturbed_square(12, 7))
+    return spaces.interpolate(
+        lambda x, y: (np.sin(3.0 * x) * np.exp(y), np.cos(2.0 * x * y) - x),
+        sp_.velocity)
+
+
+def test_cell_convection_matches_quadrature(wavy_velocity):
+    # the closed form against (lambda_j, alpha u . grad lambda_i) with u
+    # sampled at the 7 cell quadrature points
+    u, alpha = wavy_velocity, 0.7
+    ctx = u.space.context
+    a = alpha * spaces.velocity_cell_values(u)             # (nt, nq, 2)
+    adotgrad = np.einsum("tqd,tid->tqi", a, ctx.grad_lambda)
+    ref = np.einsum("tq,tqi,jq->tij", ctx.cell_qweights, adotgrad,
+                    ctx.p1_at_q)
+    got = transport._cell_convection(u, alpha)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_edge_sign_matches_traces(wavy_velocity):
+    u, alpha = wavy_velocity, -1.3
+    n = u.space.context.mesh.edge_normals
+    ref = alpha * np.einsum("eqd,ed->eq", spaces.velocity_edge_values(u), n)
+    got = transport._edge_sign(u, alpha)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_divergence_check_sees_compressible_flow():
+    # u = (x, 0) has div u = 1, whose P1 projection is 1: weak divergence
+    # sqrt(|Omega|) = 1, far above the default div_tol of 1e-8
+    mesh = perturbed_square(8, 2)
+    sp_ = spaces.build_spaces(mesh)
+    flow = lambda x, y: (x, 0.0 * y)  # noqa: E731
+    u = spaces.interpolate(flow, sp_.velocity)
+    assert spaces.velocity_weak_divergence_l2(u) == pytest.approx(1.0,
+                                                                  rel=1e-12)
+    part = meshes.classify_boundary(mesh, flow, 1.0)
+    rhs = sp_.vorticity.new_field()
+    with pytest.warns(UserWarning, match="weak divergence 1.000e\\+00"):
+        transport.solve_transport(u, 1.0, 1.0, rhs,
+                                  transport.empty_datum(mesh), part)
+
+
 @pytest.mark.parametrize("perturbed", [False, True],
                          ids=["mesh16", "perturbed16"])
 @pytest.mark.parametrize("alpha", [1.0, -0.7])
@@ -464,8 +523,7 @@ def test_sign_functional_nonnegative_for_zero_datum(mesh16, spaces16):
 def test_green_residual_constants(mesh8, spaces8):
     u = spaces.interpolate(lambda x, y: (y, x), spaces8.velocity)
     z = spaces.interpolate(lambda x, y: 2.0, spaces8.vorticity)
-    part = meshes.classify_boundary(mesh8, lambda x, y: (y, x), 1.0)
-    r = transport.green_residual(z, u, lambda x, y: 1.0, part,
+    r = transport.green_residual(z, u, lambda x, y: 1.0,
                                  phi_grad=lambda x, y: (0.0, 0.0))
     assert r < 1e-13
 
@@ -483,10 +541,9 @@ def test_green_residual_polynomial_one_triangle():
     sp_ = spaces.build_spaces(m)
     z = spaces.interpolate(lambda x, y: 1 + 2 * x - y, sp_.vorticity)
     u = spaces.interpolate(lambda x, y: (y, x), sp_.velocity)
-    part = meshes.classify_boundary(m, lambda x, y: (y, x), 1.0)
     phi = lambda x, y: x * x + x * y
     gphi = lambda x, y: (2 * x + y, x)
-    r = transport.green_residual(z, u, phi, part, phi_grad=gphi)
+    r = transport.green_residual(z, u, phi, phi_grad=gphi)
     assert r < 1e-14
     # hand-integration oracle for the first volume term
     ctx = sp_.context
@@ -498,14 +555,6 @@ def test_green_residual_polynomial_one_triangle():
     vol1 = float((ctx.cell_qweights
                   * zq * (uq[:, :, 0] * gx + uq[:, :, 1] * gy)).sum())
     assert vol1 == pytest.approx(0.35, rel=1e-14)
-
-
-def test_green_residual_fd_gradient_fallback(mesh8, spaces8):
-    u = spaces.interpolate(lambda x, y: (y, x), spaces8.velocity)
-    z = spaces.interpolate(lambda x, y: 1 + x, spaces8.vorticity)
-    part = meshes.classify_boundary(mesh8, lambda x, y: (y, x), 1.0)
-    r = transport.green_residual(z, u, lambda x, y: x * x, part)
-    assert r < 1e-9  # quadratic phi: central differences are exact
 
 
 def test_green_residual_decreases_for_solver_fields():
@@ -522,23 +571,9 @@ def test_green_residual_decreases_for_solver_fields():
             m, "P_II", lambda x, y: math.sin(math.pi * y), UNIFORM, part)
         z = transport.solve_transport(u, 1.0, 1.0, sp_.vorticity.new_field(),
                                       datum, part)
-        errs.append(transport.green_residual(z, u, phi, part, phi_grad=gphi))
+        errs.append(transport.green_residual(z, u, phi, phi_grad=gphi))
     assert errs[0] > errs[1] > errs[2]
     assert math.log2(errs[1] / errs[2]) > 0.85
-
-
-def test_green_residual_localized(mesh16, spaces16, uniform_flow):
-    u, part = uniform_flow
-    datum = transport.build_inflow_datum(
-        mesh16, "P_II", lambda x, y: math.sin(math.pi * y), UNIFORM, part)
-    z = transport.solve_transport(u, 1.0, 1.0, spaces16.vorticity.new_field(),
-                                  datum, part)
-    # phi vanishing on the complement of the inflow part
-    phi = lambda x, y: (1 - x) * y * (1 - y)
-    gphi = lambda x, y: (-y * (1 - y), (1 - x) * (1 - 2 * y))
-    r = transport.green_residual(z, u, phi, part, phi_grad=gphi,
-                                 localized=True)
-    assert math.isfinite(r) and r < 0.05
 
 
 # -- gradient transport -------------------------------------------------------------
