@@ -18,10 +18,14 @@ serve every edge (:data:`EDGE_P1`, :data:`EDGE_P2`) and, for DG fields, the
 dof index :attr:`FeContext.edge_dg_dofs`.
 
 :class:`FeContext` tabulates once per mesh what the solvers share: quadrature
-points and weights, basis values and gradients, the cell P1 mass, the DG edge
-dofs, the velocity node layout and the consistent P1 mass M_p (``p1_mass``,
-CSR) with ``p1_integrals`` = M_p 1, which give the Stokes Schur surrogate,
-the weak-divergence norm, the zero-mean border and :func:`pressure_mean`.
+points and weights, basis values, the barycentric gradients, the P2 basis
+gradients at the cell corners (its one per-cell gradient table; grad u is
+linear on a cell, so quadrature-point values are interpolated from them), the
+cell P1 mass, the DG edge dofs, the velocity node layout and the consistent P1
+mass M_p (``p1_mass``, CSR) with ``p1_integrals`` = M_p 1, which give the
+Stokes Schur surrogate, the weak-divergence norm, the zero-mean border and
+:func:`pressure_mean`.  The Stokes stiffness and divergence blocks are closed
+forms in the barycentric gradients (:func:`p2_lambda_derivatives`).
 
 Space descriptors and the tabulation context are immutable after
 construction, cache nothing and are safe to share across threads.  Field
@@ -98,39 +102,47 @@ def _grad_lambda(vertices, triangles, areas):
     return gl
 
 
-def _p2_grads(bary, grad_lambda):
-    """Physical P2 gradients; shape (nt, 6, nq, 2)."""
+def p2_lambda_derivatives(bary):
+    """d phi_a / d lambda_k of the P2 basis at barycentric points of shape
+    (nq, 3); shape (6, nq, 3).  With D this table, the physical gradient of
+    phi_a at point q of a cell is sum_k D[a, q, k] grad lambda_k."""
     b = np.asarray(bary)
-    nq = b.shape[0]
-    nt = grad_lambda.shape[0]
-    out = np.zeros((nt, 6, nq, 2))
+    out = np.zeros((6, b.shape[0], 3))
     for i in range(3):
-        coef = (4.0 * b[:, i] - 1.0)  # (nq,)
-        out[:, i] = grad_lambda[:, i, None, :] * coef[None, :, None]
         i1, i2 = (i + 1) % 3, (i + 2) % 3
-        out[:, 3 + i] = 4.0 * (
-            grad_lambda[:, i2, None, :] * b[None, :, i1, None]
-            + grad_lambda[:, i1, None, :] * b[None, :, i2, None]
-        )
+        out[i, :, i] = 4.0 * b[:, i] - 1.0
+        out[3 + i, :, i1] = 4.0 * b[:, i2]
+        out[3 + i, :, i2] = 4.0 * b[:, i1]
     return out
 
 
 class FeContext:
-    """Tabulated geometry and basis data shared by the three spaces."""
+    """Tabulated geometry and basis data shared by the three spaces.
+
+    Per cell: the quadrature points and weights, ``grad_lambda``
+    (nt, 3, 2), the P2 basis gradients at the corners (nt, 6, 3, 2) and the
+    P1 mass blocks; basis values at the quadrature points are tables shared
+    by every cell.  All arrays, the edge and node tables and the P1 mass CSR
+    included, take about 755 bytes per cell, and all are read-only.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
         nt = mesh.num_triangles
         tq = TRI_QP
-        self.cell_qpoints = np.einsum(
-            "qi,tid->tqd", tq, mesh.vertices[mesh.triangles])
+        p = mesh.vertices[mesh.triangles]       # (nt, 3, 2)
+        self.cell_qpoints = (tq[:, 0, None] * p[:, None, 0]
+                             + tq[:, 1, None] * p[:, None, 1]
+                             + tq[:, 2, None] * p[:, None, 2])
         self.cell_qweights = mesh.areas[:, None] * TRI_QW[None, :]
         self.grad_lambda = _grad_lambda(mesh.vertices, mesh.triangles, mesh.areas)
         self.p1_at_q = p1_values(tq)            # (3, nq)
         self.p2_at_q = p2_values(tq)            # (6, nq)
-        self.p2_grad_at_q = _p2_grads(tq, self.grad_lambda)  # (nt,6,nq,2)
-        corners = np.eye(3)
-        self.p2_grad_at_corners = _p2_grads(corners, self.grad_lambda)
+        # the one per-cell gradient table, (nt, 6, 3, 2): grad u is linear on
+        # a cell, so its corner values give it everywhere
+        self.p2_grad_at_corners = np.einsum(
+            "ajk,tkd->tajd", p2_lambda_derivatives(np.eye(3)),
+            self.grad_lambda)
 
         # cell P1 mass, (nt, 3, 3): one two-operand einsum, no BLAS call
         V = self.p1_at_q
@@ -277,22 +289,31 @@ def velocity_cell_values(field: Field):
 
 def velocity_cell_gradients(field: Field):
     """(nt, nq, 2, 2) gradients; [t, q, i, j] = d u_i / d x_j."""
-    return _velocity_gradients(field, field.space.context.p2_grad_at_q)
+    return _corners_at_quadrature(field.space.context,
+                                  velocity_corner_gradients(field))
 
 
 def velocity_corner_gradients(field: Field):
     """(nt, 3, 2, 2) gradients at the cell corners, laid out as
     :func:`velocity_cell_gradients`."""
-    return _velocity_gradients(field, field.space.context.p2_grad_at_corners)
-
-
-def _velocity_gradients(field, basis_grads):
     ctx = field.space.context
     n = ctx.num_scalar_nodes
     nodes = ctx.cell_scalar_nodes
-    gx = np.einsum("ta,taqd->tqd", field.coefficients[:n][nodes], basis_grads)
-    gy = np.einsum("ta,taqd->tqd", field.coefficients[n:][nodes], basis_grads)
+    G = ctx.p2_grad_at_corners
+    gx = np.einsum("ta,tajd->tjd", field.coefficients[:n][nodes], G)
+    gy = np.einsum("ta,tajd->tjd", field.coefficients[n:][nodes], G)
     return np.stack([gx, gy], axis=2)
+
+
+def _corners_at_quadrature(ctx, corner_grads):
+    """Velocity gradients at the cell quadrature points from their corner
+    values, g(q) = sum_j lambda_j(q) g_j, exact since grad u is linear on
+    each cell."""
+    nt = corner_grads.shape[0]
+    # the corner axis last and contiguous: 2x faster in einsum than as given
+    g = np.ascontiguousarray(
+        corner_grads.reshape(nt, 3, 4).transpose(0, 2, 1))
+    return np.einsum("txj,jq->tqx", g, ctx.p1_at_q).reshape(nt, -1, 2, 2)
 
 
 def scalar_cell_values(field: Field):
@@ -405,10 +426,15 @@ def velocity_h1_semi(field: Field) -> float:
     area/12 ((sum_k f_k)^2 + sum_k f_k^2), from int lambda_i lambda_j =
     area (1 + delta_ij) / 12.  Equal to ``norms(field).h1_semi`` up to
     round-off."""
-    g = velocity_corner_gradients(field).reshape(-1, 3, 4)
+    return _h1_semi(field.space.context, velocity_corner_gradients(field))
+
+
+def _h1_semi(ctx, corner_grads):
+    """:func:`velocity_h1_semi` from the (nt, 3, 2, 2) corner gradients."""
+    g = corner_grads.reshape(-1, 3, 4)
     total = g.sum(axis=1)
     sq = np.einsum("ti,ti->t", total, total) + np.einsum("tki,tki->t", g, g)
-    return float(np.sqrt((field.space.context.mesh.areas * sq).sum() / 12.0))
+    return float(np.sqrt((ctx.mesh.areas * sq).sum() / 12.0))
 
 
 # CG steps on the P1 mass: 4 * 9^-16 = 2e-15 bounds the relative error of
@@ -436,9 +462,14 @@ def velocity_weak_divergence_l2(field: Field) -> float:
     it: 2e-15 relative at k = 16.  The step count is fixed, so no tolerance
     enters and the result repeats bit for bit.
     """
-    ctx = field.space.context
+    return _weak_divergence_l2(field.space.context,
+                               velocity_corner_gradients(field))
+
+
+def _weak_divergence_l2(ctx, g):
+    """:func:`velocity_weak_divergence_l2` from the (nt, 3, 2, 2) corner
+    gradients ``g``."""
     mesh = ctx.mesh
-    g = velocity_corner_gradients(field)
     div = g[:, :, 0, 0] + g[:, :, 1, 1]     # (nt, 3)
     r_cell = (mesh.areas / 12.0)[:, None] * (div.sum(axis=1)[:, None] + div)
     r = np.bincount(mesh.triangles.ravel(), r_cell.ravel(),

@@ -14,10 +14,11 @@ symmetrically.
 
 Only the skew block depends on z.  :func:`prepare_generalized_stokes`
 does the rest once per problem: the reduced bordered matrix at z = 0,
-whose pattern already holds the two skew blocks, integer maps from the
-cell pairs of the z-weighted mass into its data and into the right-hand
-side, and two sparse LUs: of the pressure mass and of the
-Dirichlet-reduced scalar Laplacian that both velocity components share.
+whose pattern already holds the two skew blocks and whose stiffness and
+divergence cell blocks are closed forms in the barycentric gradients,
+integer maps from the cell pairs of the z-weighted mass into its data and
+into the right-hand side, and two sparse LUs: of the pressure mass and of
+the Dirichlet-reduced scalar Laplacian that both velocity components share.
 :func:`solve_generalized_stokes` contracts z at the quadrature points,
 scatters the result into a copy of that matrix's data and runs GMRES
 with a block upper-triangular preconditioner: that LU for the velocity,
@@ -112,11 +113,24 @@ def _scalar_matrix(ctx, cell_blocks):
                          shape=(n, n)).tocsr()
 
 
+# cell averages of products of the P2 derivatives dphi_a/dlambda_k, by the
+# 7-point rule, which is exact for these degree-2 integrands:
+# _STIFFNESS[k, l, a, b] of dphi_a/dlambda_k * dphi_b/dlambda_l,
+# _DIVERGENCE[l, k, a] of lambda_k * dphi_a/dlambda_l
+_DLAMBDA = fes.p2_lambda_derivatives(fes.TRI_QP)  # (6, nq, 3)
+_STIFFNESS = np.einsum("q,aqk,bql->klab", fes.TRI_QW, _DLAMBDA, _DLAMBDA)
+_DIVERGENCE = np.einsum("q,kq,aql->lka", fes.TRI_QW,
+                        fes.p1_values(fes.TRI_QP), _DLAMBDA)
+
+
 def _stiffness(ctx, nu):
-    """nu-scaled scalar P2 stiffness matrix."""
-    w = ctx.cell_qweights  # (nt, nq)
-    G = ctx.p2_grad_at_q   # (nt, 6, nq, 2)
-    K = _scalar_matrix(ctx, nu * np.einsum("tq,taqd,tbqd->tab", w, G, G))
+    """nu-scaled scalar P2 stiffness matrix, in closed form: the block of
+    cell t is nu area_t sum_kl _STIFFNESS[k, l] (grad lambda_k .
+    grad lambda_l)[t]."""
+    gl = ctx.grad_lambda  # (nt, 3, 2)
+    dots = np.einsum("tkd,tld->tkl", gl, gl).reshape(-1, 9)
+    cells = np.einsum("tk,kj->tj", dots, _STIFFNESS.reshape(9, 36))
+    K = _scalar_matrix(ctx, (nu * ctx.mesh.areas)[:, None] * cells)
     if not np.all(np.isfinite(K.data)):
         raise LinearSolveFailure("non-finite entries in the viscous block")
     return K
@@ -143,11 +157,10 @@ def _zmass_cells(ctx, z, vv):
 
 
 def _divergence_blocks(spaces_):
-    """B split by velocity component, each (pressure rows, scalar nodes)."""
+    """B split by velocity component, each (pressure rows, scalar nodes), in
+    closed form: -(q_k, d phi_a / dx_d) on cell t is
+    -area_t sum_l _DIVERGENCE[l, k, a] (grad lambda_l)[t, d]."""
     ctx = spaces_.context
-    w = ctx.cell_qweights
-    G = ctx.p2_grad_at_q
-    P = ctx.p1_at_q  # (3, nq)
     # entry [t, k, a] pairs pressure row triangles[t, k] with velocity
     # column nodes[t, a]; -(q, dv_c/dx_c) for each velocity component c
     nt = ctx.mesh.num_triangles
@@ -155,8 +168,11 @@ def _divergence_blocks(spaces_):
     cols = np.broadcast_to(ctx.cell_scalar_nodes[:, None, :],
                            (nt, 3, 6)).ravel()
     shape = (spaces_.pressure.dof_count, ctx.num_scalar_nodes)
+    D = _DIVERGENCE.reshape(3, 18)
+    scale = -ctx.mesh.areas[:, None]
+    gl = ctx.grad_lambda
     return tuple(
-        sp.coo_matrix((-np.einsum("tq,kq,taq->tka", w, P, G[:, :, :, d])
+        sp.coo_matrix(((scale * np.einsum("tl,lj->tj", gl[:, :, d], D))
                        .ravel(), (rows, cols)), shape=shape).tocsr()
         for d in (0, 1))
 
@@ -404,7 +420,8 @@ def stokes_energy_report(u, p, z, f, nu):
     """
     ctx = u.space.context
     w = ctx.cell_qweights
-    grads = fes.velocity_cell_gradients(u)
+    corners = fes.velocity_corner_gradients(u)
+    grads = fes._corners_at_quadrature(ctx, corners)
     viscous = nu * float((w * (grads ** 2).sum(axis=(2, 3))).sum())
     forcing = float((w[:, :, None] * _cell_values(ctx, f)
                      * fes.velocity_cell_values(u)).sum())
@@ -415,7 +432,7 @@ def stokes_energy_report(u, p, z, f, nu):
                  - np.einsum("ta,tab,tb->", c[0], mz, c[1]))
     div = grads[:, :, 0, 0] + grads[:, :, 1, 1]
     div_broken = float(np.sqrt((w * div ** 2).sum()))
-    div_weak = fes.velocity_weak_divergence_l2(u)
+    div_weak = fes._weak_divergence_l2(ctx, corners)
     return StokesEnergyReport(
         viscous=viscous,
         forcing=forcing,

@@ -315,14 +315,16 @@ def _dg_load(ctx, samples):
 def _check_divergence(u, div_tol):
     """Warn when the weak divergence of ``u`` exceeds ``div_tol``, by
     default 1e-8 |u|_H1.  Both are exact from the velocity gradients at the
-    cell corners, since grad u is linear on each cell.  The divergence
-    takes no factorisation: a fixed number of Jacobi-preconditioned CG
-    steps on the P1 mass, whose scaled spectrum lies in [1/2, 2] (Wathen,
-    1987), give it to 2e-15 relative
+    cell corners, since grad u is linear on each cell, and share one
+    evaluation of them.  The divergence takes no factorisation: a fixed
+    number of Jacobi-preconditioned CG steps on the P1 mass, whose scaled
+    spectrum lies in [1/2, 2] (Wathen, 1987), give it to 2e-15 relative
     (:func:`gradetwo.spaces.velocity_weak_divergence_l2`)."""
-    div = fes.velocity_weak_divergence_l2(u)
+    ctx = u.space.context
+    corners = fes.velocity_corner_gradients(u)
+    div = fes._weak_divergence_l2(ctx, corners)
     if div_tol is None:
-        div_tol = 1e-8 * max(1.0, fes.velocity_h1_semi(u))
+        div_tol = 1e-8 * max(1.0, fes._h1_semi(ctx, corners))
     if div > div_tol:
         warnings.warn(
             f"transport velocity has weak divergence {div:.3e} above "

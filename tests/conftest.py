@@ -133,3 +133,20 @@ def skew_defect(C, rng, samples):
         v = rng.standard_normal(C.shape[0])
         worst = max(worst, abs(v @ (C @ v)) / (cnorm * (v @ v)))
     return worst
+
+
+def quadrature_p2_grads(ctx, bary=spaces.TRI_QP):
+    """Physical P2 basis gradients at barycentric points, (nt, 6, nq, 2),
+    written out from d phi / d lambda: grad phi_i = (4 lambda_i - 1)
+    grad lambda_i at a vertex, grad phi_{3+i} = 4 (lambda_{i+2} grad
+    lambda_{i+1} + lambda_{i+1} grad lambda_{i+2}) at the midpoint opposite
+    vertex i.  A reference for the closed forms of the solvers."""
+    b = np.asarray(bary)
+    gl = ctx.grad_lambda
+    out = np.zeros((gl.shape[0], 6, b.shape[0], 2))
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        out[:, i] = gl[:, i, None, :] * (4.0 * b[:, i] - 1.0)[None, :, None]
+        out[:, 3 + i] = 4.0 * (gl[:, i2, None, :] * b[None, :, i1, None]
+                               + gl[:, i1, None, :] * b[None, :, i2, None])
+    return out

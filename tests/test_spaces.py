@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradetwo import meshes, spaces, stokes
-from conftest import l2_orders, perturbed_square, ring_mesh
+from conftest import (l2_orders, perturbed_square, quadrature_p2_grads,
+                      ring_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,46 @@ def test_context_arrays_read_only(spaces8):
     ctx = spaces8.context
     with pytest.raises(ValueError, match="read-only"):
         ctx.cell_qweights[0, 0] = 1.0
+
+
+def test_context_holds_no_per_point_tensor():
+    # the context's arrays, the P1 mass CSR's included, per cell: grad u
+    # is tabulated at the three corners only; a (nt, 6, 7, 2) gradient
+    # table alone would add 672 bytes per cell
+    ctx = spaces.build_spaces(meshes.unit_square_mesh(16)).context
+    M = ctx.p1_mass
+    arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    total = sum(a.nbytes for a in arrays + [M.data, M.indices, M.indptr])
+    assert total / ctx.mesh.num_triangles <= 800
+
+
+def test_context_tables_match_pointwise_forms():
+    # corner gradients and quadrature points, bit for bit
+    ctx = spaces.build_spaces(perturbed_square(8, 4)).context
+    assert np.array_equal(ctx.p2_grad_at_corners,
+                          quadrature_p2_grads(ctx, np.eye(3)))
+    cell = ctx.mesh.vertices[ctx.mesh.triangles]
+    assert np.array_equal(ctx.cell_qpoints,
+                          np.einsum("qi,tid->tqd", spaces.TRI_QP, cell))
+
+
+def test_cell_gradients_match_quadrature():
+    # gradients at the quadrature points, interpolated from the corners,
+    # against the basis gradients evaluated there
+    sp_ = spaces.build_spaces(perturbed_square(12, 6))
+    ctx = sp_.context
+    G = quadrature_p2_grads(ctx)
+    nodes = ctx.cell_scalar_nodes
+    rng = np.random.default_rng(13)
+    for u in [spaces.interpolate(lambda x, y: (np.sin(3 * x) * np.exp(y),
+                                               np.cos(x * y)), sp_.velocity),
+              sp_.velocity.new_field(
+                  rng.standard_normal(sp_.velocity.dof_count))]:
+        c = u.coefficients.reshape(2, -1)[:, nodes]
+        ref = np.stack([np.einsum("ta,taqd->tqd", c[i], G) for i in (0, 1)],
+                       axis=2)
+        got = spaces.velocity_cell_gradients(u)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_edge_quadrature_exact_through_degree5(mesh8):

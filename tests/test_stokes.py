@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 from gradetwo import manufactured, meshes, spaces, stokes
 from gradetwo.errors import FluxIncompatible, MeshTopologyError
 
-from conftest import filled_coupling, perturbed_square, ring_mesh, skew_defect
+from conftest import (filled_coupling, perturbed_square, quadrature_p2_grads,
+                      ring_mesh, skew_defect)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,29 @@ def test_flux_incompatible_raises(spaces8, zero_z):
                                           lambda x, y: (x, y))
     assert err.value.component == 0
     assert err.value.flux == pytest.approx(2.0, rel=1e-12)
+
+
+def test_closed_form_blocks_match_quadrature():
+    """The stiffness and divergence blocks, built from fixed tables and
+    grad lambda, against the 7-point quadrature of the basis gradients on
+    a perturbed mesh: the same matrices to round-off."""
+    sp_ = spaces.build_spaces(perturbed_square(12, 5))
+    ctx = sp_.context
+    w = ctx.cell_qweights
+    G = quadrature_p2_grads(ctx)  # (nt, 6, nq, 2)
+    K = stokes._stiffness(ctx, 0.7)
+    K_ref = stokes._scalar_matrix(
+        ctx, 0.7 * np.einsum("tq,taqd,tbqd->tab", w, G, G))
+    assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
+    nt = ctx.mesh.num_triangles
+    rows = np.repeat(ctx.mesh.triangles, 6, axis=1).ravel()
+    cols = np.broadcast_to(ctx.cell_scalar_nodes[:, None, :],
+                           (nt, 3, 6)).ravel()
+    for d, B in enumerate(stokes._divergence_blocks(sp_)):
+        cells = -np.einsum("tq,kq,taq->tka", w, ctx.p1_at_q, G[:, :, :, d])
+        B_ref = sp.coo_matrix((cells.ravel(), (rows, cols)),
+                              shape=B.shape).tocsr()
+        assert abs(B - B_ref).max() <= 1e-13 * abs(B_ref).max()
 
 
 def full_blocks(spaces_, nu, z):
