@@ -1,10 +1,16 @@
-"""Memory of the shared tabulation and of the Stokes set-up, per mesh size.
+"""Memory of the shared tabulation, the transport solve and the Stokes
+set-up, per mesh size.
 
 For each n, in a fresh process with glibc's malloc thresholds fixed as the
 ``gradetwo`` commands fix them, prints the bytes of the ``FeContext`` arrays
 (the P1 mass CSR's included) and its build time (best of three, timed
-last), and the peak resident set ``VmHWM`` after ``build_spaces`` and after
-``prepare_generalized_stokes`` on the unit square (nu = 1, g = 0, f = (1, 0)).
+last), and the peak resident set ``VmHWM`` on the unit square after each
+step: ``build_spaces``; then the steps of a transport solve for the
+rotation u = (1/2 - y, x - 1/2), nu = alpha = 1 (the divergence check, the
+assembly of the upwind DG matrix and its factorisation); then, with the
+transport objects freed, ``prepare_generalized_stokes`` (nu = 1, g = 0,
+f = (1, 0)).  The rise of ``VmHWM`` from one step to the next is that
+step's budget.
 
 Usage: python scripts/context_memory.py [n ...]     (default: 64 128 256)
 """
@@ -15,7 +21,7 @@ import time
 
 import numpy as np
 
-from gradetwo import cli, meshes, spaces, stokes
+from gradetwo import cli, meshes, spaces, stokes, transport
 
 
 def vm_hwm_mb():
@@ -29,6 +35,16 @@ def measure(n):
     mesh = meshes.unit_square_mesh(n)
     spaces_ = spaces.build_spaces(mesh)
     after_spaces = vm_hwm_mb()
+    rotation = lambda x, y: (0.5 - y, x - 0.5)  # noqa: E731
+    u = spaces.interpolate(rotation, spaces_.velocity)
+    part = meshes.classify_boundary(mesh, rotation, 1.0)
+    transport._check_divergence(u, None)
+    steps = [vm_hwm_mb()]
+    K, _ = transport._assemble_operator(u, 1.0, 1.0, part.eps_n)
+    steps.append(vm_hwm_mb())
+    solve = transport._factorise(K)
+    steps.append(vm_hwm_mb())
+    del u, K, solve
     f = lambda x, y: (1.0 + 0.0 * x, 0.0 * y)  # noqa: E731
     g = lambda x, y: (0.0 * x, 0.0 * y)  # noqa: E731
     stokes.prepare_generalized_stokes(spaces_, 1.0, f, g)
@@ -44,8 +60,10 @@ def measure(n):
     print(f"n={n:4d}  FeContext {nbytes / 2**20:6.1f} MiB "
           f"({nbytes / mesh.num_triangles:4.0f} B/cell), build "
           f"{min(times) * 1e3:5.0f} ms;  VmHWM after build_spaces "
-          f"{after_spaces:6.0f} MB, after prepare {after_prepare:6.0f} MB",
-          flush=True)
+          f"{after_spaces:6.0f} MB, after prepare {after_prepare:6.0f} MB\n"
+          f"        transport (rotation): VmHWM after divergence check "
+          f"{steps[0]:6.0f} MB, assembly {steps[1]:6.0f} MB, factorisation "
+          f"{steps[2]:6.0f} MB", flush=True)
 
 
 if __name__ == "__main__":

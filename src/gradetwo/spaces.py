@@ -123,7 +123,8 @@ class FeContext:
     (nt, 3, 2), the P2 basis gradients at the corners (nt, 6, 3, 2) and the
     P1 mass blocks; basis values at the quadrature points are tables shared
     by every cell.  All arrays, the edge and node tables and the P1 mass CSR
-    included, take about 755 bytes per cell, and all are read-only.
+    included, take about 730 bytes per cell, and all are read-only; the
+    DG edge dofs are int32.
     """
 
     def __init__(self, mesh):
@@ -168,7 +169,8 @@ class FeContext:
         cells = mesh.edge_cells[:, :, None]
         tri = mesh.triangles[cells]                      # (ne, 2, 1, 3)
         local = np.argmax(tri == edges[:, None, :, None], axis=3)
-        self.edge_dg_dofs = np.where(cells >= 0, 3 * cells + local, -1)
+        self.edge_dg_dofs = np.where(cells >= 0, 3 * cells + local,
+                                     -1).astype(np.int32)
 
         # velocity scalar node layout: vertices then edge midpoints
         self.num_scalar_nodes = mesh.num_vertices + ne

@@ -99,17 +99,19 @@ class StokesEnergyReport(NamedTuple):
     div_broken_l2: float  # pointwise L2 norm of div u (consistency level)
 
 
-def _cell_pairs(ctx):
-    """Row and column scalar nodes of each cell's 6x6 pairs, row-major."""
+def _cell_pairs(ctx, pairs=slice(None)):
+    """Row and column scalar nodes of each cell's 6x6 pairs, row-major, or
+    of those of its 36 row-major pair indices that ``pairs`` selects."""
     nodes = ctx.cell_scalar_nodes  # (nt, 6)
-    return np.repeat(nodes, 6, axis=1).ravel(), np.tile(nodes, (1, 6)).ravel()
+    a, b = np.divmod(np.arange(36)[pairs], 6)
+    return nodes[:, a].ravel(), nodes[:, b].ravel()
 
 
-def _scalar_matrix(ctx, cell_blocks):
-    """Sum cell blocks, 6x6 row-major per cell, into a CSR matrix over the
-    scalar nodes."""
+def _scalar_matrix(ctx, cell_blocks, pairs=slice(None)):
+    """Sum cell blocks, 6x6 row-major per cell or the ``pairs`` of each,
+    into a CSR matrix over the scalar nodes."""
     n = ctx.num_scalar_nodes
-    return sp.coo_matrix((cell_blocks.ravel(), _cell_pairs(ctx)),
+    return sp.coo_matrix((cell_blocks.ravel(), _cell_pairs(ctx, pairs)),
                          shape=(n, n)).tocsr()
 
 
@@ -121,16 +123,26 @@ _DLAMBDA = fes.p2_lambda_derivatives(fes.TRI_QP)  # (6, nq, 3)
 _STIFFNESS = np.einsum("q,aqk,bql->klab", fes.TRI_QW, _DLAMBDA, _DLAMBDA)
 _DIVERGENCE = np.einsum("q,kq,aql->lka", fes.TRI_QW,
                         fes.p1_values(fes.TRI_QP), _DLAMBDA)
+# the 30 row-major pairs (a, b) of a cell's stiffness block that couple:
+# vertex i and the midpoint 3+i of its opposite edge do not, since phi_i
+# varies with lambda_i alone, phi_{3+i} with the other two, and
+# (4 lambda_i - 1) lambda_j integrates to zero for j != i; _STIFFNESS
+# holds only round-off there
+_STIFFNESS_PAIRS = np.flatnonzero(
+    np.abs(np.subtract.outer(np.arange(6), np.arange(6))).ravel() != 3)
 
 
 def _stiffness(ctx, nu):
     """nu-scaled scalar P2 stiffness matrix, in closed form: the block of
     cell t is nu area_t sum_kl _STIFFNESS[k, l] (grad lambda_k .
-    grad lambda_l)[t]."""
+    grad lambda_l)[t].  Only :data:`_STIFFNESS_PAIRS` are stored, so no
+    vertex is coupled to the midpoint of its opposite edge."""
     gl = ctx.grad_lambda  # (nt, 3, 2)
     dots = np.einsum("tkd,tld->tkl", gl, gl).reshape(-1, 9)
-    cells = np.einsum("tk,kj->tj", dots, _STIFFNESS.reshape(9, 36))
-    K = _scalar_matrix(ctx, (nu * ctx.mesh.areas)[:, None] * cells)
+    cells = np.einsum("tk,kj->tj", dots,
+                      _STIFFNESS.reshape(9, 36)[:, _STIFFNESS_PAIRS])
+    K = _scalar_matrix(ctx, (nu * ctx.mesh.areas)[:, None] * cells,
+                       _STIFFNESS_PAIRS)
     if not np.all(np.isfinite(K.data)):
         raise LinearSolveFailure("non-finite entries in the viscous block")
     return K

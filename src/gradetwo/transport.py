@@ -20,7 +20,10 @@ the sign of alpha*u.n; a face block is 2x2, over the two vertices of its
 edge, the only DG nodes with a nonzero trace there.  The stored pattern is
 structural: every 3x3 cell block, a cell entry that cancels to 0.0
 included, plus 4 entries per upwind coupling block, so it does not move
-with round-off.  The kernels are closed forms of the velocity's P2
+with round-off.  It is assembled in that final form, a canonical CSC with
+int32 indices filled from its column counts: the block of a face's own
+side is summed into the cell block, and no entry is stored twice and
+summed afterwards.  The kernels are closed forms of the velocity's P2
 coefficients, with no velocity sample: the cell convection block from the
 fixed P2-P1 moment table, alpha*u.n on the edges from the normal contracted
 into each edge's three coefficients, and the divergence check from the
@@ -34,7 +37,10 @@ sweep along the flow (Lesaint & Raviart, 1974), with the small cycles of
 the flow solved as blocks.  A flow that closes on itself in large
 components, such as a rotation, is factorised with COLAMD.  Both LUs use
 small SuperLU supernodes and panels (:data:`_SPLU_OPTIONS`): the same fill
-as SuperLU's defaults, in less time and workspace.
+as SuperLU's defaults, in less time and workspace.  The components are
+found on the matrix's own index arrays and the downstream order is one
+column gather plus a row relabelling, so the set-up of the LU holds one
+permuted copy of the matrix and no graph of its own.
 """
 
 from __future__ import annotations
@@ -173,15 +179,18 @@ def _cell_convection(u, alpha):
     m = c[..., 0, None] * _P2_P1_MASS[0]
     for b in range(1, 6):
         m += c[..., b, None] * _P2_P1_MASS[b]
+    del c
     m *= (alpha * ctx.mesh.areas)[:, None]  # (2, nt, 3)
     GL = ctx.grad_lambda                    # (nt, 3, 2)
-    return GL[:, :, :1] * m[0, :, None] + GL[:, :, 1:] * m[1, :, None]
+    conv = GL[:, :, :1] * m[0, :, None]
+    conv += GL[:, :, 1:] * m[1, :, None]
+    return conv
 
 
 def _assemble_operator(u, nu, alpha, eps_n):
-    """Upwind DG matrix (CSC) and alpha*u.n at the boundary-edge quadrature
-    points, which :func:`_inflow_load` takes.  The cell blocks are
-    nu times the P1 mass minus :func:`_cell_convection`.
+    """Upwind DG matrix (canonical CSC, int32 indices) and alpha*u.n at the
+    boundary-edge quadrature points, which :func:`_inflow_load` takes.  The
+    cell blocks are nu times the P1 mass minus :func:`_cell_convection`.
 
     Every edge carries the flux of its upwind side: with s = alpha*u.n out
     of side 0 it is s+ z0 + s- z1, tested with v0 - v1.  On a boundary edge
@@ -190,18 +199,16 @@ def _assemble_operator(u, nu, alpha, eps_n):
     and column side c is (-1)^r sum_q w s_c E_i E_j over the edge's two
     vertices i, j (E the P1 edge table), with s_0 = s+ and s_1 = s-; it is
     built only for the sides c whose weight is nonzero somewhere on the
-    edge, the blocks of each face's upwind side.
+    edge, the blocks of each face's upwind side.  The block with r = c lies
+    inside side c's cell block and is summed into it by one ``bincount``;
+    the block with r != c, on an interior edge, couples the two cells.  The
+    CSC is filled in place from the column counts, with no COO step and no
+    duplicate entry: each column holds its cell's three rows, then two rows
+    per coupling block it belongs to.
     """
     ctx = u.space.context
     mesh = ctx.mesh
     nt = mesh.num_triangles
-
-    # cell part: nu*(z, v) - (z, alpha u . grad v)
-    local = nu * ctx.p1_cell_mass - _cell_convection(u, alpha)
-    cell_dofs = 3 * np.arange(nt)[:, None] + np.arange(3)
-    rows = [np.repeat(cell_dofs, 3, axis=1).ravel()]
-    cols = [np.tile(cell_dofs, (1, 3)).ravel()]
-    data = [local.ravel()]
 
     # face part: the flux weight s_c of each side, and one 2x2 block for
     # each (edge, c) pair where it is nonzero somewhere on the edge
@@ -212,20 +219,53 @@ def _assemble_operator(u, nu, alpha, eps_n):
     e, c = np.nonzero(sc.any(axis=2))
     blk = np.einsum("kq,qij->kij", mesh.edge_qweights[e] * sc[e, c],
                     _EDGE_P1_PAIRS)
-    # rows of the sides that have a cell (a boundary edge has only side 0),
-    # tested with v0 - v1
-    dofs = ctx.edge_dg_dofs      # (ne, 2, 2)
-    k, r = np.nonzero(dofs[e, :, 0] >= 0)
-    rows.append(np.repeat(dofs[e[k], r], 2, axis=1).ravel())
-    cols.append(np.tile(dofs[e[k], c[k]], (1, 2)).ravel())
-    data.append((np.where(r == 0, 1.0, -1.0)[:, None, None] * blk[k]).ravel())
+    blk[c == 1] *= -1.0          # tested with -v1 on side 1
+    del sc
+    # DG dofs of the edge's two vertices on the upwind side c, (k, 2)
+    own = ctx.edge_dg_dofs[e, c]
+
+    # cell part nu*(z, v) - (z, alpha u . grad v), plus the own-side face
+    # blocks at 9 t + 3 i + j = 3 dof_i + j
+    key = 3 * own[:, :, None] + own[:, None, :] % 3
+    local = nu * ctx.p1_cell_mass - _cell_convection(u, alpha)
+    local += np.bincount(key.ravel(), blk.ravel(),
+                         minlength=9 * nt).reshape(nt, 3, 3)
+    del key
+
+    # coupling blocks: rows on the downwind side 1 - c, columns ``own``;
+    # the rows are tested with the opposite sign to the own-side block
+    k = np.flatnonzero(ctx.edge_interior[e])
+    rows = ctx.edge_dg_dofs[e[k], 1 - c[k]]       # (m, 2)
+    cols = own[k].ravel()                         # (2m,) per (block, j)
+    vals = -blk[k].transpose(0, 2, 1).reshape(-1, 2)  # [(block, j), i]
+    del e, c, blk, own
+
+    # column counts: three cell rows plus two rows per coupling block
+    blocks = np.bincount(cols, minlength=3 * nt)
+    indptr = np.zeros(3 * nt + 1, dtype=np.int32)
+    np.cumsum(3 + 2 * blocks, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    # the cell rows 3 t + i fill the first three slots of column 3 t + j
+    three = np.arange(3, dtype=np.int32)
+    pos = (indptr[:-1, None] + three).reshape(nt, 3, 3)  # [t, j, i]
+    indices[pos] = 3 * np.arange(nt, dtype=np.int32)[:, None, None] + three
+    data[pos] = local.transpose(0, 2, 1)
+    del pos, local
+    # then each coupling block, at its rank among its column's blocks
+    order = np.argsort(cols, kind="stable")
+    rank = np.empty_like(cols)
+    rank[order] = np.arange(cols.size, dtype=np.int32) - (
+        np.cumsum(blocks) - blocks)[cols[order]]
+    pos = (indptr[cols] + 3 + 2 * rank)[:, None] + three[:2]
+    indices[pos] = np.repeat(rows, 2, axis=0)
+    data[pos] = vals
 
     # the stored pattern is structural: every cell block, plus the blocks
     # coupling a cell to an upwind neighbour, whose entries sum terms of one
     # sign, one of them nonzero; a cell entry that cancels stays stored
-    K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(3 * nt, 3 * nt)).tocsc()
+    K = sp.csc_matrix((data, indices, indptr), shape=(3 * nt, 3 * nt))
+    K.sort_indices()
     return K, s[mesh.boundary_edge_ids]
 
 
@@ -253,20 +293,34 @@ def _factorise(K):
     and when the flow's cycles are short, as where a face is upwind on both
     sides.  Otherwise, as for closed streamlines, the columns are ordered
     by COLAMD.  Both take :data:`_SPLU_OPTIONS`.
+
+    The components are taken on ``K``'s own pattern over the DG dofs, read
+    through ``K.T``, a CSR view of the CSC arrays: no copy.  A cell's full
+    3x3 block ties its three dofs into one component, so these are the
+    cell graph's components, and the stable sort by label keeps each
+    cell's three dofs together and in order.  The permuted matrix is one
+    column gather plus a relabelling of its row indices.  ``K`` is put in
+    canonical form in place.
     """
-    nt = K.shape[0] // 3
-    C = K.tocoo()
-    rows, cols = C.row // 3, C.col // 3
-    _, labels = connected_components(
-        sp.csr_matrix((np.ones(C.nnz), (cols, rows)), shape=(nt, nt)),
-        directed=True, connection="strong")
-    block_fill = 9 * (np.bincount(labels).astype(np.int64) ** 2).sum()
+    # canonical form: scipy's component search does not return on a graph
+    # with a repeated edge; a no-op on the assembled matrix
+    K.sum_duplicates()
+    _, labels = connected_components(K.T, directed=True, connection="strong")
+    block_fill = (np.bincount(labels).astype(np.int64) ** 2).sum()
+    # the sweep needs small components and no entry below the block
+    # diagonal in the downstream-first order
+    sweep = block_fill <= K.nnz and not np.any(
+        labels[K.indices] > np.repeat(labels, np.diff(K.indptr)))
     try:
-        if block_fill > K.nnz or np.any(labels[rows] > labels[cols]):
+        if not sweep:
             return spla.splu(K, permc_spec="COLAMD", **_SPLU_OPTIONS).solve
-        order = np.argsort(labels, kind="stable")
-        dofs = (3 * order[:, None] + np.arange(3)).ravel()
-        lu = spla.splu(K[dofs][:, dofs], permc_spec="NATURAL", **_SPLU_OPTIONS)
+        dofs = np.argsort(labels, kind="stable").astype(np.int32)
+        inverse = np.empty_like(dofs)
+        inverse[dofs] = np.arange(dofs.size, dtype=np.int32)
+        A = K[:, dofs]
+        A = sp.csc_matrix((A.data, inverse[A.indices], A.indptr),
+                          shape=K.shape)
+        lu = spla.splu(A, permc_spec="NATURAL", **_SPLU_OPTIONS)
     except RuntimeError as exc:
         raise LinearSolveFailure(f"transport LU failed: {exc}") from exc
 

@@ -170,6 +170,40 @@ def test_closed_form_blocks_match_quadrature():
         assert abs(B - B_ref).max() <= 1e-13 * abs(B_ref).max()
 
 
+def test_stiffness_skips_vertex_opposite_midpoint_pairs():
+    """A vertex and the midpoint of its opposite edge share no stiffness
+    (the integral of grad phi_i . grad phi_{3+i} vanishes on every cell):
+    no such pair is stored, every other cell pair is, and the velocity LU
+    fills less than it does on the free-free block with those pairs."""
+    sp_ = spaces.build_spaces(perturbed_square(12, 5))
+    ctx = sp_.context
+    nt = ctx.mesh.num_triangles
+    nodes = ctx.cell_scalar_nodes
+    K = stokes._stiffness(ctx, 0.7)
+    opposite = sp.coo_matrix((np.ones(3 * nt), (nodes[:, :3].ravel(),
+                                                nodes[:, 3:].ravel())),
+                             shape=K.shape).tocsr()
+    opposite = opposite + opposite.T
+    stored = sp.csr_matrix(K, copy=True)
+    stored.data[:] = 1.0
+    assert stored.multiply(opposite).nnz == 0
+    every_pair = stokes._scalar_matrix(ctx, np.ones((nt, 36)))
+    assert K.nnz == every_pair.nnz - opposite.nnz == every_pair.nnz - 6 * nt
+
+    prepared = stokes.prepare_generalized_stokes(sp_, 0.7, ZERO_V, ZERO_V)
+    free = prepared.free
+    dots = np.einsum("tkd,tld->tkl", ctx.grad_lambda,
+                     ctx.grad_lambda).reshape(-1, 9)
+    K_all = stokes._scalar_matrix(
+        ctx, (0.7 * ctx.mesh.areas)[:, None]
+        * np.einsum("tk,kj->tj", dots, stokes._STIFFNESS.reshape(9, 36)))
+    K_all_ff = K_all[free][:, free]
+    assert abs(K_all_ff - K[free][:, free]).max() <= 1e-15 * abs(K).max()
+    lu_all = spla.splu(K_all_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert (prepared.lu.L.nnz + prepared.lu.U.nnz
+            < lu_all.L.nnz + lu_all.U.nnz)
+
+
 def full_blocks(spaces_, nu, z):
     """The unreduced blocks: the nu-scaled vector Laplacian A, the skew
     coupling C, the divergence block B, the pressure integrals and the

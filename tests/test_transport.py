@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,6 +283,63 @@ def test_factorise_singular_raises(dense):
     # a singular matrix (as alpha = inf makes) is a typed solver failure
     with pytest.raises(LinearSolveFailure, match="transport LU"):
         transport._factorise(sp.csc_matrix(dense))
+
+def test_solve_transients_bounded_per_cell(monkeypatch):
+    """Python allocations of the assembly and of the downstream-order LU
+    set-up, in bytes per cell on a perturbed mesh (SuperLU's own memory is
+    not traced).  The matrix takes about 190 bytes per cell; assembling it
+    through COO with the face blocks as duplicate entries peaked at about
+    1,420, and the set-up through ``tocoo``, a float graph and two
+    permuted copies at about 800."""
+    mesh = perturbed_square(32, 3)
+    u = spaces.interpolate(UNIFORM, spaces.build_spaces(mesh).velocity)
+    eps_n = meshes.classify_boundary(mesh, UNIFORM, 1.0).eps_n
+    transport._factorise(transport._assemble_operator(u, 1.0, 1.0, eps_n)[0])
+    nt = mesh.num_triangles
+    tracemalloc.start()
+    try:
+        K, _ = transport._assemble_operator(u, 1.0, 1.0, eps_n)
+        assembly = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        _, (_, kwargs, _) = factorise_recorded(K, monkeypatch)
+        factorisation = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert kwargs["permc_spec"] == "NATURAL"
+    stored = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    assert stored <= 200 * nt
+    assert assembly <= 800 * nt
+    assert factorisation <= 500 * nt
+
+
+DUPLICATE_PROBE = """
+import numpy as np, scipy.sparse as sp
+from gradetwo import transport
+# two cell blocks, cell 0 upwind of cell 1 through entry (3, 0) = 0.5,
+# stored as two halves
+C = sp.csc_matrix(3.0 * np.eye(6) + np.kron(np.eye(2), np.ones((3, 3))))
+K = sp.csc_matrix((np.r_[C.data[:3], 0.25, 0.25, C.data[3:]],
+                   np.r_[C.indices[:3], 3, 3, C.indices[3:]],
+                   np.r_[0, C.indptr[1:] + 2]), shape=(6, 6))
+b = np.arange(1.0, 7.0)
+dense = K.toarray()
+assert dense[3, 0] == 0.5
+assert np.allclose(dense @ transport._factorise(K)(b), b)
+"""
+
+
+def test_factorise_sums_repeated_entries():
+    # scipy's strong-component search does not return on a graph with a
+    # repeated edge, so the factorisation takes the canonical form first
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(transport.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", DUPLICATE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
 
 def reference_operator(u, nu, alpha, eps_n):
     """The upwind DG matrix, dense, one cell and one edge Gauss point at a
