@@ -3,8 +3,9 @@ set-up, per mesh size.
 
 For each n, in a fresh process with glibc's malloc thresholds fixed as the
 ``gradetwo`` commands fix them, prints the bytes of the ``FeContext`` arrays
-(the P1 mass CSR's included) and its build time (best of three, timed
-last), and the peak resident set ``VmHWM`` on the unit square after each
+(the P1 mass CSR's included), the build times of the ``Mesh`` and of the
+``FeContext`` (each best of three, timed last), and the peak resident set
+``VmHWM`` on the unit square after each
 step: ``build_spaces``; then the steps of a transport solve for the
 rotation u = (1/2 - y, x - 1/2), nu = alpha = 1 (the divergence check, the
 assembly of the upwind DG matrix and its factorisation); then, with the
@@ -49,18 +50,24 @@ def measure(n):
     g = lambda x, y: (0.0 * x, 0.0 * y)  # noqa: E731
     stokes.prepare_generalized_stokes(spaces_, 1.0, f, g)
     after_prepare = vm_hwm_mb()
-    times = []
+    mesh_times, times = [], []
+    args = (mesh.vertices, mesh.triangles, mesh.boundary_edges,
+            mesh.boundary_markers)
     for _ in range(3):
         start = time.perf_counter()
-        ctx = spaces.FeContext(mesh)
-        times.append(time.perf_counter() - start)
+        built = meshes.Mesh(*args)
+        mid = time.perf_counter()
+        ctx = spaces.FeContext(built)
+        mesh_times.append(mid - start)
+        times.append(time.perf_counter() - mid)
     M = ctx.p1_mass
     arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
     nbytes = sum(a.nbytes for a in arrays + [M.data, M.indices, M.indptr])
-    print(f"n={n:4d}  FeContext {nbytes / 2**20:6.1f} MiB "
-          f"({nbytes / mesh.num_triangles:4.0f} B/cell), build "
-          f"{min(times) * 1e3:5.0f} ms;  VmHWM after build_spaces "
-          f"{after_spaces:6.0f} MB, after prepare {after_prepare:6.0f} MB\n"
+    print(f"n={n:4d}  Mesh build {min(mesh_times) * 1e3:5.0f} ms;  FeContext "
+          f"{nbytes / 2**20:6.1f} MiB ({nbytes / mesh.num_triangles:4.0f} "
+          f"B/cell), build {min(times) * 1e3:5.0f} ms;\n        VmHWM after "
+          f"build_spaces {after_spaces:6.0f} MB, after prepare "
+          f"{after_prepare:6.0f} MB\n"
           f"        transport (rotation): VmHWM after divergence check "
           f"{steps[0]:6.0f} MB, assembly {steps[1]:6.0f} MB, factorisation "
           f"{steps[2]:6.0f} MB", flush=True)

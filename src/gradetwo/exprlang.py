@@ -12,8 +12,7 @@ Grammar (precedence low to high, ``^`` is right-associative)::
 Expressions are pure and total: evaluation either returns finite floats or
 raises :class:`DomainError`.  :func:`evaluate` takes coordinate arrays and
 evaluates each node once for all points, with the results of evaluating
-every point on its own.  ASTs are immutable and hashable, and printing
-followed by re-parsing reproduces the AST exactly.
+every point on its own.  ASTs are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Unary", "Bin", "Call",
-    "parse", "evaluate", "to_string",
+    "parse", "evaluate",
     "ExprSyntaxError", "DomainError",
 ]
 
@@ -300,42 +299,3 @@ def _eval(expr, x, y):
             raise DomainError(f"{expr.func}(inf): math domain error")
         return np.sin(a) if expr.func == "sin" else np.cos(a)
     raise TypeError(f"not an Expr node: {expr!r}")
-
-
-# precedence levels used for minimal parenthesisation when printing
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "unary": 3, "^": 4, "atom": 5}
-
-
-def to_string(expr):
-    """Render ``expr`` as source text; ``parse(to_string(e)) == e``."""
-    return _print(expr, 0)
-
-
-def _print(expr, parent_level):
-    if isinstance(expr, Num):
-        text, level = repr(expr.value), _LEVEL["atom"]
-    elif isinstance(expr, Var):
-        text, level = expr.name, _LEVEL["atom"]
-    elif isinstance(expr, Call):
-        text = f"{expr.func}({_print(expr.arg, 0)})"
-        level = _LEVEL["atom"]
-    elif isinstance(expr, Unary):
-        level = _LEVEL["unary"]
-        text = "-" + _print(expr.arg, level)
-    elif isinstance(expr, Bin):
-        level = _LEVEL[expr.op]
-        if expr.op == "^":
-            # right-associative; the right child re-enters via unary level
-            left = _print(expr.left, level + 1)
-            right = _print(expr.right, _LEVEL["unary"])
-            text = f"{left}^{right}"
-        else:
-            left = _print(expr.left, level)
-            # left-associative: the right child must bind strictly tighter
-            right = _print(expr.right, level + 1)
-            text = f"{left}{expr.op}{right}"
-    else:
-        raise TypeError(f"not an Expr node: {expr!r}")
-    if level < parent_level:
-        return f"({text})"
-    return text

@@ -130,10 +130,10 @@ class Mesh:
             )
 
     def _build_geometry(self):
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
+        p0, p1, p2 = (np.take(self.vertices, self.triangles[:, i], axis=0)
+                      for i in range(3))
+        d1 = p1 - p0
+        d2 = p2 - p0
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         bad = np.nonzero(signed <= 0.0)[0]
         if bad.size:
@@ -217,8 +217,12 @@ class Mesh:
             )
 
     def _build_edge_geometry(self):
-        pa = self.vertices[self.edges[:, 0]]
-        pb = self.vertices[self.edges[:, 1]]
+        # rows gathered with np.take, several times faster than fancy
+        # indexing on (n, 2) arrays
+        v = self.vertices
+        t = self.triangles
+        pa = np.take(v, self.edges[:, 0], axis=0)
+        pb = np.take(v, self.edges[:, 1], axis=0)
         tangent = pb - pa
         self.edge_lengths = np.hypot(tangent[:, 0], tangent[:, 1])
         if np.any(self.edge_lengths <= 0.0):
@@ -227,16 +231,20 @@ class Mesh:
         normal /= self.edge_lengths[:, None]
         # orient from the first cell's centroid towards the second cell's,
         # or towards the midpoint on the boundary
-        centroids = self.vertices[self.triangles].mean(axis=1)
-        c1 = self.edge_cells[:, 1]
-        ref = np.where((c1 >= 0)[:, None], centroids[np.maximum(c1, 0)],
+        centroids = (np.take(v, t[:, 0], axis=0) + np.take(v, t[:, 1], axis=0)
+                     + np.take(v, t[:, 2], axis=0)) / 3.0
+        c0, c1 = self.edge_cells.T
+        ref = np.where((c1 >= 0)[:, None],
+                       np.take(centroids, np.maximum(c1, 0), axis=0),
                        0.5 * (pa + pb))
         flip = np.einsum("ed,ed->e", normal,
-                         ref - centroids[self.edge_cells[:, 0]]) < 0.0
-        normal[flip] *= -1.0
+                         ref - np.take(centroids, c0, axis=0)) < 0.0
+        np.negative(normal, out=normal, where=flip[:, None])
         self.edge_normals = normal
-        self.edge_qpoints = (pa[:, None, :] * (1.0 - EDGE_QP)[None, :, None]
-                             + pb[:, None, :] * EDGE_QP[None, :, None])
+        # one pa*(1 - s) + pb*s per Gauss point s
+        self.edge_qpoints = np.empty((pa.shape[0], EDGE_QP.size, 2))
+        for q, s in enumerate(EDGE_QP):
+            self.edge_qpoints[:, q] = pa * (1.0 - s) + pb * s
         self.edge_qweights = self.edge_lengths[:, None] * EDGE_QW[None, :]
 
     # -- boundary quadrature -------------------------------------------------

@@ -90,12 +90,13 @@ EDGE_P1 = p1_values(_EDGE_BARY)[:2]
 EDGE_P2 = p2_values(_EDGE_BARY)[[0, 1, 5]]
 
 
-def _grad_lambda(vertices, triangles, areas):
-    """Barycentric gradients per cell; shape (nt, 3, 2)."""
-    p = vertices[triangles]  # (nt, 3, 2)
-    gl = np.empty((triangles.shape[0], 3, 2))
+def _grad_lambda(corners, areas):
+    """Barycentric gradients per cell, (nt, 3, 2), from the three (nt, 2)
+    corner coordinate arrays: grad lambda_i is the edge opposite vertex i
+    turned clockwise, over twice the area."""
+    gl = np.empty((areas.shape[0], 3, 2))
     for i in range(3):
-        e = p[:, (i + 1) % 3] - p[:, (i + 2) % 3]
+        e = corners[(i + 1) % 3] - corners[(i + 2) % 3]
         gl[:, i, 0] = e[:, 1]
         gl[:, i, 1] = -e[:, 0]
     gl /= (2.0 * areas)[:, None, None]
@@ -125,37 +126,51 @@ class FeContext:
     by every cell.  All arrays, the edge and node tables and the P1 mass CSR
     included, take about 730 bytes per cell, and all are read-only; the
     DG edge dofs are int32.
+
+    The tables are built with row gathers (``np.take``), elementwise
+    kernels over (nt, 2) slices, one two-operand einsum and one stacked
+    matmul of per-cell 18x3 by 3x2 blocks, so the build wakes no BLAS
+    thread.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         nt = mesh.num_triangles
-        tq = TRI_QP
-        p = mesh.vertices[mesh.triangles]       # (nt, 3, 2)
-        self.cell_qpoints = (tq[:, 0, None] * p[:, None, 0]
-                             + tq[:, 1, None] * p[:, None, 1]
-                             + tq[:, 2, None] * p[:, None, 2])
+        t = mesh.triangles
+        # 3 x (nt, 2); np.take gathers rows far faster than fancy indexing
+        corners = [np.take(mesh.vertices, t[:, i], axis=0) for i in range(3)]
+        # one a*p0 + b*p1 + c*p2 per quadrature point, in that order
+        self.cell_qpoints = np.empty((nt, TRI_QP.shape[0], 2))
+        for q, (a, b, c) in enumerate(TRI_QP):
+            self.cell_qpoints[:, q] = (a * corners[0] + b * corners[1]
+                                       + c * corners[2])
         self.cell_qweights = mesh.areas[:, None] * TRI_QW[None, :]
-        self.grad_lambda = _grad_lambda(mesh.vertices, mesh.triangles, mesh.areas)
-        self.p1_at_q = p1_values(tq)            # (3, nq)
-        self.p2_at_q = p2_values(tq)            # (6, nq)
+        self.grad_lambda = _grad_lambda(corners, mesh.areas)
+        self.p1_at_q = p1_values(TRI_QP)        # (3, nq)
+        self.p2_at_q = p2_values(TRI_QP)        # (6, nq)
         # the one per-cell gradient table, (nt, 6, 3, 2): grad u is linear on
-        # a cell, so its corner values give it everywhere
-        self.p2_grad_at_corners = np.einsum(
-            "ajk,tkd->tajd", p2_lambda_derivatives(np.eye(3)),
-            self.grad_lambda)
+        # a cell, so its corner values give it everywhere.  Row (a, j) of the
+        # fixed (18, 3) table dphi_a/dlambda at corner j has at most one
+        # nonzero, so each entry is one product plus exact zeros, the same
+        # bits in any summation order; numpy hands each cell's 18x3 by 3x2
+        # product to BLAS, far below its threading size
+        self.p2_grad_at_corners = (
+            p2_lambda_derivatives(np.eye(3)).reshape(18, 3)
+            @ self.grad_lambda).reshape(nt, 6, 3, 2)
 
         # cell P1 mass, (nt, 3, 3): one two-operand einsum, no BLAS call
         V = self.p1_at_q
         self.p1_cell_mass = np.einsum(
             "tq,kq->tk", self.cell_qweights, (V[:, None] * V).reshape(9, -1)
         ).reshape(nt, 3, 3)
-        # consistent P1 mass M_p and basis integrals m = M_p 1, bit for bit
-        t = mesh.triangles
+        # consistent P1 mass M_p and basis integrals m = M_p 1, bit for bit;
+        # entry (a, b) of cell c goes to row t[c, a], column t[c, b], with
+        # int32 indices, the CSR's own, so scipy converts none
         nv = mesh.num_vertices
+        t32 = t.astype(np.int32)
         self.p1_mass = sp.coo_matrix(
-            (self.p1_cell_mass.ravel(), (np.repeat(t, 3, axis=1).ravel(),
-                                         np.tile(t, (1, 3)).ravel())),
+            (self.p1_cell_mass.ravel(),
+             (np.repeat(t32.ravel(), 3), np.tile(t32, (1, 3)).ravel())),
             shape=(nv, nv)).tocsr()
         self.p1_integrals = self.p1_mass @ np.ones(nv)
 
@@ -163,22 +178,28 @@ class FeContext:
         edges = mesh.edges
         ne = edges.shape[0]
         self.edge_interior = mesh.edge_cells[:, 1] >= 0
-        # DG dof of each edge vertex in each side's cell, (ne, 2, 2); -1 on
-        # the missing side of a boundary edge, whose cell index -1 picks the
-        # last triangle until np.where masks it
-        cells = mesh.edge_cells[:, :, None]
-        tri = mesh.triangles[cells]                      # (ne, 2, 1, 3)
-        local = np.argmax(tri == edges[:, None, :, None], axis=3)
-        self.edge_dg_dofs = np.where(cells >= 0, 3 * cells + local,
-                                     -1).astype(np.int32)
+        # DG dof of each edge vertex in each side's cell, (ne, 2, 2), -1 on
+        # the missing side of a boundary edge.  Scattered from the cells:
+        # local edge i of a cell joins its local vertices i+1 and i+2, and
+        # ``edges`` lists the lower vertex first
+        dofs = np.full(4 * ne, -1, dtype=np.int32)
+        cells = np.arange(nt)
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            e = mesh.cell_edges[:, i]
+            at = 4 * e + 2 * (mesh.edge_cells[e, 1] == cells)
+            lower = t[:, i1] < t[:, i2]
+            dofs[at] = 3 * cells + np.where(lower, i1, i2)
+            dofs[at + 1] = 3 * cells + np.where(lower, i2, i1)
+        self.edge_dg_dofs = dofs.reshape(ne, 2, 2)
 
         # velocity scalar node layout: vertices then edge midpoints
         self.num_scalar_nodes = mesh.num_vertices + ne
-        self.velocity_nodes = np.concatenate(
-            [mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]]
-                                   + mesh.vertices[edges[:, 1]])], axis=0)
+        midpoints = 0.5 * (np.take(mesh.vertices, edges[:, 0], axis=0)
+                           + np.take(mesh.vertices, edges[:, 1], axis=0))
+        self.velocity_nodes = np.concatenate([mesh.vertices, midpoints])
         self.cell_scalar_nodes = np.concatenate(
-            [mesh.triangles, mesh.num_vertices + mesh.cell_edges], axis=1)
+            [t, mesh.num_vertices + mesh.cell_edges], axis=1)
         bverts = np.unique(mesh.boundary_edges)
         self.boundary_scalar_nodes = np.concatenate(
             [bverts, mesh.num_vertices + mesh.boundary_edge_ids])
@@ -204,7 +225,8 @@ class SpaceDescriptor:
         ctx = self.context
         if self.kind == "pressure":
             return ctx.mesh.vertices
-        return ctx.mesh.vertices[ctx.mesh.triangles].reshape(-1, 2)
+        return np.take(ctx.mesh.vertices, ctx.mesh.triangles,
+                       axis=0).reshape(-1, 2)
 
     def new_field(self, coefficients=None):
         if coefficients is None:
@@ -273,6 +295,12 @@ def pressure_mean(field: Field) -> float:
     m = field.space.context.p1_integrals
     # plain sums, not a BLAS dot, which threads on long vectors
     return float((m * field.coefficients).sum() / m.sum())
+
+
+def _norm(x):
+    """Euclidean norm of a vector, as a plain sum of squares: a BLAS dot
+    (``np.linalg.norm``) wakes the thread pool on long vectors."""
+    return float(np.sqrt((x * x).sum()))
 
 
 # -- evaluation at cell quadrature points ------------------------------------

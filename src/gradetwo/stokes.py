@@ -376,7 +376,7 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):
     x0 = None
     if guess is not None:
         x0 = _reduced_guess(prep, *guess)
-        if not np.linalg.norm(rhs - K @ x0) < np.linalg.norm(rhs):
+        if not fes._norm(rhs - K @ x0) < fes._norm(rhs):
             x0 = None
     # one cycle of 200 holds a typical solve (trig case, n=32: 44
     # iterations from zero at rtol 1e-12, 6 to 32 warm-started); up to
@@ -390,8 +390,8 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):
         raise LinearSolveFailure(f"GMRES did not converge (info={info})")
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("linear solve produced non-finite values")
-    resid = np.linalg.norm(K @ x - rhs)
-    scale = np.linalg.norm(rhs) + 1.0
+    resid = fes._norm(K @ x - rhs)
+    scale = fes._norm(rhs) + 1.0
     if resid > 1e-7 * scale:
         raise LinearSolveFailure(
             f"linear solve residual {resid:.3e} exceeds 1e-7*scale")

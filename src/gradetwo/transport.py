@@ -421,8 +421,8 @@ def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None):
     z = _factorise(K)(b)
     if not np.all(np.isfinite(z)):
         raise LinearSolveFailure("transport solve produced non-finite values")
-    resid = np.linalg.norm(K @ z - b)
-    if resid > 1e-7 * (np.linalg.norm(b) + 1.0):
+    resid = fes._norm(K @ z - b)
+    if resid > 1e-7 * (fes._norm(b) + 1.0):
         raise LinearSolveFailure(
             f"transport residual {resid:.3e} above solver tolerance")
     return space.new_field(z)

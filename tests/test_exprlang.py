@@ -15,7 +15,6 @@ from gradetwo.exprlang import (
     Var,
     evaluate,
     parse,
-    to_string,
 )
 
 
@@ -68,6 +67,32 @@ def test_commutator_is_zero():
 
 # -- random AST machinery ------------------------------------------------------
 
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def to_source(expr, parent=0):
+    """Source text of ``expr`` with the fewest parentheses the grammar
+    needs (levels: + - 1, * / 2, unary minus 3, ^ 4, atoms 5)."""
+    if isinstance(expr, Num):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Call):
+        return f"{expr.func}({to_source(expr.arg)})"
+    if isinstance(expr, Unary):
+        level, text = 3, "-" + to_source(expr.arg, 3)
+    elif expr.op == "^":
+        # right-associative; the right operand may be a unary minus
+        level = 4
+        text = f"{to_source(expr.left, 5)}^{to_source(expr.right, 3)}"
+    else:
+        # left-associative: the right operand must bind strictly tighter
+        level = _LEVEL[expr.op]
+        text = (f"{to_source(expr.left, level)}{expr.op}"
+                f"{to_source(expr.right, level + 1)}")
+    return f"({text})" if level < parent else text
+
+
 _leaf = st.one_of(
     st.floats(min_value=0.0, max_value=4.0, allow_nan=False).map(
         lambda v: Num(round(v, 3))),
@@ -92,7 +117,7 @@ def _expr_strategy():
 @given(_expr_strategy())
 @settings(max_examples=300, deadline=None)
 def test_print_parse_roundtrip(expr):
-    assert parse(to_string(expr)) == expr
+    assert parse(to_source(expr)) == expr
 
 
 @given(_expr_strategy(),
@@ -102,7 +127,7 @@ def test_print_parse_roundtrip(expr):
 def test_eval_matches_reference(expr, x, y):
     """Differential oracle: evaluate the printed source through Python's
     own parser/eval over the math module and compare."""
-    source = to_string(expr).replace("^", "**")
+    source = to_source(expr).replace("^", "**")
 
     def real_abs(v):
         if isinstance(v, complex):

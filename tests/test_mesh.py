@@ -211,6 +211,33 @@ def test_edge_geometry_shared_by_boundary(name):
     assert np.array_equal(mesh.boundary_quad_weights(), mesh.edge_qweights[b])
 
 
+@pytest.mark.parametrize("name", TABLE_MESHES)
+def test_edge_geometry_matches_pointwise_forms(name):
+    """Edge normals and Gauss points equal a per-edge evaluation of their
+    definitions, bit for bit: the normal turns the tangent clockwise and
+    points from the first cell's centroid towards the second's (towards
+    the midpoint on the boundary)."""
+    mesh = TABLE_MESHES[name]()
+    v, t = mesh.vertices, mesh.triangles
+
+    def centroid(c):
+        return (v[t[c, 0]] + v[t[c, 1]] + v[t[c, 2]]) / 3.0
+
+    for e, (a, b) in enumerate(mesh.edges):
+        pa, pb = v[a], v[b]
+        tx, ty = pb - pa
+        length = np.hypot(tx, ty)
+        normal = np.array([ty / length, -tx / length])
+        c0, c1 = mesh.edge_cells[e]
+        towards = centroid(c1) if c1 >= 0 else 0.5 * (pa + pb)
+        d = towards - centroid(c0)
+        if normal[0] * d[0] + normal[1] * d[1] < 0.0:
+            normal = -normal
+        assert np.array_equal(mesh.edge_normals[e], normal), e
+        points = [pa * (1.0 - s) + pb * s for s in meshes.EDGE_QP]
+        assert np.array_equal(mesh.edge_qpoints[e], points), e
+
+
 def test_unit_square_mesh_matches_loop_reference():
     n = 3
     vid = lambda i, j: i * (n + 1) + j  # noqa: E731

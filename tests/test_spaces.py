@@ -61,6 +61,44 @@ def test_context_tables_match_pointwise_forms():
                           np.einsum("qi,tid->tqd", spaces.TRI_QP, cell))
 
 
+def test_context_edge_and_mass_tables_match_pointwise_forms():
+    # grad lambda, the DG edge dofs, the velocity nodes and the P1 mass CSR
+    # against per-item evaluations of their definitions, bit for bit
+    ctx = spaces.build_spaces(perturbed_square(8, 4)).context
+    mesh = ctx.mesh
+    v, t = mesh.vertices, mesh.triangles
+    gl = np.empty((mesh.num_triangles, 3, 2))
+    for c, p in enumerate(v[t]):
+        for i in range(3):
+            ex, ey = p[(i + 1) % 3] - p[(i + 2) % 3]
+            twice = 2.0 * mesh.areas[c]
+            gl[c, i] = [ey / twice, -ex / twice]
+    assert np.array_equal(ctx.grad_lambda, gl)
+    # dof of edge vertex k in side s's cell: 3 * cell + its local index
+    dofs = np.full((mesh.num_edges, 2, 2), -1)
+    for e, edge in enumerate(mesh.edges.tolist()):
+        for side, c in enumerate(mesh.edge_cells[e].tolist()):
+            if c >= 0:
+                dofs[e, side] = [3 * c + t[c].tolist().index(w) for w in edge]
+    assert ctx.edge_dg_dofs.dtype == np.int32
+    assert np.array_equal(ctx.edge_dg_dofs, dofs)
+    mid = [0.5 * (v[a] + v[b]) for a, b in mesh.edges]
+    assert np.array_equal(ctx.velocity_nodes, np.concatenate([v, mid]))
+    # entry (a, b) of cell c's block at row t[c, a], column t[c, b], in cell
+    # order, so the duplicates are summed in the same order
+    rows, cols = [], []
+    for tri in t.tolist():
+        for a in tri:
+            rows += [a] * 3
+            cols += tri
+    nv = mesh.num_vertices
+    ref = sp.coo_matrix((ctx.p1_cell_mass.ravel(), (rows, cols)),
+                        shape=(nv, nv)).tocsr()
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(ctx.p1_mass, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def test_cell_gradients_match_quadrature():
     # gradients at the quadrature points, interpolated from the corners,
     # against the basis gradients evaluated there

@@ -163,6 +163,35 @@ def test_solve_factorises_only_the_transport_matrix(monkeypatch):
     assert callers == [transport.__name__]
 
 
+@pytest.mark.parametrize("shift, message", [
+    (1e-3, "transport residual"), (np.nan, "non-finite"),
+], ids=["perturbed", "nan"])
+def test_solve_checks_can_fail(mesh8, spaces8, monkeypatch, shift, message):
+    """A wrong or non-finite solve out of the LU is caught, not returned:
+    one dof of a solve whose exact answer is 2.5 shifted by 1e-3 or NaN."""
+    factorise = transport._factorise
+
+    def spoiled(K):
+        solve = factorise(K)
+
+        def spoiled_solve(b):
+            z = solve(b)
+            z[0] += shift
+            return z
+        return spoiled_solve
+
+    u = spaces.interpolate(UNIFORM, spaces8.velocity)
+    part = meshes.classify_boundary(mesh8, UNIFORM, 1.0)
+    datum = transport.build_inflow_datum(mesh8, "P_II", lambda x, y: 2.5,
+                                         UNIFORM, part)
+    rhs = spaces.interpolate(lambda x, y: 2.5, spaces8.vorticity)
+    z = transport.solve_transport(u, 1.0, 1.0, rhs, datum, part)
+    assert np.abs(z.coefficients - 2.5).max() < 1e-12
+    monkeypatch.setattr(transport, "_factorise", spoiled)
+    with pytest.raises(LinearSolveFailure, match=message):
+        transport.solve_transport(u, 1.0, 1.0, rhs, datum, part)
+
+
 def test_inflow_mismatch_warning(mesh16, spaces16):
     # datum declared on the left edge, but the actual flow enters right
     part_g = meshes.classify_boundary(mesh16, UNIFORM, 1.0)
