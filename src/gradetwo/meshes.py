@@ -156,8 +156,13 @@ class Mesh:
         nt = t.shape[0]
         # local edge i sits opposite local vertex i
         raw = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
-        codes, inverse = np.unique(self._edge_codes(raw.reshape(-1, 2)),
-                                   return_inverse=True)
+        # one stable sort: the edges, each entry's edge, each edge's cells
+        flat = self._edge_codes(raw.reshape(-1, 2))
+        order = np.argsort(flat, kind="stable")
+        start = np.r_[True, np.diff(flat[order]) != 0][:flat.size]
+        codes = flat[order[start]]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(start) - 1
         self.edges = np.stack(np.divmod(codes, self.num_vertices), axis=1)
         self.cell_edges = inverse.reshape(nt, 3)
         counts = np.bincount(inverse, minlength=self.edges.shape[0])
@@ -168,9 +173,8 @@ class Mesh:
                 "triangles; the triangulation is not conforming"
             )
         # slot 0 holds the lower of the edge's cells, slot 1 the other one
-        # (-1 on the boundary); entry i of ``inverse`` belongs to cell i // 3
-        order = np.argsort(inverse, kind="stable")
-        first = np.cumsum(counts) - counts
+        # (-1 on the boundary); entry i of ``flat`` belongs to cell i // 3
+        first = np.flatnonzero(start)
         self.edge_cells = np.full((self.edges.shape[0], 2), -1, dtype=np.int64)
         self.edge_cells[:, 0] = order[first] // 3
         two = counts == 2

@@ -12,32 +12,34 @@ net flux of the interpolated boundary data, so the bordered system is
 square and uniquely solvable.  Dirichlet values are eliminated
 symmetrically.
 
-Only the skew block depends on z.  :func:`prepare_generalized_stokes`
-does the rest once per problem: the reduced bordered matrix at z = 0,
-whose pattern already holds the two skew blocks and whose stiffness and
-divergence cell blocks are closed forms in the barycentric gradients,
-integer maps from the cell pairs of the z-weighted mass into its data and
-into the right-hand side, and two sparse LUs: of the pressure mass and of
-the Dirichlet-reduced scalar Laplacian that both velocity components share.
-:func:`solve_generalized_stokes` contracts z at the quadrature points,
-scatters the result into a copy of that matrix's data and runs GMRES
-with a block upper-triangular preconditioner: that LU for the velocity,
-and for the pressure and the multiplier the exact inverse of the
-bordered Schur surrogate [[-M_p/nu, m], [m^T, 0]], with M_p the
-consistent pressure mass and m the pressure integrals (Elman, Silvester
-& Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).  The
-spaces' context computes m as M_p 1, so M_p 1 = m holds bit for bit;
-that inverse costs one mass solve, and the zero mean holds at any GMRES
-tolerance.  The iteration count does not grow with the mesh but grows
-with max|z|/nu.  A solve may start GMRES from a guess, such as the
-solution at the previous z of a coupling loop; it is used only when its
-residual is below that of the zero start.  On the trig case at n=32
-(nu=1, alpha=0.1, the seed-11 mesh of perfbench's coupled-trig) the
-eight solves of one coupling loop, at the loop's rtol of 1e-10, take 25,
-32, 28, 24, 20, 17, 12 and 6 iterations warm-started, and the pairing
-solve at 1e-12 takes 11; from zero they take 25 and then 34 each (29 and
-then 44 at 1e-12).  Solves are pure functions of their inputs and leave
-the prepared problem unchanged.
+Only the skew block depends on z, and only it couples the two velocity
+components: the velocity block [[K, -M_z], [M_z, K]] is the real form of
+K + i M_z acting on w = u1 + i u2 (Day & Heroux, SIAM J. Sci. Comput. 23,
+2001).  :func:`prepare_generalized_stokes` does the rest once per problem:
+K on the free-free pattern of the z-weighted mass M_z, the divergence block
+and the load, with the stiffness and divergence cell blocks in closed form
+in the barycentric gradients; integer maps from the cell pairs into that
+pattern and into the lift of the boundary values; and two sparse LUs, of
+the pressure mass and of the Dirichlet-reduced scalar Laplacian that both
+velocity components share.  :func:`solve_generalized_stokes` contracts z
+at the quadrature points, applies the bordered system with K + i M_z by
+blocks and runs a real GMRES with a block upper-triangular
+preconditioner: that LU for the velocity, and for the pressure and the
+multiplier the exact inverse of the bordered Schur surrogate
+[[-M_p/nu, m], [m^T, 0]], with M_p the consistent pressure mass and m the
+pressure integrals (Elman, Silvester & Wathen, *Finite Elements and Fast
+Iterative Solvers*, 2014).  The spaces' context computes m as M_p 1, so
+M_p 1 = m holds bit for bit; that inverse costs one mass solve, and the
+zero mean holds at any GMRES tolerance.  The iteration count does not
+grow with the mesh but grows with max|z|/nu.  A solve may start GMRES
+from a guess, such as the solution at the previous z of a coupling loop;
+it is used only when its residual is below that of the zero start.  On
+the trig case at n=32 (nu=1, alpha=0.1, the seed-11 mesh of perfbench's
+coupled-trig) the eight solves of one coupling loop, at the loop's rtol
+of 1e-10, take 25, 32, 28, 24, 20, 17, 12 and 6 iterations warm-started,
+and the pairing solve at 1e-12 takes 11; from zero they take 25 and then
+34 each (29 and then 44 at 1e-12).  Solves are pure functions of their
+inputs and leave the prepared problem unchanged.
 """
 
 from __future__ import annotations
@@ -62,18 +64,18 @@ class PreparedStokes(NamedTuple):
     """The z-independent part of a generalized Stokes problem.
 
     Unknowns of the reduced bordered system: each velocity component on the
-    ``free`` scalar nodes, the pressure, the multiplier.  ``matrix`` and
-    ``rhs`` are the system at z = 0; a solve fills the skew blocks of a
-    copy of ``matrix.data`` through ``cell_map`` and ``skew_pos`` and
-    corrects ``rhs`` through ``fb_rows`` and ``fb_cols``.  ``lu``
-    factorises the free-free scalar Laplacian.
+    ``free`` scalar nodes, the pressure, the multiplier.  With ``Bt`` and
+    the pressure integrals, ``velocity`` is the matrix at z = 0; ``rhs``
+    lacks the lift of the boundary values by K + i M_z, which a solve adds
+    through ``fb_*``.  ``lu`` factorises the free-free scalar Laplacian.
     """
 
     spaces: fes.Spaces
     free: np.ndarray         # unconstrained scalar velocity nodes, ascending
     fixed: np.ndarray        # boundary scalar velocity nodes
     g_fixed: np.ndarray      # Dirichlet values at ``fixed``, shape (nb, 2)
-    matrix: sp.csr_matrix    # reduced bordered matrix at z = 0, canonical
+    velocity: sp.csr_matrix  # K on the free-free pattern of M_z, canonical;
+                             # an exact 0 at the six pairs K skips
     Bt: sp.csr_matrix        # transposed divergence block, 2*free x pressure
     rhs: np.ndarray
     lu: object
@@ -81,13 +83,12 @@ class PreparedStokes(NamedTuple):
     schur: object            # LU of the context's P1 pressure mass M_p,
                              # taken once here; the Schur surrogate is M_p / nu
     vv: np.ndarray           # V_a*V_b at the cell quadrature points, (36, nq)
-    cell_map: np.ndarray     # int32: cell pair (t, 6a+b) -> entry of the
-                             # free-free skew pattern (first ns), of the
-                             # free-fixed pattern (next nfb) or a dump slot
-    skew_pos: np.ndarray     # int32 (2, ns): data positions in ``matrix``
-                             # of the -M_z (row u1, col u2) and +M_z blocks
-    fb_rows: np.ndarray      # int32 (nfb,): free row of each free-fixed entry
-    fb_cols: np.ndarray      # int32 (nfb,): its index into ``fixed``
+    cell_map: np.ndarray     # int32: cell pair (t, 6a+b) -> entry of
+                             # ``velocity`` (first ns), of the free-fixed
+                             # pattern (next nfb) or a dump slot
+    fb_stiffness: np.ndarray  # K at the free-fixed entries, (nfb,)
+    fb_rows: np.ndarray      # (nfb,): free row of each free-fixed entry
+    fb_cols: np.ndarray      # (nfb,): its index into ``fixed``
 
 
 class StokesEnergyReport(NamedTuple):
@@ -99,22 +100,6 @@ class StokesEnergyReport(NamedTuple):
     div_broken_l2: float  # pointwise L2 norm of div u (consistency level)
 
 
-def _cell_pairs(ctx, pairs=slice(None)):
-    """Row and column scalar nodes of each cell's 6x6 pairs, row-major, or
-    of those of its 36 row-major pair indices that ``pairs`` selects."""
-    nodes = ctx.cell_scalar_nodes  # (nt, 6)
-    a, b = np.divmod(np.arange(36)[pairs], 6)
-    return nodes[:, a].ravel(), nodes[:, b].ravel()
-
-
-def _scalar_matrix(ctx, cell_blocks, pairs=slice(None)):
-    """Sum cell blocks, 6x6 row-major per cell or the ``pairs`` of each,
-    into a CSR matrix over the scalar nodes."""
-    n = ctx.num_scalar_nodes
-    return sp.coo_matrix((cell_blocks.ravel(), _cell_pairs(ctx, pairs)),
-                         shape=(n, n)).tocsr()
-
-
 # cell averages of products of the P2 derivatives dphi_a/dlambda_k, by the
 # 7-point rule, which is exact for these degree-2 integrands:
 # _STIFFNESS[k, l, a, b] of dphi_a/dlambda_k * dphi_b/dlambda_l,
@@ -123,29 +108,27 @@ _DLAMBDA = fes.p2_lambda_derivatives(fes.TRI_QP)  # (6, nq, 3)
 _STIFFNESS = np.einsum("q,aqk,bql->klab", fes.TRI_QW, _DLAMBDA, _DLAMBDA)
 _DIVERGENCE = np.einsum("q,kq,aql->lka", fes.TRI_QW,
                         fes.p1_values(fes.TRI_QP), _DLAMBDA)
-# the 30 row-major pairs (a, b) of a cell's stiffness block that couple:
-# vertex i and the midpoint 3+i of its opposite edge do not, since phi_i
-# varies with lambda_i alone, phi_{3+i} with the other two, and
+# mask of the 30 row-major pairs (a, b) of a cell's stiffness block that
+# couple: vertex i and the midpoint 3+i of its opposite edge do not, since
+# phi_i varies with lambda_i alone, phi_{3+i} with the other two, and
 # (4 lambda_i - 1) lambda_j integrates to zero for j != i; _STIFFNESS
 # holds only round-off there
-_STIFFNESS_PAIRS = np.flatnonzero(
+_STIFFNESS_PAIRS = (
     np.abs(np.subtract.outer(np.arange(6), np.arange(6))).ravel() != 3)
 
 
-def _stiffness(ctx, nu):
-    """nu-scaled scalar P2 stiffness matrix, in closed form: the block of
-    cell t is nu area_t sum_kl _STIFFNESS[k, l] (grad lambda_k .
-    grad lambda_l)[t].  Only :data:`_STIFFNESS_PAIRS` are stored, so no
-    vertex is coupled to the midpoint of its opposite edge."""
+def _stiffness_cells(ctx, nu):
+    """nu-scaled cell blocks of the scalar P2 stiffness, (nt, 36) row-major,
+    in closed form: the block of cell t is nu area_t sum_kl _STIFFNESS[k, l]
+    (grad lambda_k . grad lambda_l)[t] on :data:`_STIFFNESS_PAIRS`, and an
+    exact 0 on the other six pairs."""
     gl = ctx.grad_lambda  # (nt, 3, 2)
     dots = np.einsum("tkd,tld->tkl", gl, gl).reshape(-1, 9)
-    cells = np.einsum("tk,kj->tj", dots,
-                      _STIFFNESS.reshape(9, 36)[:, _STIFFNESS_PAIRS])
-    K = _scalar_matrix(ctx, (nu * ctx.mesh.areas)[:, None] * cells,
-                       _STIFFNESS_PAIRS)
-    if not np.all(np.isfinite(K.data)):
+    kept = _STIFFNESS.reshape(9, 36) * _STIFFNESS_PAIRS
+    cells = (nu * ctx.mesh.areas)[:, None] * np.einsum("tk,kj->tj", dots, kept)
+    if not np.all(np.isfinite(cells)):
         raise LinearSolveFailure("non-finite entries in the viscous block")
-    return K
+    return cells
 
 
 def _mass_products(ctx):
@@ -258,19 +241,27 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
             f"vertex {orphans[0]}); the Stokes problem needs every vertex "
             "in a cell")
     check_flux_compatibility(mesh, g, flux_tol)
-    n = ctx.num_scalar_nodes
     fixed = ctx.boundary_scalar_nodes
-    free = np.setdiff1d(np.arange(n), fixed)
+    free = np.setdiff1d(np.arange(ctx.num_scalar_nodes), fixed)
     nf = free.size
     g_fixed = _boundary_values(ctx, g)
-    K = _stiffness(ctx, nu)[free]
-    K_ff = K[:, free]
+    cell_map, indptr, indices, coupled, fb_rows, fb_cols = _pair_maps(
+        ctx, free, fixed)
+    ns = indices.size
+    k = np.bincount(cell_map, _stiffness_cells(ctx, nu).ravel(),
+                    minlength=ns + fb_rows.size + 1)
+    velocity = sp.csr_matrix((k[:ns], indices, indptr), shape=(nf, nf))
     Bx, By = _divergence_blocks(spaces_)
     rhs = np.concatenate([
-        (_load_vector(ctx, f)[:, free] - (K[:, fixed] @ g_fixed).T).ravel(),
+        _load_vector(ctx, f)[:, free].ravel(),
         -(Bx[:, fixed] @ g_fixed[:, 0] + By[:, fixed] @ g_fixed[:, 1]),
         [0.0],
     ])
+    Bt = sp.vstack([Bx[:, free].T, By[:, free].T]).tocsr()
+    # on the stiffness's own pattern, without the six pairs, the LU fills less
+    K_ff = sp.csr_matrix((k[:ns][coupled], indices[coupled],
+                          np.r_[0, np.cumsum(coupled)][indptr]),
+                         shape=(nf, nf))
     # both matrices are symmetric: columns in minimum degree on A^T + A
     try:
         lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -278,69 +269,72 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     except RuntimeError as exc:
         raise LinearSolveFailure(
             f"Stokes set-up factorisation failed: {exc}") from exc
+    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, Bt, rhs,
+                          lu, nu, schur, _mass_products(ctx), cell_map,
+                          k[ns:-1], fb_rows, fb_cols)
 
-    # the cell pairs of the z-weighted mass: free-free pairs fill the skew
-    # blocks, free-fixed pairs the right-hand side, the rest are dropped
-    free_ix = np.full(n, -1)
-    free_ix[free] = np.arange(nf)
-    fixed_ix = np.full(n, -1)
-    fixed_ix[fixed] = np.arange(fixed.size)
-    rows, cols = _cell_pairs(ctx)
-    r, cf, cb = free_ix[rows], free_ix[cols], fixed_ix[cols]
+
+def _pair_maps(ctx, free, fixed):
+    """Integer maps of the cell pairs (t, 6a+b): ``cell_map``; the CSR
+    ``indptr`` and ``indices`` of the free-free pattern, every pair of free
+    nodes in a common cell; the mask of its entries that a stiffness pair
+    reaches; the free row and the index into ``fixed`` of each free-fixed
+    entry.  Its pair-sized temporaries die before the set-up factorises."""
+    n, nf, nb = ctx.num_scalar_nodes, free.size, fixed.size
+    ix = np.full((2, n), -1)  # index into free, into fixed
+    ix[0, free], ix[1, fixed] = np.arange(nf), np.arange(nb)
+    nodes = ctx.cell_scalar_nodes  # (nt, 6)
+    rows, cols = np.repeat(nodes, 6, axis=1).ravel(), np.tile(nodes, 6).ravel()
+    r, cf, cb = ix[0, rows], ix[0, cols], ix[1, cols]
     ff = (r >= 0) & (cf >= 0)
     fb = (r >= 0) & (cb >= 0)
     # sorted keys are the entries of a canonical CSR pattern
-    skew, skew_of_pair = np.unique(r[ff] * nf + cf[ff], return_inverse=True)
-    bnd, bnd_of_pair = np.unique(r[fb] * fixed.size + cb[fb],
-                                 return_inverse=True)
-    cell_map = np.full(r.size, skew.size + bnd.size, dtype=np.int32)
-    cell_map[ff] = skew_of_pair
-    cell_map[fb] = skew.size + bnd_of_pair
-    sr, sc = np.divmod(skew, nf)
-    S0 = sp.csr_matrix((np.zeros(skew.size), (sr, sc)), shape=(nf, nf))
-    Bt = sp.vstack([Bx[:, free].T, By[:, free].T]).tocsr()
-    border = sp.csr_matrix(ctx.p1_integrals[:, None])
-    matrix = sp.bmat([[sp.bmat([[K_ff, S0], [S0, K_ff]]), Bt, None],
-                      [Bt.T, None, border],
-                      [None, border.T, None]], format="csr")
-    matrix.sum_duplicates()
-    skew_pos = np.stack([_positions(matrix, sr, nf + sc),
-                         _positions(matrix, nf + sr, sc)]).astype(np.int32)
-    return PreparedStokes(
-        spaces_, free, fixed, g_fixed, matrix, Bt, rhs, lu, nu, schur,
-        _mass_products(ctx), cell_map, skew_pos,
-        (bnd // fixed.size).astype(np.int32),
-        (bnd % fixed.size).astype(np.int32))
+    keys, ff_of_pair = np.unique(r[ff] * nf + cf[ff], return_inverse=True)
+    bnd, fb_of_pair = np.unique(r[fb] * nb + cb[fb], return_inverse=True)
+    cell_map = np.full(r.size, keys.size + bnd.size, dtype=np.int32)
+    cell_map[ff] = ff_of_pair
+    cell_map[fb] = keys.size + fb_of_pair
+    stiff = np.tile(_STIFFNESS_PAIRS, nodes.shape[0])[ff]
+    coupled = np.bincount(ff_of_pair, stiff, minlength=keys.size) > 0
+    indptr = np.searchsorted(keys, np.arange(nf + 1) * nf)
+    return cell_map, indptr, keys % nf, coupled, bnd // nb, bnd % nb
 
 
-def _positions(A, rows, cols):
-    """Data positions of the entries (rows, cols) of canonical CSR ``A``."""
-    keys = (np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * A.shape[1]
-            + A.indices)
-    return np.searchsorted(keys, rows * A.shape[1] + cols)
+class _BorderedOperator(spla.LinearOperator):
+    """The reduced bordered matrix at one z, applied by blocks: the complex
+    velocity block ``A`` on u1 + i u2, the transposed divergence ``Bt`` and
+    the pressure integrals ``m``.  ``nnz`` counts the entries of its real
+    form, four for each stored entry of ``A``."""
+
+    def __init__(self, A, Bt, m):
+        super().__init__(float, (2 * A.shape[0] + m.size + 1,) * 2)
+        self.A, self.Bt, self.m = A, Bt, m
+        self.nnz = 4 * A.nnz + 2 * (Bt.nnz + m.size)
+
+    def _matvec(self, x):
+        nf = self.A.shape[0]
+        u, p = x[:2 * nf], x[2 * nf:-1]
+        w = self.A @ (u[:nf] + 1j * u[nf:])
+        return np.concatenate([np.concatenate([w.real, w.imag]) + self.Bt @ p,
+                               self.Bt.T @ u + x[-1] * self.m,
+                               [self.m @ p]])
 
 
 def _bordered_system(prep, z):
-    """The reduced bordered matrix and right-hand side at coefficient ``z``.
-
-    The matrix shares ``indices`` and ``indptr`` with ``prep.matrix`` and
-    owns its data; nothing of ``prep`` is written.
-    """
-    ctx = prep.spaces.context
-    ns = prep.skew_pos.shape[1]
+    """The reduced bordered operator and right-hand side at coefficient
+    ``z``; its velocity block shares only the pattern of ``prep.velocity``."""
+    ctx, V, ns = prep.spaces.context, prep.velocity, prep.velocity.nnz
     m = np.bincount(prep.cell_map, _zmass_cells(ctx, z, prep.vv).ravel(),
                     minlength=ns + prep.fb_rows.size + 1)
-    data = prep.matrix.data.copy()
-    data[prep.skew_pos[0]] = -m[:ns]
-    data[prep.skew_pos[1]] = m[:ns]
-    K = sp.csr_matrix((data, prep.matrix.indices, prep.matrix.indptr),
-                      shape=prep.matrix.shape)
-    mg = m[ns:ns + prep.fb_rows.size, None] * prep.g_fixed[prep.fb_cols]
+    A = sp.csr_matrix((V.data + 1j * m[:ns], V.indices, V.indptr), V.shape)
+    # the lift of the boundary values by the free-fixed part of K + i M_z
+    lift = ((prep.fb_stiffness + 1j * m[ns:-1])
+            * (prep.g_fixed @ [1.0, 1j])[prep.fb_cols])
     nf = prep.free.size
     rhs = prep.rhs.copy()
-    rhs[:nf] += np.bincount(prep.fb_rows, mg[:, 1], minlength=nf)
-    rhs[nf:2 * nf] -= np.bincount(prep.fb_rows, mg[:, 0], minlength=nf)
-    return K, rhs
+    rhs[:nf] -= np.bincount(prep.fb_rows, lift.real, minlength=nf)
+    rhs[nf:2 * nf] -= np.bincount(prep.fb_rows, lift.imag, minlength=nf)
+    return _BorderedOperator(A, prep.Bt, ctx.p1_integrals), rhs
 
 
 def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):

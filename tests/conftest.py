@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gradetwo import meshes, spaces, stokes
@@ -116,12 +117,31 @@ def l2_orders(errors, ratio=2.0):
             for i in range(len(errors) - 1)]
 
 
+def scalar_matrix(ctx, cell_blocks, pairs=slice(None)):
+    """Sum cell blocks, 6x6 row-major per cell or the ``pairs`` of each,
+    into a CSR matrix over the scalar nodes."""
+    n = ctx.num_scalar_nodes
+    nodes = ctx.cell_scalar_nodes
+    a, b = np.divmod(np.arange(36)[pairs], 6)
+    return sp.coo_matrix((cell_blocks.ravel(),
+                          (nodes[:, a].ravel(), nodes[:, b].ravel())),
+                         shape=(n, n)).tocsr()
+
+
+def stiffness_matrix(ctx, nu):
+    """The solver's stiffness cell blocks summed on the pairs it keeps."""
+    pairs = stokes._STIFFNESS_PAIRS
+    return scalar_matrix(ctx, stokes._stiffness_cells(ctx, nu)[:, pairs],
+                         pairs)
+
+
 def filled_coupling(prepared, z):
-    """The skew blocks a Stokes solve fills into the reduced bordered
-    matrix at ``z``: its velocity block less that of the z = 0 template."""
+    """What a Stokes solve fills into the complex velocity block at ``z``,
+    less its z = 0 template ``prepared.velocity``, in real form: D becomes
+    [[Re D, -Im D], [Im D, Re D]]."""
     K, _ = stokes._bordered_system(prepared, z)
-    nv = 2 * prepared.free.size
-    return (K - prepared.matrix)[:nv, :nv].tocsr()
+    D = K.A - prepared.velocity
+    return sp.bmat([[D.real, -D.imag], [D.imag, D.real]], format="csr")
 
 
 def skew_defect(C, rng, samples):

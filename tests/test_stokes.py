@@ -9,7 +9,7 @@ from gradetwo import manufactured, meshes, spaces, stokes
 from gradetwo.errors import FluxIncompatible, MeshTopologyError
 
 from conftest import (filled_coupling, perturbed_square, quadrature_p2_grads,
-                      ring_mesh, skew_defect)
+                      ring_mesh, scalar_matrix, skew_defect, stiffness_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,13 @@ def test_skew_block_annihilates_velocity(spaces8, random_z):
 
 def shifted_fill(prepared, mutation):
     """A copy of ``prepared`` whose fill breaks the skew symmetry."""
-    if mutation == "plus_block_rolled":
-        # the +M_z values land one stored entry over
-        return prepared._replace(skew_pos=np.stack(
-            [prepared.skew_pos[0], np.roll(prepared.skew_pos[1], 1)]))
+    if mutation == "imaginary_part_rolled":
+        # the M_z values land one stored entry over
+        ns = prepared.velocity.nnz
+        cell_map = prepared.cell_map.copy()
+        ff = cell_map < ns
+        cell_map[ff] = (cell_map[ff] + 1) % ns
+        return prepared._replace(cell_map=cell_map)
     # cell 0's 36 pairs go to the entries of cell 20, one pair over; a
     # straight copy would keep M_z symmetric and the coupling skew
     cell_map = prepared.cell_map.copy()
@@ -57,7 +60,7 @@ def shifted_fill(prepared, mutation):
     return prepared._replace(cell_map=cell_map)
 
 
-@pytest.mark.parametrize("mutation", ["plus_block_rolled", "cell_moved"])
+@pytest.mark.parametrize("mutation", ["imaginary_part_rolled", "cell_moved"])
 def test_skew_defect_sees_a_broken_fill(spaces8, random_z, mutation):
     prepared = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
     broken = filled_coupling(shifted_fill(prepared, mutation), random_z)
@@ -67,8 +70,7 @@ def test_skew_defect_sees_a_broken_fill(spaces8, random_z, mutation):
 def test_viscosity_scaling(spaces8, random_z):
     s1 = stokes.prepare_generalized_stokes(spaces8, 1.0, ZERO_V, ZERO_V)
     s2 = stokes.prepare_generalized_stokes(spaces8, 2.0, ZERO_V, ZERO_V)
-    nv = 2 * s1.free.size
-    a_diff = (s2.matrix[:nv, :nv] - 2.0 * s1.matrix[:nv, :nv])
+    a_diff = s2.velocity - 2.0 * s1.velocity
     assert a_diff.nnz == 0 or np.abs(a_diff.data).max() < 1e-12
     c_diff = (filled_coupling(s2, random_z) - filled_coupling(s1, random_z))
     assert c_diff.nnz == 0 or np.abs(c_diff.data).max() < 1e-14
@@ -155,9 +157,8 @@ def test_closed_form_blocks_match_quadrature():
     ctx = sp_.context
     w = ctx.cell_qweights
     G = quadrature_p2_grads(ctx)  # (nt, 6, nq, 2)
-    K = stokes._stiffness(ctx, 0.7)
-    K_ref = stokes._scalar_matrix(
-        ctx, 0.7 * np.einsum("tq,taqd,tbqd->tab", w, G, G))
+    K = stiffness_matrix(ctx, 0.7)
+    K_ref = scalar_matrix(ctx, 0.7 * np.einsum("tq,taqd,tbqd->tab", w, G, G))
     assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
     nt = ctx.mesh.num_triangles
     rows = np.repeat(ctx.mesh.triangles, 6, axis=1).ravel()
@@ -173,32 +174,45 @@ def test_closed_form_blocks_match_quadrature():
 def test_stiffness_skips_vertex_opposite_midpoint_pairs():
     """A vertex and the midpoint of its opposite edge share no stiffness
     (the integral of grad phi_i . grad phi_{3+i} vanishes on every cell):
-    no such pair is stored, every other cell pair is, and the velocity LU
-    fills less than it does on the free-free block with those pairs."""
+    the cell blocks hold an exact 0 at such a pair, the velocity block
+    stores every free-free cell pair and an exact 0 at those pairs, the
+    velocity LU is taken on the stiffness's own free-free pattern, without
+    those pairs, and it fills less than on the free-free block with them."""
     sp_ = spaces.build_spaces(perturbed_square(12, 5))
     ctx = sp_.context
     nt = ctx.mesh.num_triangles
     nodes = ctx.cell_scalar_nodes
-    K = stokes._stiffness(ctx, 0.7)
+    cells = stokes._stiffness_cells(ctx, 0.7).reshape(nt, 6, 6)
+    i = np.arange(3)
+    assert not cells[:, i, 3 + i].any() and not cells[:, 3 + i, i].any()
+    K = stiffness_matrix(ctx, 0.7)
     opposite = sp.coo_matrix((np.ones(3 * nt), (nodes[:, :3].ravel(),
                                                 nodes[:, 3:].ravel())),
                              shape=K.shape).tocsr()
     opposite = opposite + opposite.T
-    stored = sp.csr_matrix(K, copy=True)
-    stored.data[:] = 1.0
-    assert stored.multiply(opposite).nnz == 0
-    every_pair = stokes._scalar_matrix(ctx, np.ones((nt, 36)))
+    every_pair = scalar_matrix(ctx, np.ones((nt, 36)))
     assert K.nnz == every_pair.nnz - opposite.nnz == every_pair.nnz - 6 * nt
 
     prepared = stokes.prepare_generalized_stokes(sp_, 0.7, ZERO_V, ZERO_V)
     free = prepared.free
+    V = prepared.velocity
+    pairs_ff = every_pair[free][:, free]
+    pairs_ff.sort_indices()
+    assert np.array_equal(V.indptr, pairs_ff.indptr)
+    assert np.array_equal(V.indices, pairs_ff.indices)
+    assert abs(V).multiply(opposite[free][:, free]).count_nonzero() == 0
     dots = np.einsum("tkd,tld->tkl", ctx.grad_lambda,
                      ctx.grad_lambda).reshape(-1, 9)
-    K_all = stokes._scalar_matrix(
+    K_all = scalar_matrix(
         ctx, (0.7 * ctx.mesh.areas)[:, None]
         * np.einsum("tk,kj->tj", dots, stokes._STIFFNESS.reshape(9, 36)))
     K_all_ff = K_all[free][:, free]
-    assert abs(K_all_ff - K[free][:, free]).max() <= 1e-15 * abs(K).max()
+    assert abs(K_all_ff - V).max() <= 1e-15 * abs(K).max()
+    # the column order and the fill of an LU depend on the pattern it reads
+    lu_own = spla.splu(K[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(prepared.lu.perm_c, lu_own.perm_c)
+    assert (prepared.lu.L.nnz + prepared.lu.U.nnz
+            == lu_own.L.nnz + lu_own.U.nnz)
     lu_all = spla.splu(K_all_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
     assert (prepared.lu.L.nnz + prepared.lu.U.nnz
             < lu_all.L.nnz + lu_all.U.nnz)
@@ -209,8 +223,8 @@ def full_blocks(spaces_, nu, z):
     coupling C, the divergence block B, the pressure integrals and the
     Dirichlet velocity dofs in ascending order."""
     ctx = spaces_.context
-    K = stokes._stiffness(ctx, nu)
-    Mz = stokes._scalar_matrix(
+    K = stiffness_matrix(ctx, nu)
+    Mz = scalar_matrix(
         ctx, stokes._zmass_cells(ctx, z, stokes._mass_products(ctx)))
     A = sp.bmat([[K, None], [None, K]], format="csr")
     C = sp.bmat([[None, -Mz], [Mz, None]], format="csr")
@@ -285,8 +299,9 @@ def structure(spaces_, z):
 
 @pytest.mark.parametrize("mesh", ["unit8", "perturbed16"])
 def test_filled_system_matches_reference(spaces8, mesh):
-    # the skew blocks and the boundary coupling of each solve are scattered
-    # into a template built once; compare with the full assembly
+    # the z-weighted mass and the boundary coupling of each solve are
+    # scattered into a template built once; compare the applied operator
+    # with the full assembly
     spaces_ = spaces8 if mesh == "unit8" else spaces.build_spaces(
         perturbed_square(16, 3))
     case = manufactured.manufactured_case("trig", 0.7, 0.1)
@@ -295,15 +310,18 @@ def test_filled_system_matches_reference(spaces8, mesh):
         5.0 * rng.standard_normal(spaces_.vorticity.dof_count))
     prepared = stokes.prepare_generalized_stokes(
         spaces_, case.nu, case.f, case.u)
-    K, rhs = stokes._bordered_system(prepared, z)
+    op, rhs = stokes._bordered_system(prepared, z)
+    K = sp.csr_matrix(np.column_stack([op @ e for e in np.eye(op.shape[1])]))
     K_ref, rhs_ref, _, _ = reference_system(spaces_, case.nu, z, case.f,
                                             case.u)
     scale = np.abs(K_ref.data).max()
     assert K.shape == K_ref.shape
     assert abs(K - K_ref).max() <= 1e-14 * scale
     assert np.abs(rhs - rhs_ref).max() <= 1e-14 * scale
-    # no stored entry outside the reference structure
-    mine = sp.csr_matrix(K, copy=True)
+    # no applied entry outside the reference structure: the stiffness part
+    # of the velocity block is an exact 0 at the pairs it stores for M_z
+    # alone
+    mine = K.copy()
     mine.data[:] = 1.0
     assert (mine - mine.multiply(structure(spaces_, z))).count_nonzero() == 0
 
@@ -339,7 +357,7 @@ def test_solve_is_pure_and_guarded(spaces8):
     assert np.array_equal(p1.coefficients, p3.coefficients)
     after = arrays(prepared)
     assert after.keys() == before.keys()
-    assert "matrix.data" in after and "schur.perm_c" in after
+    assert "velocity.data" in after and "schur.perm_c" in after
     for name, value in before.items():
         assert np.array_equal(after[name], value), name
     for bad in (np.nan, np.inf):
