@@ -4,9 +4,10 @@ set-up, per mesh size.
 For each n, in a fresh process with glibc's malloc thresholds fixed as the
 ``gradetwo`` commands fix them, prints the bytes of the ``FeContext`` arrays
 (the P1 mass CSR's included), the build times of the ``Mesh`` and of the
-``FeContext`` (each best of three, timed last), and the peak resident set
-``VmHWM`` on the unit square after each
-step: ``build_spaces``; then the steps of a transport solve for the
+``FeContext`` and the time of one ``velocity_corner_gradients`` evaluation,
+which rebuilds the P2 basis gradients at the corners (each best of three,
+timed last), and the peak resident set ``VmHWM`` on the unit square after
+each step: ``build_spaces``; then the steps of a transport solve for the
 rotation u = (1/2 - y, x - 1/2), nu = alpha = 1 (the divergence check, the
 assembly of the upwind DG matrix and its factorisation); then, with the
 transport objects freed, ``prepare_generalized_stokes`` (nu = 1, g = 0,
@@ -60,12 +61,19 @@ def measure(n):
         ctx = spaces.FeContext(built)
         mesh_times.append(mid - start)
         times.append(time.perf_counter() - mid)
+    u = spaces.interpolate(rotation, spaces_.velocity)
+    grad_times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        spaces.velocity_corner_gradients(u)
+        grad_times.append(time.perf_counter() - start)
     M = ctx.p1_mass
     arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
     nbytes = sum(a.nbytes for a in arrays + [M.data, M.indices, M.indptr])
     print(f"n={n:4d}  Mesh build {min(mesh_times) * 1e3:5.0f} ms;  FeContext "
           f"{nbytes / 2**20:6.1f} MiB ({nbytes / mesh.num_triangles:4.0f} "
-          f"B/cell), build {min(times) * 1e3:5.0f} ms;\n        VmHWM after "
+          f"B/cell), build {min(times) * 1e3:5.0f} ms;  corner gradients "
+          f"{min(grad_times) * 1e3:5.1f} ms;\n        VmHWM after "
           f"build_spaces {after_spaces:6.0f} MB, after prepare "
           f"{after_prepare:6.0f} MB\n"
           f"        transport (rotation): VmHWM after divergence check "

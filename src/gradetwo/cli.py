@@ -250,9 +250,6 @@ def main(argv=None):
         if args.writes:
             os.makedirs(out_dir, exist_ok=True)
         return handlers[args.command](cfg, out_dir)
-    except NotConverged as exc:
-        print(f"error (not converged): {exc}", file=sys.stderr)
-        return 2
     except (GradeTwoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,15 +17,18 @@ Traces on an edge come from the edge's own nodes, through two tables that
 serve every edge (:data:`EDGE_P1`, :data:`EDGE_P2`) and, for DG fields, the
 dof index :attr:`FeContext.edge_dg_dofs`.
 
-:class:`FeContext` tabulates once per mesh what the solvers share: quadrature
-points and weights, basis values, the barycentric gradients, the P2 basis
-gradients at the cell corners (its one per-cell gradient table; grad u is
-linear on a cell, so quadrature-point values are interpolated from them), the
-cell P1 mass, the DG edge dofs, the velocity node layout and the consistent P1
-mass M_p (``p1_mass``, CSR) with ``p1_integrals`` = M_p 1, which give the
-Stokes Schur surrogate, the weak-divergence norm, the zero-mean border and
-:func:`pressure_mean`.  The Stokes stiffness and divergence blocks are closed
-forms in the barycentric gradients (:func:`p2_lambda_derivatives`).
+:class:`FeContext` tabulates once per mesh what the solvers re-read: the
+quadrature weights, the barycentric gradients, the cell P1 mass, the DG edge
+dofs, the velocity node layout and the consistent P1 mass M_p (``p1_mass``,
+CSR) with ``p1_integrals`` = M_p 1, which give the Stokes Schur surrogate,
+the weak-divergence norm, the zero-mean border and :func:`pressure_mean`.
+Basis values at the quadrature points are module tables (:data:`P1_AT_Q`,
+:data:`P2_AT_Q`).  Each evaluation rebuilds what is cheap to rebuild: the P2
+basis gradients at the cell corners (grad u is linear on a cell, so
+quadrature-point values are interpolated from them) and the quadrature
+points at which :func:`data_cell_values` calls user data.  The Stokes
+stiffness and divergence blocks are closed forms in the barycentric
+gradients (:func:`p2_lambda_derivatives`).
 
 Space descriptors and the tabulation context are immutable after
 construction, cache nothing and are safe to share across threads.  Field
@@ -88,6 +91,11 @@ _EDGE_BARY = np.stack([1.0 - EDGE_QP, EDGE_QP, 0.0 * EDGE_QP], axis=1)
 # P1 at (v0, v1), shape (2, nqe); P2 at (v0, v1, midpoint), shape (3, nqe)
 EDGE_P1 = p1_values(_EDGE_BARY)[:2]
 EDGE_P2 = p2_values(_EDGE_BARY)[[0, 1, 5]]
+# basis values at the cell quadrature points, shared read-only by every cell
+P1_AT_Q = p1_values(TRI_QP)  # (3, nq)
+P2_AT_Q = p2_values(TRI_QP)  # (6, nq)
+P1_AT_Q.setflags(write=False)
+P2_AT_Q.setflags(write=False)
 
 
 def _grad_lambda(corners, areas):
@@ -120,17 +128,14 @@ def p2_lambda_derivatives(bary):
 class FeContext:
     """Tabulated geometry and basis data shared by the three spaces.
 
-    Per cell: the quadrature points and weights, ``grad_lambda``
-    (nt, 3, 2), the P2 basis gradients at the corners (nt, 6, 3, 2) and the
-    P1 mass blocks; basis values at the quadrature points are tables shared
-    by every cell.  All arrays, the edge and node tables and the P1 mass CSR
-    included, take about 730 bytes per cell, and all are read-only; the
-    DG edge dofs are int32.
+    Per cell: the quadrature weights, ``grad_lambda`` (nt, 3, 2) and the P1
+    mass blocks.  All arrays, the edge and node tables and the P1 mass CSR
+    included, take about 330 bytes per cell, and all are read-only; the DG
+    edge dofs are int32.
 
     The tables are built with row gathers (``np.take``), elementwise
-    kernels over (nt, 2) slices, one two-operand einsum and one stacked
-    matmul of per-cell 18x3 by 3x2 blocks, so the build wakes no BLAS
-    thread.
+    kernels over (nt, 2) slices and one two-operand einsum, so the build
+    wakes no BLAS thread.
     """
 
     def __init__(self, mesh):
@@ -139,27 +144,11 @@ class FeContext:
         t = mesh.triangles
         # 3 x (nt, 2); np.take gathers rows far faster than fancy indexing
         corners = [np.take(mesh.vertices, t[:, i], axis=0) for i in range(3)]
-        # one a*p0 + b*p1 + c*p2 per quadrature point, in that order
-        self.cell_qpoints = np.empty((nt, TRI_QP.shape[0], 2))
-        for q, (a, b, c) in enumerate(TRI_QP):
-            self.cell_qpoints[:, q] = (a * corners[0] + b * corners[1]
-                                       + c * corners[2])
         self.cell_qweights = mesh.areas[:, None] * TRI_QW[None, :]
         self.grad_lambda = _grad_lambda(corners, mesh.areas)
-        self.p1_at_q = p1_values(TRI_QP)        # (3, nq)
-        self.p2_at_q = p2_values(TRI_QP)        # (6, nq)
-        # the one per-cell gradient table, (nt, 6, 3, 2): grad u is linear on
-        # a cell, so its corner values give it everywhere.  Row (a, j) of the
-        # fixed (18, 3) table dphi_a/dlambda at corner j has at most one
-        # nonzero, so each entry is one product plus exact zeros, the same
-        # bits in any summation order; numpy hands each cell's 18x3 by 3x2
-        # product to BLAS, far below its threading size
-        self.p2_grad_at_corners = (
-            p2_lambda_derivatives(np.eye(3)).reshape(18, 3)
-            @ self.grad_lambda).reshape(nt, 6, 3, 2)
 
         # cell P1 mass, (nt, 3, 3): one two-operand einsum, no BLAS call
-        V = self.p1_at_q
+        V = P1_AT_Q
         self.p1_cell_mass = np.einsum(
             "tq,kq->tk", self.cell_qweights, (V[:, None] * V).reshape(9, -1)
         ).reshape(nt, 3, 3)
@@ -312,8 +301,8 @@ def velocity_cell_values(field: Field):
     nodes = ctx.cell_scalar_nodes  # (nt, 6)
     cx = field.coefficients[:n][nodes]
     cy = field.coefficients[n:][nodes]
-    vx = np.einsum("ta,aq->tq", cx, ctx.p2_at_q)
-    vy = np.einsum("ta,aq->tq", cy, ctx.p2_at_q)
+    vx = np.einsum("ta,aq->tq", cx, P2_AT_Q)
+    vy = np.einsum("ta,aq->tq", cy, P2_AT_Q)
     return np.stack([vx, vy], axis=2)
 
 
@@ -323,13 +312,25 @@ def velocity_cell_gradients(field: Field):
                                   velocity_corner_gradients(field))
 
 
+# row (a, j): d phi_a / d lambda at corner j, at most one nonzero per row
+_DLAMBDA_AT_CORNERS = p2_lambda_derivatives(np.eye(3)).reshape(18, 3)
+
+
+def _p2_grads_at_corners(ctx):
+    """P2 basis gradients at the cell corners, (nt, 6, 3, 2), rebuilt per
+    call: each entry is one product plus exact zeros, the same bits in any
+    summation order; numpy hands each cell's 18x3 by 3x2 product to BLAS,
+    far below its threading size."""
+    return (_DLAMBDA_AT_CORNERS @ ctx.grad_lambda).reshape(-1, 6, 3, 2)
+
+
 def velocity_corner_gradients(field: Field):
     """(nt, 3, 2, 2) gradients at the cell corners, laid out as
     :func:`velocity_cell_gradients`."""
     ctx = field.space.context
     n = ctx.num_scalar_nodes
     nodes = ctx.cell_scalar_nodes
-    G = ctx.p2_grad_at_corners
+    G = _p2_grads_at_corners(ctx)
     gx = np.einsum("ta,tajd->tjd", field.coefficients[:n][nodes], G)
     gy = np.einsum("ta,tajd->tjd", field.coefficients[n:][nodes], G)
     return np.stack([gx, gy], axis=2)
@@ -343,14 +344,12 @@ def _corners_at_quadrature(ctx, corner_grads):
     # the corner axis last and contiguous: 2x faster in einsum than as given
     g = np.ascontiguousarray(
         corner_grads.reshape(nt, 3, 4).transpose(0, 2, 1))
-    return np.einsum("txj,jq->tqx", g, ctx.p1_at_q).reshape(nt, -1, 2, 2)
+    return np.einsum("txj,jq->tqx", g, P1_AT_Q).reshape(nt, -1, 2, 2)
 
 
 def scalar_cell_values(field: Field):
     """(nt, nq) samples of a P1/DG-P1 scalar at cell quadrature points."""
-    ctx = field.space.context
-    c = _cell_scalar_coeffs(field)
-    return np.einsum("ta,aq->tq", c, ctx.p1_at_q)
+    return np.einsum("ta,aq->tq", _cell_scalar_coeffs(field), P1_AT_Q)
 
 
 def scalar_cell_gradients(field: Field):
@@ -358,6 +357,19 @@ def scalar_cell_gradients(field: Field):
     ctx = field.space.context
     c = _cell_scalar_coeffs(field)
     return np.einsum("ta,tad->td", c, ctx.grad_lambda)
+
+
+def data_cell_values(ctx, func):
+    """A data callable at the cell quadrature points, through
+    :func:`gradetwo.userdata.evaluate`: shape (nt, nq), with a trailing
+    (2,) or (2, 2) for vector or gradient data."""
+    t = ctx.mesh.triangles
+    corners = [np.take(ctx.mesh.vertices, t[:, i], axis=0) for i in range(3)]
+    # one a*p0 + b*p1 + c*p2 per quadrature point, in that order
+    pts = np.empty((t.shape[0], TRI_QP.shape[0], 2))
+    for q, (a, b, c) in enumerate(TRI_QP):
+        pts[:, q] = a * corners[0] + b * corners[1] + c * corners[2]
+    return evaluate(func, pts[..., 0], pts[..., 1])
 
 
 def _cell_scalar_coeffs(field):
@@ -426,8 +438,7 @@ def error_l2(field: Field, exact: Callable) -> float:
     """L2 distance between a field and a callable (vector for velocity);
     ``exact`` is called with coordinate arrays, as in :func:`interpolate`."""
     ctx = field.space.context
-    pts = ctx.cell_qpoints
-    ex = evaluate(exact, pts[..., 0], pts[..., 1])
+    ex = data_cell_values(ctx, exact)
     if field.space.kind == "velocity":
         diff = ((velocity_cell_values(field) - ex) ** 2).sum(axis=2)
     else:
@@ -440,8 +451,7 @@ def error_h1(field: Field, exact_grad: Callable) -> float:
     coordinate arrays and returns the gradient rows (du1, du2) for velocity
     or (dzdx, dzdy) for scalars."""
     ctx = field.space.context
-    pts = ctx.cell_qpoints
-    ex = evaluate(exact_grad, pts[..., 0], pts[..., 1])
+    ex = data_cell_values(ctx, exact_grad)
     if field.space.kind == "velocity":
         diff = ((velocity_cell_gradients(field) - ex) ** 2).sum(axis=(2, 3))
     else:
@@ -450,17 +460,12 @@ def error_h1(field: Field, exact_grad: Callable) -> float:
     return float(np.sqrt((ctx.cell_qweights * diff).sum()))
 
 
-def velocity_h1_semi(field: Field) -> float:
-    """|u|_H1, exact from the corner gradients: grad u is linear on each
-    cell, and a linear f with corner values f_k has integral
-    area/12 ((sum_k f_k)^2 + sum_k f_k^2), from int lambda_i lambda_j =
-    area (1 + delta_ij) / 12.  Equal to ``norms(field).h1_semi`` up to
-    round-off."""
-    return _h1_semi(field.space.context, velocity_corner_gradients(field))
-
-
 def _h1_semi(ctx, corner_grads):
-    """:func:`velocity_h1_semi` from the (nt, 3, 2, 2) corner gradients."""
+    """|u|_H1, exact from the (nt, 3, 2, 2) corner gradients of
+    :func:`velocity_corner_gradients`: grad u is linear on each cell, and a
+    linear f with corner values f_k has integral area/12 ((sum_k f_k)^2 +
+    sum_k f_k^2), from int lambda_i lambda_j = area (1 + delta_ij) / 12.
+    Equal to ``norms(field).h1_semi`` up to round-off."""
     g = corner_grads.reshape(-1, 3, 4)
     total = g.sum(axis=1)
     sq = np.einsum("ti,ti->t", total, total) + np.einsum("tki,tki->t", g, g)

@@ -82,7 +82,6 @@ class PreparedStokes(NamedTuple):
     nu: float
     schur: object            # LU of the context's P1 pressure mass M_p,
                              # taken once here; the Schur surrogate is M_p / nu
-    vv: np.ndarray           # V_a*V_b at the cell quadrature points, (36, nq)
     cell_map: np.ndarray     # int32: cell pair (t, 6a+b) -> entry of
                              # ``velocity`` (first ns), of the free-fixed
                              # pattern (next nfb) or a dump slot
@@ -106,8 +105,9 @@ class StokesEnergyReport(NamedTuple):
 # _DIVERGENCE[l, k, a] of lambda_k * dphi_a/dlambda_l
 _DLAMBDA = fes.p2_lambda_derivatives(fes.TRI_QP)  # (6, nq, 3)
 _STIFFNESS = np.einsum("q,aqk,bql->klab", fes.TRI_QW, _DLAMBDA, _DLAMBDA)
-_DIVERGENCE = np.einsum("q,kq,aql->lka", fes.TRI_QW,
-                        fes.p1_values(fes.TRI_QP), _DLAMBDA)
+_DIVERGENCE = np.einsum("q,kq,aql->lka", fes.TRI_QW, fes.P1_AT_Q, _DLAMBDA)
+# V_a*V_b of the P2 basis at the cell quadrature points, (36, nq)
+_MASS_PRODUCTS = (fes.P2_AT_Q[:, None] * fes.P2_AT_Q).reshape(36, -1)
 # mask of the 30 row-major pairs (a, b) of a cell's stiffness block that
 # couple: vertex i and the midpoint 3+i of its opposite edge do not, since
 # phi_i varies with lambda_i alone, phi_{3+i} with the other two, and
@@ -131,13 +131,7 @@ def _stiffness_cells(ctx, nu):
     return cells
 
 
-def _mass_products(ctx):
-    """V_a*V_b of the P2 basis at the cell quadrature points, (36, nq)."""
-    V = ctx.p2_at_q  # (6, nq)
-    return (V[:, None] * V).reshape(36, -1)
-
-
-def _zmass_cells(ctx, z, vv):
+def _zmass_cells(ctx, z):
     """Cell blocks of the z-weighted P2 mass, shape (nt, 36), row-major.
 
     One two-operand einsum, which calls no BLAS, as the transport assembly.
@@ -145,7 +139,8 @@ def _zmass_cells(ctx, z, vv):
     if not np.all(np.isfinite(z.coefficients)):
         raise ValueError("non-finite coefficient field z")
     cells = np.einsum("tq,kq->tk",
-                      ctx.cell_qweights * fes.scalar_cell_values(z), vv)
+                      ctx.cell_qweights * fes.scalar_cell_values(z),
+                      _MASS_PRODUCTS)
     if not np.all(np.isfinite(cells)):
         raise LinearSolveFailure("non-finite entries in the coupling block")
     return cells
@@ -172,16 +167,10 @@ def _divergence_blocks(spaces_):
         for d in (0, 1))
 
 
-def _cell_values(ctx, f):
-    """A vector callable at the cell quadrature points, shape (nt, nq, 2)."""
-    pts = ctx.cell_qpoints
-    return evaluate(f, pts[..., 0], pts[..., 1])
-
-
 def _load_vector(ctx, f):
     """(f, v) load of each velocity component, shape (2, scalar nodes)."""
-    load = np.einsum("tq,tqc,aq->cta", ctx.cell_qweights, _cell_values(ctx, f),
-                     ctx.p2_at_q)
+    load = np.einsum("tq,tqc,aq->cta", ctx.cell_qweights,
+                     fes.data_cell_values(ctx, f), fes.P2_AT_Q)
     nodes = ctx.cell_scalar_nodes.ravel()
     return np.stack([np.bincount(nodes, load[c].ravel(),
                                  minlength=ctx.num_scalar_nodes)
@@ -270,8 +259,7 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
         raise LinearSolveFailure(
             f"Stokes set-up factorisation failed: {exc}") from exc
     return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, Bt, rhs,
-                          lu, nu, schur, _mass_products(ctx), cell_map,
-                          k[ns:-1], fb_rows, fb_cols)
+                          lu, nu, schur, cell_map, k[ns:-1], fb_rows, fb_cols)
 
 
 def _pair_maps(ctx, free, fixed):
@@ -324,7 +312,7 @@ def _bordered_system(prep, z):
     """The reduced bordered operator and right-hand side at coefficient
     ``z``; its velocity block shares only the pattern of ``prep.velocity``."""
     ctx, V, ns = prep.spaces.context, prep.velocity, prep.velocity.nnz
-    m = np.bincount(prep.cell_map, _zmass_cells(ctx, z, prep.vv).ravel(),
+    m = np.bincount(prep.cell_map, _zmass_cells(ctx, z).ravel(),
                     minlength=ns + prep.fb_rows.size + 1)
     A = sp.csr_matrix((V.data + 1j * m[:ns], V.indices, V.indptr), V.shape)
     # the lift of the boundary values by the free-fixed part of K + i M_z
@@ -429,11 +417,11 @@ def stokes_energy_report(u, p, z, f, nu):
     corners = fes.velocity_corner_gradients(u)
     grads = fes._corners_at_quadrature(ctx, corners)
     viscous = nu * float((w * (grads ** 2).sum(axis=(2, 3))).sum())
-    forcing = float((w[:, :, None] * _cell_values(ctx, f)
+    forcing = float((w[:, :, None] * fes.data_cell_values(ctx, f)
                      * fes.velocity_cell_values(u)).sum())
     # u^T C u = (M_z u1, u2) - (M_z u2, u1), cell by cell
     c = u.coefficients.reshape(2, -1)[:, ctx.cell_scalar_nodes]
-    mz = _zmass_cells(ctx, z, _mass_products(ctx)).reshape(-1, 6, 6)
+    mz = _zmass_cells(ctx, z).reshape(-1, 6, 6)
     skew = float(np.einsum("ta,tab,tb->", c[1], mz, c[0])
                  - np.einsum("ta,tab,tb->", c[0], mz, c[1]))
     div = grads[:, :, 0, 0] + grads[:, :, 1, 1]

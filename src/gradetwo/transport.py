@@ -360,9 +360,7 @@ def _inflow_load(ctx, sb, eps_n, datum):
 
 def _dg_load(ctx, samples):
     """Load vector of (samples, v) over the DG space; samples (nt, nq)."""
-    w = ctx.cell_qweights
-    V = ctx.p1_at_q
-    lv = np.einsum("tq,iq->ti", w * samples, V)
+    lv = np.einsum("tq,iq->ti", ctx.cell_qweights * samples, fes.P1_AT_Q)
     return lv.ravel()
 
 
@@ -482,12 +480,11 @@ def green_residual(z, u, phi, phi_grad):
     ctx = z.space.context
     mesh = ctx.mesh
     w = ctx.cell_qweights
-    pts = ctx.cell_qpoints
     uq = fes.velocity_cell_values(u)
     zq = fes.scalar_cell_values(z)
     gz = fes.scalar_cell_gradients(z)  # (nt, 2)
-    phiq = evaluate(phi, pts[..., 0], pts[..., 1])
-    gphi = evaluate(phi_grad, pts[..., 0], pts[..., 1])
+    phiq = fes.data_cell_values(ctx, phi)
+    gphi = fes.data_cell_values(ctx, phi_grad)
     vol1 = float((w * zq * (uq[:, :, 0] * gphi[..., 0]
                             + uq[:, :, 1] * gphi[..., 1])).sum())
     adv = uq[:, :, 0] * gz[:, None, 0] + uq[:, :, 1] * gz[:, None, 1]

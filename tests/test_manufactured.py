@@ -140,7 +140,7 @@ def test_momentum_substitution_residual(name):
     # desynchronised f transcription
     case = mms.manufactured_case(name, 0.9, 0.17)
     sp_ = spaces.build_spaces(meshes.unit_square_mesh(6))
-    pts = sp_.context.cell_qpoints
+    pts = spaces.data_cell_values(sp_.context, lambda x, y: (x, y))
     w = sp_.context.cell_qweights
     res2 = 0.0
     fnorm2 = 0.0

@@ -28,7 +28,7 @@ def test_dof_counts_two_triangle_square(two_tri):
 def test_quadrature_exact_through_degree5(spaces8):
     # reference integrals: int over unit square of x^a y^b = 1/((a+1)(b+1))
     ctx = spaces8.context
-    pts = ctx.cell_qpoints
+    pts = spaces.data_cell_values(ctx, lambda x, y: (x, y))
     for a, b in [(0, 0), (1, 0), (2, 1), (3, 2), (5, 0), (2, 3), (4, 1)]:
         val = (ctx.cell_qweights * pts[:, :, 0] ** a * pts[:, :, 1] ** b).sum()
         assert val == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-13)
@@ -38,27 +38,29 @@ def test_context_arrays_read_only(spaces8):
     ctx = spaces8.context
     with pytest.raises(ValueError, match="read-only"):
         ctx.cell_qweights[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        spaces.P2_AT_Q[0, 0] = 1.0
 
 
 def test_context_holds_no_per_point_tensor():
-    # the context's arrays, the P1 mass CSR's included, per cell: grad u
-    # is tabulated at the three corners only; a (nt, 6, 7, 2) gradient
-    # table alone would add 672 bytes per cell
+    # the context's arrays, the P1 mass CSR's included, per cell: no basis
+    # gradient and no quadrature-point table is stored; the (nt, 6, 3, 2)
+    # corner gradients alone would add 288 bytes per cell
     ctx = spaces.build_spaces(meshes.unit_square_mesh(16)).context
     M = ctx.p1_mass
     arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
     total = sum(a.nbytes for a in arrays + [M.data, M.indices, M.indptr])
-    assert total / ctx.mesh.num_triangles <= 800
+    assert total / ctx.mesh.num_triangles <= 400
 
 
 def test_context_tables_match_pointwise_forms():
-    # corner gradients and quadrature points, bit for bit
+    # the rebuilt corner gradients and quadrature points, bit for bit
     ctx = spaces.build_spaces(perturbed_square(8, 4)).context
-    assert np.array_equal(ctx.p2_grad_at_corners,
+    assert np.array_equal(spaces._p2_grads_at_corners(ctx),
                           quadrature_p2_grads(ctx, np.eye(3)))
     cell = ctx.mesh.vertices[ctx.mesh.triangles]
-    assert np.array_equal(ctx.cell_qpoints,
-                          np.einsum("qi,tid->tqd", spaces.TRI_QP, cell))
+    pts = spaces.data_cell_values(ctx, lambda x, y: (x, y))
+    assert np.array_equal(pts, np.einsum("qi,tid->tqd", spaces.TRI_QP, cell))
 
 
 def test_context_edge_and_mass_tables_match_pointwise_forms():
@@ -302,7 +304,7 @@ def lu_weak_divergence(u):
     ctx = u.space.context
     used, tri = np.unique(ctx.mesh.triangles, return_inverse=True)
     g = spaces.velocity_cell_gradients(u)
-    r_cell = np.einsum("tq,kq,tq->tk", ctx.cell_qweights, ctx.p1_at_q,
+    r_cell = np.einsum("tq,kq,tq->tk", ctx.cell_qweights, spaces.P1_AT_Q,
                        g[:, :, 0, 0] + g[:, :, 1, 1])
     r = np.zeros(used.size)
     np.add.at(r, tri.ravel(), r_cell.ravel())
@@ -345,7 +347,8 @@ def test_h1_semi_from_corners_matches_quadrature(build):
                            sp_.velocity),
         sp_.velocity.new_field(rng.standard_normal(sp_.velocity.dof_count))]
     for u in fields:
-        assert spaces.velocity_h1_semi(u) == pytest.approx(
+        corners = spaces.velocity_corner_gradients(u)
+        assert spaces._h1_semi(sp_.context, corners) == pytest.approx(
             spaces.norms(u).h1_semi, rel=1e-13)
 
 

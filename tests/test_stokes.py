@@ -165,7 +165,8 @@ def test_closed_form_blocks_match_quadrature():
     cols = np.broadcast_to(ctx.cell_scalar_nodes[:, None, :],
                            (nt, 3, 6)).ravel()
     for d, B in enumerate(stokes._divergence_blocks(sp_)):
-        cells = -np.einsum("tq,kq,taq->tka", w, ctx.p1_at_q, G[:, :, :, d])
+        cells = -np.einsum("tq,kq,taq->tka", w, spaces.P1_AT_Q,
+                           G[:, :, :, d])
         B_ref = sp.coo_matrix((cells.ravel(), (rows, cols)),
                               shape=B.shape).tocsr()
         assert abs(B - B_ref).max() <= 1e-13 * abs(B_ref).max()
@@ -224,8 +225,7 @@ def full_blocks(spaces_, nu, z):
     Dirichlet velocity dofs in ascending order."""
     ctx = spaces_.context
     K = stiffness_matrix(ctx, nu)
-    Mz = scalar_matrix(
-        ctx, stokes._zmass_cells(ctx, z, stokes._mass_products(ctx)))
+    Mz = scalar_matrix(ctx, stokes._zmass_cells(ctx, z))
     A = sp.bmat([[K, None], [None, K]], format="csr")
     C = sp.bmat([[None, -Mz], [Mz, None]], format="csr")
     B = sp.hstack(stokes._divergence_blocks(spaces_)).tocsr()
@@ -248,11 +248,12 @@ def reference_system(spaces_, nu, z, f, g):
                  [B, None, m],
                  [None, m.T, None]], format="csr")
     # (f, v) by the cell quadrature, one velocity component at a time
-    fq = np.array([[f(x, y) for x, y in row] for row in ctx.cell_qpoints])
+    pts = spaces.data_cell_values(ctx, lambda x, y: (x, y))
+    fq = np.array([[f(x, y) for x, y in row] for row in pts])
     load = np.zeros(n_u)
     for c in (0, 1):
         cell = np.einsum("tq,tq,aq->ta", ctx.cell_qweights, fq[:, :, c],
-                         ctx.p2_at_q)
+                         spaces.P2_AT_Q)
         np.add.at(load[c * ctx.num_scalar_nodes:],
                   ctx.cell_scalar_nodes.ravel(), cell.ravel())
     rhs = np.concatenate([load, np.zeros(n_p + 1)])

@@ -482,7 +482,7 @@ def test_cell_convection_matches_quadrature(wavy_velocity):
     a = alpha * spaces.velocity_cell_values(u)             # (nt, nq, 2)
     adotgrad = np.einsum("tqd,tid->tqi", a, ctx.grad_lambda)
     ref = np.einsum("tq,tqi,jq->tij", ctx.cell_qweights, adotgrad,
-                    ctx.p1_at_q)
+                    spaces.P1_AT_Q)
     got = transport._cell_convection(u, alpha)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -636,7 +636,7 @@ def test_green_residual_polynomial_one_triangle():
     assert r < 1e-14
     # hand-integration oracle for the first volume term
     ctx = sp_.context
-    pts = ctx.cell_qpoints
+    pts = spaces.data_cell_values(ctx, lambda x, y: (x, y))
     zq = spaces.scalar_cell_values(z)
     uq = spaces.velocity_cell_values(u)
     gx = np.vectorize(lambda a, b: gphi(a, b)[0])(pts[:, :, 0], pts[:, :, 1])
