@@ -6,7 +6,8 @@ zero vorticity guess: given z_n, solve the generalized Stokes problem for
 and the inflow datum back into the transport solve, and under-relax.  On
 convergence one more Stokes solve pairs the velocity and pressure with the
 converged vorticity.  Every Stokes solve after the first starts GMRES from
-the previous (u, p); each call of :func:`fixed_point_solve` starts cold.
+the combination of the last three (u, p) with the least residual; each
+call of :func:`fixed_point_solve` starts cold.
 Only the fixed point must be accurate, so the loop's Stokes solves stop at
 rtol = min(1e-10, max(1e-12, fp_tol/100)) of their right-hand side; the
 pairing solve keeps 1e-12.  The cap keeps the weak divergence of u below
@@ -45,6 +46,9 @@ __all__ = [
     "prepare", "fixed_point_solve", "navier_stokes_limit_study",
     "uniqueness_probe", "diagnostics", "LimitStudyRow",
 ]
+
+# Stokes solutions of the loop that start its next Stokes solve
+_HISTORY = 3
 
 _ZERO_SCALAR = lambda x, y: 0.0  # noqa: E731
 _ZERO_VECTOR = lambda x, y: (0.0, 0.0)  # noqa: E731
@@ -107,13 +111,16 @@ class ProblemSpec:
 
 @dataclass
 class IterationReport:
-    """Per-iteration history of the coupling loop."""
+    """Per-iteration history of the coupling loop.  ``gmres_iterations``
+    counts the GMRES iterations of each Stokes solve, the pairing solve
+    last."""
 
     dz_l2: list = dc_field(default_factory=list)
     z_l2: list = dc_field(default_factory=list)
     u_h1: list = dc_field(default_factory=list)
     p_l2: list = dc_field(default_factory=list)
     z_h1_broken: list = dc_field(default_factory=list)
+    gmres_iterations: list = dc_field(default_factory=list)
     stopping_reason: str = "max_iter"
     wall_time: float = 0.0
 
@@ -194,21 +201,22 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
     omega = spec.relaxation
     scale = None
     best_dz = np.inf
-    u = p = None
+    history = []  # the last _HISTORY (u, p), newest last
     z_prev_norm = fes.norms(z).l2
     stokes_failure = ""
     loop_rtol = min(1e-10, max(1e-12, spec.fp_tol / 100.0))
     for _ in range(spec.max_iter):
         try:
             u, p = solve_generalized_stokes(
-                stokes_setup, z, guess=None if u is None else (u, p),
-                rtol=loop_rtol)
+                stokes_setup, z, guess=history or None, rtol=loop_rtol,
+                counts=report.gmres_iterations)
         except LinearSolveFailure as exc:
             if not report.iterations:  # the starting z is the caller's
                 raise
             report.stopping_reason = "diverged"
             stokes_failure = f"; the Stokes solve failed on it ({exc})"
             break
+        history = (history + [(u, p)])[-_HISTORY:]
         curl_u = fes.curl_of_velocity(u, vort)
         rhs = vort.new_field(
             spec.nu * curl_u.coefficients + spec.alpha * curlf.coefficients)
@@ -248,7 +256,8 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
             "outside the small-data regime of the fixed-point argument",
             report=report)
     # pair (u, p) with the converged vorticity
-    u, p = solve_generalized_stokes(stokes_setup, z, guess=(u, p))
+    u, p = solve_generalized_stokes(stokes_setup, z, guess=history,
+                                    counts=report.gmres_iterations)
     report.wall_time = time.perf_counter() - t0
     return u, p, z, report
 

@@ -44,6 +44,7 @@ inputs and leave the prepared problem unchanged.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +78,7 @@ class PreparedStokes(NamedTuple):
     velocity: sp.csr_matrix  # K on the free-free pattern of M_z, canonical;
                              # an exact 0 at the six pairs K skips
     Bt: sp.csr_matrix        # transposed divergence block, 2*free x pressure
+    B: sp.csr_matrix         # the divergence block, Bt's transpose
     rhs: np.ndarray
     lu: object
     nu: float
@@ -247,6 +249,7 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
         [0.0],
     ])
     Bt = sp.vstack([Bx[:, free].T, By[:, free].T]).tocsr()
+    B = Bt.T.tocsr()
     # on the stiffness's own pattern, without the six pairs, the LU fills less
     K_ff = sp.csr_matrix((k[:ns][coupled], indices[coupled],
                           np.r_[0, np.cumsum(coupled)][indptr]),
@@ -258,7 +261,7 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     except RuntimeError as exc:
         raise LinearSolveFailure(
             f"Stokes set-up factorisation failed: {exc}") from exc
-    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, Bt, rhs,
+    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, Bt, B, rhs,
                           lu, nu, schur, cell_map, k[ns:-1], fb_rows, fb_cols)
 
 
@@ -288,29 +291,10 @@ def _pair_maps(ctx, free, fixed):
     return cell_map, indptr, keys % nf, coupled, bnd // nb, bnd % nb
 
 
-class _BorderedOperator(spla.LinearOperator):
-    """The reduced bordered matrix at one z, applied by blocks: the complex
-    velocity block ``A`` on u1 + i u2, the transposed divergence ``Bt`` and
-    the pressure integrals ``m``.  ``nnz`` counts the entries of its real
-    form, four for each stored entry of ``A``."""
-
-    def __init__(self, A, Bt, m):
-        super().__init__(float, (2 * A.shape[0] + m.size + 1,) * 2)
-        self.A, self.Bt, self.m = A, Bt, m
-        self.nnz = 4 * A.nnz + 2 * (Bt.nnz + m.size)
-
-    def _matvec(self, x):
-        nf = self.A.shape[0]
-        u, p = x[:2 * nf], x[2 * nf:-1]
-        w = self.A @ (u[:nf] + 1j * u[nf:])
-        return np.concatenate([np.concatenate([w.real, w.imag]) + self.Bt @ p,
-                               self.Bt.T @ u + x[-1] * self.m,
-                               [self.m @ p]])
-
-
 def _bordered_system(prep, z):
-    """The reduced bordered operator and right-hand side at coefficient
-    ``z``; its velocity block shares only the pattern of ``prep.velocity``."""
+    """The complex velocity block ``A`` = K + i M_z and the reduced
+    right-hand side at coefficient ``z``; ``A`` shares only the pattern of
+    ``prep.velocity``."""
     ctx, V, ns = prep.spaces.context, prep.velocity, prep.velocity.nnz
     m = np.bincount(prep.cell_map, _zmass_cells(ctx, z).ravel(),
                     minlength=ns + prep.fb_rows.size + 1)
@@ -322,17 +306,152 @@ def _bordered_system(prep, z):
     rhs = prep.rhs.copy()
     rhs[:nf] -= np.bincount(prep.fb_rows, lift.real, minlength=nf)
     rhs[nf:2 * nf] -= np.bincount(prep.fb_rows, lift.imag, minlength=nf)
-    return _BorderedOperator(A, prep.Bt, ctx.p1_integrals), rhs
+    return A, rhs
 
 
-def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):
+def _apply_bordered(prep, A, x):
+    """The reduced bordered matrix at one z applied to ``x``, by blocks: the
+    complex velocity block ``A`` on u1 + i u2, ``Bt``, its transpose ``B``
+    and the pressure integrals ``m`` (their product a plain sum, which no
+    BLAS thread serves)."""
+    nf, m = A.shape[0], prep.spaces.context.p1_integrals
+    u, p = x[:2 * nf], x[2 * nf:-1]
+    w = A @ (u[:nf] + 1j * u[nf:])
+    return np.concatenate([np.concatenate([w.real, w.imag]) + prep.Bt @ p,
+                           prep.B @ u + x[-1] * m, [(m * p).sum()]])
+
+
+def _precondition(prep, r):
+    """Block upper-triangular preconditioner: pressure and multiplier from
+    the exact inverse of the bordered surrogate [[-M_p/nu, m], [m^T, 0]]
+    (exact since m is M_p 1, so m^T M_p^-1 = 1^T), velocity from the shared
+    LU on each component of r_u - B^T p."""
+    nf = prep.free.size
+    rp = r[2 * nf:-1]
+    lam = ((r[-1] / prep.nu + rp.sum())
+           / prep.spaces.context.p1_integrals.sum())
+    p = prep.nu * (lam - prep.schur.solve(rp))
+    ru = (r[:2 * nf] - prep.Bt @ p).reshape(2, nf).T
+    return np.concatenate([prep.lu.solve(ru).T.ravel(), p, [lam]])
+
+
+# entries of one matrix-vector product of the Gram-Schmidt steps: OpenBLAS
+# threads such a product from 460,800 entries, and below that size it
+# never wakes the BLAS thread pool
+_BLOCK = 2 ** 18
+
+
+def _dots(V, w):
+    """V @ w, in column blocks of at most :data:`_BLOCK` entries."""
+    step = max(1, _BLOCK // V.shape[0])
+    h = V[:, :step] @ w[:step]
+    for s in range(step, w.size, step):
+        h += V[:, s:s + step] @ w[s:s + step]
+    return h
+
+
+def _subtract(w, h, V):
+    """w -= h @ V in place, in column blocks as :func:`_dots`."""
+    step = max(1, _BLOCK // V.shape[0])
+    for s in range(0, w.size, step):
+        w[s:s + step] -= h @ V[:, s:s + step]
+
+
+def _gmres(apply, precondition, b, x0=None, r0=None, rtol=1e-12,
+           restart=200, maxiter=5):
+    """Left-preconditioned restarted GMRES (Saad & Schultz, SIAM J. Sci.
+    Stat. Comput. 7, 1986) for ``apply(x) = b``; returns (x, info,
+    iterations), ``info`` 0 on convergence.
+
+    ``r0`` is b - apply(x0) when the caller has it.  The stopping rule is
+    scipy's: a cycle stops once the preconditioned residual falls to
+    rtol ||M b|| (then to the adapted ``ptol`` of later cycles), and the
+    solve once the true residual falls to rtol ||b||.  The basis is
+    orthogonalised by classical Gram-Schmidt done twice and grows as the
+    cycle does; the Hessenberg columns and their Givens rotations are
+    Python floats.
+    """
+    bnorm = fes._norm(b)
+    atol = rtol * bnorm
+    if x0 is None:
+        x, r = np.zeros_like(b), b
+    else:
+        x = x0.copy()
+        r = b - apply(x) if r0 is None else r0
+    if bnorm == 0.0 or fes._norm(r) < atol:
+        return x, 0, 0
+    mr = precondition(r)
+    ptol = rtol * fes._norm(mr if x0 is None else precondition(b))
+    factor, iterations, eps = 1.0, 0, np.finfo(float).eps
+    V = np.empty((min(restart + 1, 32), b.size))
+    for cycle in range(maxiter):
+        if cycle:
+            mr = precondition(r)
+        beta = fes._norm(mr)
+        V[0] = mr / beta
+        g, R, rotations = [beta], [], []
+        for j in range(restart):
+            w = precondition(apply(V[j]))
+            w_norm = fes._norm(w)
+            h = _dots(V[:j + 1], w)
+            _subtract(w, h, V[:j + 1])
+            h2 = _dots(V[:j + 1], w)
+            _subtract(w, h2, V[:j + 1])
+            h_next = fes._norm(w)
+            breakdown = h_next <= eps * w_norm
+            col = (h + h2).tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s * col[i])
+            diag = math.hypot(col[j], h_next)
+            c, s = (col[j] / diag, h_next / diag) if diag else (1.0, 0.0)
+            col[j] = diag
+            rotations.append((c, s))
+            R.append(col)
+            g.append(-s * g[j])
+            g[j] *= c
+            iterations += 1
+            presid = abs(g[j + 1])
+            if presid <= ptol or breakdown:
+                break
+            if j + 1 == V.shape[0]:  # double the basis, up to restart + 1
+                V, old = np.empty((min(2 * j + 2, restart + 1), b.size)), V
+                V[:j + 1] = old
+            V[j + 1] = w / h_next
+        # back substitution on the rotated Hessenberg matrix, by columns
+        y = g[:j + 1]
+        for k in range(j, -1, -1):
+            y[k] = y[k] / R[k][k] if R[k][k] else 0.0
+            for i in range(k):
+                y[i] -= y[k] * R[k][i]
+        _subtract(x, -np.array(y), V[:j + 1])
+        r = b - apply(x)
+        rnorm = fes._norm(r)
+        if rnorm <= atol:
+            return x, 0, iterations
+        if breakdown:
+            break
+        if presid <= ptol:
+            factor = max(eps, 0.25 * factor)
+        else:
+            factor = min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / rnorm)
+    return x, maxiter, iterations
+
+
+def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12,
+                             counts=None):
     """Solve for (u, p) given the prepared problem and coefficient ``z``.
 
     ``guess`` is an optional ``(u, p)`` pair on the same spaces, typically
-    the solution at a nearby ``z``; GMRES starts from it when its residual
-    is below that of the zero start, and from zero otherwise.  A guess of
+    the solution at a nearby ``z``, or a list of such pairs, typically the
+    last solutions of a coupling loop.  GMRES starts from the pair, or from
+    the combination of the listed pairs whose residual is least (Fischer,
+    Comput. Methods Appl. Mech. Eng. 163, 1998), when that residual is
+    below the right-hand side's norm, and from zero otherwise.  A guess of
     the wrong size raises ``ValueError``.  GMRES stops at ``rtol`` times
-    the norm of the reduced right-hand side.  Returns velocity and
+    the norm of the reduced right-hand side; its iteration count is
+    appended to the list ``counts`` when one is given.  Returns velocity and
     zero-mean pressure fields; the residual of the reduced bordered system
     is checked against 1e-7 times its scale and the pressure mean is
     asserted below 1e-10.
@@ -340,39 +459,27 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):
     prep = prepared
     spaces_ = prep.spaces
     ctx = spaces_.context
-    K, rhs = _bordered_system(prep, z)
+    A, rhs = _bordered_system(prep, z)
     nf = prep.free.size
-    total = ctx.p1_integrals.sum()
 
-    def precondition(r):
-        # block upper-triangular: pressure and multiplier from the exact
-        # inverse of the bordered surrogate [[-M_p/nu, m], [m^T, 0]] (exact
-        # since m is M_p 1, so m^T M_p^-1 = 1^T), velocity from the shared
-        # LU on each component of r_u - B^T p
-        rp = r[2 * nf:-1]
-        lam = (r[-1] / prep.nu + rp.sum()) / total
-        p = prep.nu * (lam - prep.schur.solve(rp))
-        ru = (r[:2 * nf] - prep.Bt @ p).reshape(2, nf).T
-        return np.concatenate([prep.lu.solve(ru).T.ravel(), p, [lam]])
+    def apply(x):
+        return _apply_bordered(prep, A, x)
 
-    x0 = None
-    if guess is not None:
-        x0 = _reduced_guess(prep, *guess)
-        if not fes._norm(rhs - K @ x0) < fes._norm(rhs):
-            x0 = None
+    x0, r0 = _start(prep, apply, rhs, guess)
     # one cycle of 200 holds a typical solve (trig case, n=32: 44
-    # iterations from zero at rtol 1e-12, 6 to 32 warm-started); up to
-    # five cycles for strong coupling, where the count grows with |z|/nu
-    # with its dtype given, scipy does not probe the preconditioner with a
-    # zero vector on every solve
-    M = spla.LinearOperator(K.shape, precondition, dtype=float)
-    x, info = spla.gmres(K, rhs, x0=x0, rtol=rtol, atol=0.0, restart=200,
-                         maxiter=5, M=M)
+    # iterations from zero at rtol 1e-12, 0 to 32 from the loop's last
+    # solutions); up to five cycles for strong coupling, where the count
+    # grows with |z|/nu
+    x, info, iterations = _gmres(
+        apply, lambda r: _precondition(prep, r), rhs, x0=x0, r0=r0,
+        rtol=rtol, restart=200, maxiter=5)
+    if counts is not None:
+        counts.append(iterations)
     if info != 0:
         raise LinearSolveFailure(f"GMRES did not converge (info={info})")
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("linear solve produced non-finite values")
-    resid = fes._norm(K @ x - rhs)
+    resid = fes._norm(apply(x) - rhs)
     scale = fes._norm(rhs) + 1.0
     if resid > 1e-7 * scale:
         raise LinearSolveFailure(
@@ -388,6 +495,24 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12):
         raise LinearSolveFailure(
             f"pressure mean {mean:.3e} violates the zero-mean constraint")
     return u, p
+
+
+def _start(prep, apply, rhs, guess):
+    """GMRES start from ``guess`` (see :func:`solve_generalized_stokes`)
+    and its residual; (None, None) for the zero start."""
+    if guess is None:
+        return None, None
+    if isinstance(guess[0], fes.Field):
+        x0 = _reduced_guess(prep, *guess)
+        r0 = rhs - apply(x0)
+    else:
+        X = np.stack([_reduced_guess(prep, u, p) for u, p in guess], axis=1)
+        AX = np.stack([apply(x) for x in X.T], axis=1)
+        c = np.linalg.lstsq(AX, rhs, rcond=None)[0]
+        x0, r0 = X @ c, rhs - AX @ c
+    if fes._norm(r0) < fes._norm(rhs):
+        return x0, r0
+    return None, None
 
 
 def _reduced_guess(prep, u, p):

@@ -139,8 +139,8 @@ def filled_coupling(prepared, z):
     """What a Stokes solve fills into the complex velocity block at ``z``,
     less its z = 0 template ``prepared.velocity``, in real form: D becomes
     [[Re D, -Im D], [Im D, Re D]]."""
-    K, _ = stokes._bordered_system(prepared, z)
-    D = K.A - prepared.velocity
+    A, _ = stokes._bordered_system(prepared, z)
+    D = A - prepared.velocity
     return sp.bmat([[D.real, -D.imag], [D.imag, D.real]], format="csr")
 
 

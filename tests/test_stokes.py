@@ -311,8 +311,9 @@ def test_filled_system_matches_reference(spaces8, mesh):
         5.0 * rng.standard_normal(spaces_.vorticity.dof_count))
     prepared = stokes.prepare_generalized_stokes(
         spaces_, case.nu, case.f, case.u)
-    op, rhs = stokes._bordered_system(prepared, z)
-    K = sp.csr_matrix(np.column_stack([op @ e for e in np.eye(op.shape[1])]))
+    A, rhs = stokes._bordered_system(prepared, z)
+    K = sp.csr_matrix(np.column_stack([
+        stokes._apply_bordered(prepared, A, e) for e in np.eye(rhs.size)]))
     K_ref, rhs_ref, _, _ = reference_system(spaces_, case.nu, z, case.f,
                                             case.u)
     scale = np.abs(K_ref.data).max()
@@ -387,17 +388,14 @@ def test_gmres_matches_direct(spaces8, random_z, data):
 def counted_gmres(monkeypatch):
     """Record each GMRES call's starting vector and iteration count."""
     calls = []
-    gmres = spla.gmres
+    gmres = stokes._gmres
 
     def wrapper(*args, **kwargs):
-        calls.append({"x0": kwargs.get("x0"), "iterations": 0})
+        x, info, iterations = gmres(*args, **kwargs)
+        calls.append({"x0": kwargs.get("x0"), "iterations": iterations})
+        return x, info, iterations
 
-        def callback(_):
-            calls[-1]["iterations"] += 1
-        return gmres(*args, callback=callback, callback_type="pr_norm",
-                     **kwargs)
-
-    monkeypatch.setattr(stokes.spla, "gmres", wrapper)
+    monkeypatch.setattr(stokes, "_gmres", wrapper)
     return calls
 
 
@@ -459,6 +457,79 @@ def test_bad_guess_falls_back_to_zero_start(spaces8, monkeypatch):
     assert np.abs(p.coefficients - p_ref).max() < 1e-7
 
 
+@pytest.mark.parametrize("restart,maxiter,x0", [
+    (200, 5, False), (200, 5, True), (15, 20, False), (10, 2, False)])
+def test_own_gmres_follows_scipy(restart, maxiter, x0):
+    """The solver's GMRES keeps scipy's stopping rule: the same iteration
+    count and outcome, also when the basis outgrows its first allocation
+    (38 iterations in one cycle), across restarts (15) and when the cycles
+    run out (10, 2)."""
+    rng = np.random.default_rng(3)
+    n = 150
+    A = np.diag(np.linspace(1.0, 100.0, n)) + rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    start = rng.standard_normal(n) if x0 else None
+    M = np.diag(1.0 / np.diag(A))
+    count = []
+    x_ref, info_ref = spla.gmres(
+        A, b, x0=start, rtol=1e-10, atol=0.0, restart=restart,
+        maxiter=maxiter, M=M, callback=count.append, callback_type="pr_norm")
+    x, info, iterations = stokes._gmres(
+        lambda v: A @ v, lambda v: M @ v, b, x0=start, rtol=1e-10,
+        restart=restart, maxiter=maxiter)
+    assert (iterations, info) == (len(count), info_ref)
+    assert np.abs(x - x_ref).max() < 1e-12 * np.abs(x_ref).max()
+    assert (info == 0) == (np.linalg.norm(A @ x - b)
+                           <= 1e-10 * np.linalg.norm(b))
+
+
+def test_own_gmres_exact_in_invariant_subspace():
+    """A right-hand side in a three-dimensional invariant subspace is
+    solved exactly in three iterations; a zero one in none."""
+    d = np.arange(1.0, 41.0)
+    b = np.zeros(40)
+    b[:3] = 1.0
+    x, info, iterations = stokes._gmres(lambda v: d * v, lambda v: v, b,
+                                        rtol=1e-14)
+    assert (info, iterations) == (0, 3)
+    assert np.abs(x - b / d).max() < 1e-15
+    x, info, iterations = stokes._gmres(lambda v: d * v, lambda v: v,
+                                        np.zeros(40))
+    assert (info, iterations) == (0, 0) and not x.any()
+
+
+def test_guess_list_starts_from_best_combination(spaces8, monkeypatch):
+    """A list of guesses starts GMRES from their least-residual
+    combination: it beats the zero start, and a bad pair in the list does
+    not spoil it."""
+    case, z = trig_inflow(spaces8)
+    prepared = stokes.prepare_generalized_stokes(
+        spaces8, case.nu, case.f, case.u)
+    rng = np.random.default_rng(11)
+    nearby = []
+    for _ in range(2):
+        noise = 1e-3 * rng.standard_normal(z.space.dof_count)
+        nearby.append(stokes.solve_generalized_stokes(
+            prepared, z.space.new_field(z.coefficients * (1.0 + noise))))
+    scale = 1e3 * max(np.abs(prepared.rhs).max(), 1.0)
+    bad = (spaces8.velocity.new_field(
+               scale * rng.standard_normal(spaces8.velocity.dof_count)),
+           spaces8.pressure.new_field(
+               scale * rng.standard_normal(spaces8.pressure.dof_count)))
+    calls = counted_gmres(monkeypatch)
+    stokes.solve_generalized_stokes(prepared, z)
+    stokes.solve_generalized_stokes(prepared, z, guess=nearby)
+    u, p = stokes.solve_generalized_stokes(prepared, z,
+                                           guess=[bad] + nearby)
+    cold, good, mixed = calls
+    assert good["x0"] is not None and mixed["x0"] is not None
+    assert good["iterations"] < cold["iterations"], calls
+    assert abs(mixed["iterations"] - good["iterations"]) <= 1, calls
+    u_ref, p_ref = direct_reference(spaces8, case.nu, z, case.f, case.u)
+    assert np.abs(u.coefficients - u_ref).max() < 1e-8
+    assert np.abs(p.coefficients - p_ref).max() < 1e-7
+
+
 class CountedLU:
     def __init__(self, lu):
         self.lu, self.calls = lu, 0
@@ -470,8 +541,9 @@ class CountedLU:
 
 def test_preconditioner_applied_once_per_iteration(spaces8, monkeypatch):
     """Each preconditioner call makes one velocity LU solve.  Past one per
-    GMRES iteration, scipy makes two per solve of one restart cycle: for
-    the preconditioned right-hand side and for the cycle's first vector."""
+    GMRES iteration, the solver makes one for the first vector of each
+    restart cycle and, from a nonzero start, one for the preconditioned
+    right-hand side."""
     case, z = trig_inflow(spaces8)
     nearby = z.space.new_field(1.001 * z.coefficients)
     prepared = stokes.prepare_generalized_stokes(
@@ -485,7 +557,8 @@ def test_preconditioner_applied_once_per_iteration(spaces8, monkeypatch):
         guess = stokes.solve_generalized_stokes(prepared, coefficient,
                                                 guess=guess)
         assert 0 < calls[-1]["iterations"] < 200
-        assert lu.calls - before == calls[-1]["iterations"] + 2
+        start = calls[-1]["x0"] is not None
+        assert lu.calls - before == calls[-1]["iterations"] + 1 + start
 
 
 def test_wrong_size_guess_raises(spaces8, spaces16, zero_z):
