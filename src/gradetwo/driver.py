@@ -6,8 +6,8 @@ zero vorticity guess: given z_n, solve the generalized Stokes problem for
 and the inflow datum back into the transport solve, and under-relax.  On
 convergence one more Stokes solve pairs the velocity and pressure with the
 converged vorticity.  Every Stokes solve after the first starts GMRES from
-the combination of the last three (u, p) with the least residual; each
-call of :func:`fixed_point_solve` starts cold.
+the combination of the loop's last three (u, p) with the least residual;
+each call of :func:`fixed_point_solve` starts cold.
 Only the fixed point must be accurate, so the loop's Stokes solves stop at
 rtol = min(1e-10, max(1e-12, fp_tol/100)) of their right-hand side; the
 pairing solve keeps 1e-12.  The cap keeps the weak divergence of u below
@@ -113,7 +113,8 @@ class ProblemSpec:
 class IterationReport:
     """Per-iteration history of the coupling loop.  ``gmres_iterations``
     counts the GMRES iterations of each Stokes solve, the pairing solve
-    last."""
+    last; when a Stokes solve fails on an iterate, its count is the last.
+    """
 
     dz_l2: list = dc_field(default_factory=list)
     z_l2: list = dc_field(default_factory=list)
@@ -208,7 +209,7 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
     for _ in range(spec.max_iter):
         try:
             u, p = solve_generalized_stokes(
-                stokes_setup, z, guess=history or None, rtol=loop_rtol,
+                stokes_setup, z, guess=history, rtol=loop_rtol,
                 counts=report.gmres_iterations)
         except LinearSolveFailure as exc:
             if not report.iterations:  # the starting z is the caller's

@@ -31,15 +31,24 @@ pressure integrals (Elman, Silvester & Wathen, *Finite Elements and Fast
 Iterative Solvers*, 2014).  The spaces' context computes m as M_p 1, so
 M_p 1 = m holds bit for bit; that inverse costs one mass solve, and the
 zero mean holds at any GMRES tolerance.  The iteration count does not
-grow with the mesh but grows with max|z|/nu.  A solve may start GMRES
-from a guess, such as the solution at the previous z of a coupling loop;
-it is used only when its residual is below that of the zero start.  On
-the trig case at n=32 (nu=1, alpha=0.1, the seed-11 mesh of perfbench's
-coupled-trig) the eight solves of one coupling loop, at the loop's rtol
-of 1e-10, take 25, 32, 28, 24, 20, 17, 12 and 6 iterations warm-started,
-and the pairing solve at 1e-12 takes 11; from zero they take 25 and then
-34 each (29 and then 44 at 1e-12).  Solves are pure functions of their
-inputs and leave the prepared problem unchanged.
+grow with the mesh but grows with max|z|/nu.
+
+The GMRES is the module's own (:func:`_gmres`): left-preconditioned and
+restarted every 200 iterations, its basis orthogonalised by classical
+Gram-Schmidt done twice in products too small for OpenBLAS to thread, and
+with scipy's stopping rule: a cycle ends when the preconditioned residual
+falls to rtol times the preconditioned right-hand side, and the solve
+when the true residual falls to rtol times the right-hand side.  A solve
+may start from a guess: one (u, p) pair, or a list of pairs such as a
+coupling loop's last solutions, combined to the least residual; the
+start is used only when its residual is below that of the zero start.
+On the trig case at n=32 (nu=1, alpha=0.1, the seed-11 mesh of
+perfbench's coupled-trig) the eight solves of one coupling loop, at the
+loop's rtol of 1e-10, each after the first started from up to three of
+the loop's last solutions, take 25, 32, 27, 24, 18, 12, 5 and 0
+iterations, and the pairing solve at 1e-12 takes 12; from zero they take
+25 and then 34 each (29 and then 44 at 1e-12).  Solves are pure
+functions of their inputs and leave the prepared problem unchanged.
 """
 
 from __future__ import annotations
@@ -261,8 +270,9 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     except RuntimeError as exc:
         raise LinearSolveFailure(
             f"Stokes set-up factorisation failed: {exc}") from exc
-    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, Bt, B, rhs,
-                          lu, nu, schur, cell_map, k[ns:-1], fb_rows, fb_cols)
+    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, Bt, B,
+                          rhs, lu, nu, schur, cell_map, k[ns:-1], fb_rows,
+                          fb_cols)
 
 
 def _pair_maps(ctx, free, fixed):
@@ -372,13 +382,15 @@ def _gmres(apply, precondition, b, x0=None, r0=None, rtol=1e-12,
     Python floats.
     """
     bnorm = fes._norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0, 0
     atol = rtol * bnorm
     if x0 is None:
         x, r = np.zeros_like(b), b
     else:
         x = x0.copy()
         r = b - apply(x) if r0 is None else r0
-    if bnorm == 0.0 or fes._norm(r) < atol:
+    if fes._norm(r) < atol:
         return x, 0, 0
     mr = precondition(r)
     ptol = rtol * fes._norm(mr if x0 is None else precondition(b))
@@ -445,16 +457,16 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12,
 
     ``guess`` is an optional ``(u, p)`` pair on the same spaces, typically
     the solution at a nearby ``z``, or a list of such pairs, typically the
-    last solutions of a coupling loop.  GMRES starts from the pair, or from
-    the combination of the listed pairs whose residual is least (Fischer,
-    Comput. Methods Appl. Mech. Eng. 163, 1998), when that residual is
-    below the right-hand side's norm, and from zero otherwise.  A guess of
-    the wrong size raises ``ValueError``.  GMRES stops at ``rtol`` times
-    the norm of the reduced right-hand side; its iteration count is
-    appended to the list ``counts`` when one is given.  Returns velocity and
-    zero-mean pressure fields; the residual of the reduced bordered system
-    is checked against 1e-7 times its scale and the pressure mean is
-    asserted below 1e-10.
+    last solutions of a coupling loop (possibly empty).  GMRES starts from
+    the pair, or from the combination of the listed pairs whose residual
+    is least (Fischer, Comput. Methods Appl. Mech. Eng. 163, 1998), when
+    that residual is below the right-hand side's norm, and from zero
+    otherwise.  A guess of the wrong size raises ``ValueError``.  GMRES
+    stops at ``rtol`` times the norm of the reduced right-hand side; its
+    iteration count is appended to the list ``counts`` when one is given.
+    Returns velocity and zero-mean pressure fields; the residual of the
+    reduced bordered system is checked against 1e-7 times its scale and
+    the pressure mean is asserted below 1e-10.
     """
     prep = prepared
     spaces_ = prep.spaces
@@ -499,8 +511,9 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12,
 
 def _start(prep, apply, rhs, guess):
     """GMRES start from ``guess`` (see :func:`solve_generalized_stokes`)
-    and its residual; (None, None) for the zero start."""
-    if guess is None:
+    and its residual; (None, None) for the zero start, also when
+    ``guess`` is an empty list."""
+    if not guess:
         return None, None
     if isinstance(guess[0], fes.Field):
         x0 = _reduced_guess(prep, *guess)

@@ -485,7 +485,8 @@ def test_own_gmres_follows_scipy(restart, maxiter, x0):
 
 def test_own_gmres_exact_in_invariant_subspace():
     """A right-hand side in a three-dimensional invariant subspace is
-    solved exactly in three iterations; a zero one in none."""
+    solved exactly in three iterations; a zero one in none, to zero from
+    any start."""
     d = np.arange(1.0, 41.0)
     b = np.zeros(40)
     b[:3] = 1.0
@@ -494,7 +495,7 @@ def test_own_gmres_exact_in_invariant_subspace():
     assert (info, iterations) == (0, 3)
     assert np.abs(x - b / d).max() < 1e-15
     x, info, iterations = stokes._gmres(lambda v: d * v, lambda v: v,
-                                        np.zeros(40))
+                                        np.zeros(40), x0=np.ones(40))
     assert (info, iterations) == (0, 0) and not x.any()
 
 
