@@ -58,7 +58,6 @@ from .transport import (
     InflowDatum,
     build_inflow_datum,
     green_residual,
-    sign_functional,
     sign_functional_report,
     solve_gradient_transport,
     solve_transport,
@@ -77,8 +76,7 @@ __all__ = [
     "fixed_point_solve", "flux_per_component", "green_residual",
     "interpolate", "load_mesh", "manufactured_case",
     "navier_stokes_limit_study", "norms", "prepare_generalized_stokes",
-    "save_mesh", "sign_functional",
-    "sign_functional_report", "solve_generalized_stokes",
+    "save_mesh", "sign_functional_report", "solve_generalized_stokes",
     "solve_gradient_transport", "solve_transport", "stokes_energy_report",
     "uniqueness_probe", "unit_square_mesh",
 ]

@@ -60,9 +60,13 @@ class Mesh:
     belongs to exactly one triangle, every interior edge to exactly two,
     all triangles have positive signed area and the boundary edges close
     into loops.  It also tabulates every edge's length, unit normal
-    (pointing out of ``edge_cells[:, 0]``) and Gauss points; the
-    ``boundary_*`` arrays are the boundary rows of these.  ``edges`` holds
-    each edge's vertices ascending, and the rows ascend.
+    (pointing out of ``edge_cells[:, 0]``), Gauss points and weights
+    (``edge_qpoints``, ``edge_qweights``, arc length measure); the
+    ``boundary_lengths``, ``boundary_normals``, ``boundary_qpoints`` and
+    ``boundary_qweights`` arrays are their boundary rows, in the file order
+    of ``boundary_edges``, taken once here and read by every boundary
+    integral.  ``edges`` holds each edge's vertices ascending, and the rows
+    ascend.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers):
@@ -91,6 +95,8 @@ class Mesh:
         bids = self.boundary_edge_ids
         self.boundary_normals = self.edge_normals[bids]
         self.boundary_lengths = self.edge_lengths[bids]
+        self.boundary_qpoints = self.edge_qpoints[bids]    # (nb, 3, 2)
+        self.boundary_qweights = self.edge_qweights[bids]  # (nb, 3)
         # freeze all arrays; the mesh is shared read-only from here on
         for arr in vars(self).values():
             arr.setflags(write=False)
@@ -251,16 +257,6 @@ class Mesh:
             self.edge_qpoints[:, q] = pa * (1.0 - s) + pb * s
         self.edge_qweights = self.edge_lengths[:, None] * EDGE_QW[None, :]
 
-    # -- boundary quadrature -------------------------------------------------
-
-    def boundary_quad_points(self):
-        """Physical quadrature points per boundary edge, shape (nb, 3, 2)."""
-        return self.edge_qpoints[self.boundary_edge_ids]
-
-    def boundary_quad_weights(self):
-        """Quadrature weights (arc length measure), shape (nb, 3)."""
-        return self.edge_qweights[self.boundary_edge_ids]
-
 
 @dataclass(frozen=True)
 class BoundaryPartition:
@@ -290,7 +286,7 @@ class BoundaryPartition:
 
 def normal_boundary_data(mesh, g):
     """g at the boundary quadrature points, (nb, 3, 2), and g.n, (nb, 3)."""
-    pts = mesh.boundary_quad_points()
+    pts = mesh.boundary_qpoints
     gv = evaluate(g, pts[..., 0], pts[..., 1])
     n = mesh.boundary_normals
     return gv, gv[..., 0] * n[:, None, 0] + gv[..., 1] * n[:, None, 1]
@@ -383,7 +379,7 @@ def classify_boundary(mesh, g, alpha, eps_n=None):
 def flux_per_component(mesh, g):
     """Net flux of g through each boundary component (edge quadrature)."""
     per_edge = (normal_boundary_data(mesh, g)[1]
-                * mesh.boundary_quad_weights()).sum(axis=1)
+                * mesh.boundary_qweights).sum(axis=1)
     return np.bincount(boundary_components(mesh), per_edge).tolist()
 
 

@@ -28,7 +28,11 @@ basis gradients at the cell corners (grad u is linear on a cell, so
 quadrature-point values are interpolated from them) and the quadrature
 points at which :func:`data_cell_values` calls user data.  The Stokes
 stiffness and divergence blocks are closed forms in the barycentric
-gradients (:func:`p2_lambda_derivatives`).
+gradients (:func:`p2_lambda_derivatives`).  The square integral of any
+cellwise-linear quantity, such as grad u, div u or a P1/DG-P1 scalar, is
+one closed form in its corner values (:func:`_linear_squares`), which every
+such norm takes: :func:`norms`, the Stokes energy report and the transport
+divergence check.
 
 Space descriptors and the tabulation context are immutable after
 construction, cache nothing and are safe to share across threads.  Field
@@ -37,6 +41,7 @@ coefficient vectors belong to one writer at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -307,9 +312,14 @@ def velocity_cell_values(field: Field):
 
 
 def velocity_cell_gradients(field: Field):
-    """(nt, nq, 2, 2) gradients; [t, q, i, j] = d u_i / d x_j."""
-    return _corners_at_quadrature(field.space.context,
-                                  velocity_corner_gradients(field))
+    """(nt, nq, 2, 2) gradients; [t, q, i, j] = d u_i / d x_j, from the
+    corner values, g(q) = sum_j lambda_j(q) g_j, exact since grad u is
+    linear on each cell."""
+    g = velocity_corner_gradients(field)
+    nt = g.shape[0]
+    # the corner axis last and contiguous: 2x faster in einsum than as given
+    g = np.ascontiguousarray(g.reshape(nt, 3, 4).transpose(0, 2, 1))
+    return np.einsum("txj,jq->tqx", g, P1_AT_Q).reshape(nt, -1, 2, 2)
 
 
 # row (a, j): d phi_a / d lambda at corner j, at most one nonzero per row
@@ -334,17 +344,6 @@ def velocity_corner_gradients(field: Field):
     gx = np.einsum("ta,tajd->tjd", field.coefficients[:n][nodes], G)
     gy = np.einsum("ta,tajd->tjd", field.coefficients[n:][nodes], G)
     return np.stack([gx, gy], axis=2)
-
-
-def _corners_at_quadrature(ctx, corner_grads):
-    """Velocity gradients at the cell quadrature points from their corner
-    values, g(q) = sum_j lambda_j(q) g_j, exact since grad u is linear on
-    each cell."""
-    nt = corner_grads.shape[0]
-    # the corner axis last and contiguous: 2x faster in einsum than as given
-    g = np.ascontiguousarray(
-        corner_grads.reshape(nt, 3, 4).transpose(0, 2, 1))
-    return np.einsum("txj,jq->tqx", g, P1_AT_Q).reshape(nt, -1, 2, 2)
 
 
 def scalar_cell_values(field: Field):
@@ -417,21 +416,37 @@ def curl_of_velocity(field: Field, vorticity_space: SpaceDescriptor) -> Field:
 # -- norms --------------------------------------------------------------------
 
 def norms(field: Field) -> FieldNorms:
-    """Quadrature L2 norm, (broken) H1 seminorm and max dof magnitude."""
+    """L2 norm, (broken) H1 seminorm and max dof magnitude.
+
+    Each cellwise-linear quantity is integrated exactly from its corner
+    values (:func:`_linear_squares`): the velocity gradient, and the
+    values of a P1 or DG-P1 scalar.  The velocity's L2 norm takes the cell
+    quadrature, exact for its degree-4 square; a scalar's gradient is
+    constant on each cell.
+    """
     ctx = field.space.context
-    w = ctx.cell_qweights
     if field.space.kind == "velocity":
         v = velocity_cell_values(field)
-        l2 = np.sqrt((w * (v ** 2).sum(axis=2)).sum())
-        g = velocity_cell_gradients(field)
-        h1 = np.sqrt((w * (g ** 2).sum(axis=(2, 3))).sum())
+        l2 = np.sqrt((ctx.cell_qweights * (v ** 2).sum(axis=2)).sum())
+        h1 = np.sqrt(_linear_squares(ctx, velocity_corner_gradients(field)))
     else:
-        v = scalar_cell_values(field)
-        l2 = np.sqrt((w * v ** 2).sum())
+        l2 = np.sqrt(_linear_squares(ctx, _cell_scalar_coeffs(field)))
         g = scalar_cell_gradients(field)
         h1 = np.sqrt((ctx.mesh.areas * (g ** 2).sum(axis=1)).sum())
     linf = float(np.abs(field.coefficients).max(initial=0.0))
     return FieldNorms(float(l2), float(h1), linf)
+
+
+def _linear_squares(ctx, corners):
+    """Integral of the squares of cellwise-linear quantities, exact from
+    their (nt, 3, ...) corner values and summed over any trailing axes: a
+    linear f with corner values f_k has integral area/12 ((sum_k f_k)^2 +
+    sum_k f_k^2) over its cell, from int lambda_i lambda_j = area (1 +
+    delta_ij) / 12."""
+    f = corners.reshape(*corners.shape[:2], math.prod(corners.shape[2:]))
+    total = f.sum(axis=1)
+    sq = np.einsum("ti,ti->t", total, total) + np.einsum("tki,tki->t", f, f)
+    return float((ctx.mesh.areas * sq).sum() / 12.0)
 
 
 def error_l2(field: Field, exact: Callable) -> float:
@@ -458,18 +473,6 @@ def error_h1(field: Field, exact_grad: Callable) -> float:
         g = scalar_cell_gradients(field)  # (nt, 2)
         diff = ((g[:, None, :] - ex) ** 2).sum(axis=2)
     return float(np.sqrt((ctx.cell_qweights * diff).sum()))
-
-
-def _h1_semi(ctx, corner_grads):
-    """|u|_H1, exact from the (nt, 3, 2, 2) corner gradients of
-    :func:`velocity_corner_gradients`: grad u is linear on each cell, and a
-    linear f with corner values f_k has integral area/12 ((sum_k f_k)^2 +
-    sum_k f_k^2), from int lambda_i lambda_j = area (1 + delta_ij) / 12.
-    Equal to ``norms(field).h1_semi`` up to round-off."""
-    g = corner_grads.reshape(-1, 3, 4)
-    total = g.sum(axis=1)
-    sq = np.einsum("ti,ti->t", total, total) + np.einsum("tki,tki->t", g, g)
-    return float(np.sqrt((ctx.mesh.areas * sq).sum() / 12.0))
 
 
 # CG steps on the P1 mass: 4 * 9^-16 = 2e-15 bounds the relative error of

@@ -16,22 +16,24 @@ Only the skew block depends on z, and only it couples the two velocity
 components: the velocity block [[K, -M_z], [M_z, K]] is the real form of
 K + i M_z acting on w = u1 + i u2 (Day & Heroux, SIAM J. Sci. Comput. 23,
 2001).  :func:`prepare_generalized_stokes` does the rest once per problem:
-K on the free-free pattern of the z-weighted mass M_z, the divergence block
-and the load, with the stiffness and divergence cell blocks in closed form
-in the barycentric gradients; integer maps from the cell pairs into that
-pattern and into the lift of the boundary values; and two sparse LUs, of
+K on the free-free pattern of the z-weighted mass M_z, and K's free-fixed
+part, which lifts the boundary values, on M_z's free-fixed pattern, both
+canonical CSRs; the divergence block and the load, with the stiffness and
+divergence cell blocks in closed form in the barycentric gradients; one
+integer map from the cell pairs into both patterns; and two sparse LUs, of
 the pressure mass and of the Dirichlet-reduced scalar Laplacian that both
 velocity components share.  :func:`solve_generalized_stokes` contracts z
-at the quadrature points, applies the bordered system with K + i M_z by
-blocks and runs a real GMRES with a block upper-triangular
-preconditioner: that LU for the velocity, and for the pressure and the
-multiplier the exact inverse of the bordered Schur surrogate
-[[-M_p/nu, m], [m^T, 0]], with M_p the consistent pressure mass and m the
-pressure integrals (Elman, Silvester & Wathen, *Finite Elements and Fast
-Iterative Solvers*, 2014).  The spaces' context computes m as M_p 1, so
-M_p 1 = m holds bit for bit; that inverse costs one mass solve, and the
-zero mean holds at any GMRES tolerance.  The iteration count does not
-grow with the mesh but grows with max|z|/nu.
+at the quadrature points, fills i M_z into both patterns, lifts the
+boundary values, applies the bordered system with K + i M_z by blocks and
+runs a real GMRES with a block upper-triangular preconditioner: that LU
+for the velocity, and for the pressure and the multiplier the exact
+inverse of the bordered Schur surrogate [[-M_p/nu, m], [m^T, 0]], with M_p
+the consistent pressure mass and m the pressure integrals (Elman,
+Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).
+The spaces' context computes m as M_p 1, so M_p 1 = m holds bit for bit;
+that inverse costs one mass solve, and the zero mean holds at any GMRES
+tolerance.  The iteration count does not grow with the mesh but grows
+with max|z|/nu.
 
 The GMRES is the module's own (:func:`_gmres`): left-preconditioned and
 restarted every 200 iterations, its basis orthogonalised by classical
@@ -39,16 +41,16 @@ Gram-Schmidt done twice in products too small for OpenBLAS to thread, and
 with scipy's stopping rule: a cycle ends when the preconditioned residual
 falls to rtol times the preconditioned right-hand side, and the solve
 when the true residual falls to rtol times the right-hand side.  A solve
-may start from a guess: one (u, p) pair, or a list of pairs such as a
-coupling loop's last solutions, combined to the least residual; the
-start is used only when its residual is below that of the zero start.
-On the trig case at n=32 (nu=1, alpha=0.1, the seed-11 mesh of
-perfbench's coupled-trig) the eight solves of one coupling loop, at the
-loop's rtol of 1e-10, each after the first started from up to three of
-the loop's last solutions, take 25, 32, 27, 24, 18, 12, 5 and 0
-iterations, and the pairing solve at 1e-12 takes 12; from zero they take
-25 and then 34 each (29 and then 44 at 1e-12).  Solves are pure
-functions of their inputs and leave the prepared problem unchanged.
+may start from a list of (u, p) pairs, such as a coupling loop's last
+solutions, combined to the least residual; the start is used only when
+its residual is below that of the zero start.  On the trig case at n=32
+(nu=1, alpha=0.1, the seed-11 mesh of perfbench's coupled-trig) the eight
+solves of one coupling loop, at the loop's rtol of 1e-10, each after the
+first started from up to three of the loop's last solutions, take 25, 32,
+27, 24, 18, 12, 5 and 0 iterations, and the pairing solve at 1e-12 takes
+12; from zero they take 25 and then 34 each (29 and then 44 at 1e-12).
+Solves are pure functions of their inputs and leave the prepared problem
+unchanged.
 """
 
 from __future__ import annotations
@@ -76,8 +78,10 @@ class PreparedStokes(NamedTuple):
     Unknowns of the reduced bordered system: each velocity component on the
     ``free`` scalar nodes, the pressure, the multiplier.  With ``Bt`` and
     the pressure integrals, ``velocity`` is the matrix at z = 0; ``rhs``
-    lacks the lift of the boundary values by K + i M_z, which a solve adds
-    through ``fb_*``.  ``lu`` factorises the free-free scalar Laplacian.
+    lacks the lift of the boundary values by K + i M_z, which a solve takes
+    from ``lift``, K's free-fixed part, with i M_z filled into its pattern
+    as into ``velocity``'s.  ``lu`` factorises the free-free scalar
+    Laplacian.
     """
 
     spaces: fes.Spaces
@@ -86,6 +90,8 @@ class PreparedStokes(NamedTuple):
     g_fixed: np.ndarray      # Dirichlet values at ``fixed``, shape (nb, 2)
     velocity: sp.csr_matrix  # K on the free-free pattern of M_z, canonical;
                              # an exact 0 at the six pairs K skips
+    lift: sp.csr_matrix      # K on the free-fixed pattern of M_z, canonical,
+                             # columns indexing ``fixed``
     Bt: sp.csr_matrix        # transposed divergence block, 2*free x pressure
     B: sp.csr_matrix         # the divergence block, Bt's transpose
     rhs: np.ndarray
@@ -94,11 +100,8 @@ class PreparedStokes(NamedTuple):
     schur: object            # LU of the context's P1 pressure mass M_p,
                              # taken once here; the Schur surrogate is M_p / nu
     cell_map: np.ndarray     # int32: cell pair (t, 6a+b) -> entry of
-                             # ``velocity`` (first ns), of the free-fixed
-                             # pattern (next nfb) or a dump slot
-    fb_stiffness: np.ndarray  # K at the free-fixed entries, (nfb,)
-    fb_rows: np.ndarray      # (nfb,): free row of each free-fixed entry
-    fb_cols: np.ndarray      # (nfb,): its index into ``fixed``
+                             # ``velocity`` (first nnz), of ``lift`` (next
+                             # nnz) or a dump slot
 
 
 class StokesEnergyReport(NamedTuple):
@@ -191,7 +194,7 @@ def _load_vector(ctx, f):
 def default_flux_tol(mesh, g):
     """1e-8 times the boundary scale of the normal data (floor at 1e-8)."""
     gn = normal_boundary_data(mesh, g)[1]
-    return 1e-8 * max(1.0, float((mesh.boundary_quad_weights()
+    return 1e-8 * max(1.0, float((mesh.boundary_qweights
                                   * np.abs(gn)).sum()))
 
 
@@ -245,12 +248,14 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     free = np.setdiff1d(np.arange(ctx.num_scalar_nodes), fixed)
     nf = free.size
     g_fixed = _boundary_values(ctx, g)
-    cell_map, indptr, indices, coupled, fb_rows, fb_cols = _pair_maps(
+    cell_map, (indptr, indices), coupled, (lift_ptr, lift_ind) = _pair_maps(
         ctx, free, fixed)
     ns = indices.size
     k = np.bincount(cell_map, _stiffness_cells(ctx, nu).ravel(),
-                    minlength=ns + fb_rows.size + 1)
+                    minlength=ns + lift_ind.size + 1)
     velocity = sp.csr_matrix((k[:ns], indices, indptr), shape=(nf, nf))
+    lift = sp.csr_matrix((k[ns:-1], lift_ind, lift_ptr),
+                         shape=(nf, fixed.size))
     Bx, By = _divergence_blocks(spaces_)
     rhs = np.concatenate([
         _load_vector(ctx, f)[:, free].ravel(),
@@ -270,17 +275,17 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     except RuntimeError as exc:
         raise LinearSolveFailure(
             f"Stokes set-up factorisation failed: {exc}") from exc
-    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, Bt, B,
-                          rhs, lu, nu, schur, cell_map, k[ns:-1], fb_rows,
-                          fb_cols)
+    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, lift, Bt,
+                          B, rhs, lu, nu, schur, cell_map)
 
 
 def _pair_maps(ctx, free, fixed):
     """Integer maps of the cell pairs (t, 6a+b): ``cell_map``; the CSR
-    ``indptr`` and ``indices`` of the free-free pattern, every pair of free
+    ``(indptr, indices)`` of the free-free pattern, every pair of free
     nodes in a common cell; the mask of its entries that a stiffness pair
-    reaches; the free row and the index into ``fixed`` of each free-fixed
-    entry.  Its pair-sized temporaries die before the set-up factorises."""
+    reaches; the CSR ``(indptr, indices)`` of the free-fixed pattern, with
+    columns indexing ``fixed``.  Its pair-sized temporaries die before the
+    set-up factorises."""
     n, nf, nb = ctx.num_scalar_nodes, free.size, fixed.size
     ix = np.full((2, n), -1)  # index into free, into fixed
     ix[0, free], ix[1, fixed] = np.arange(nf), np.arange(nb)
@@ -297,25 +302,32 @@ def _pair_maps(ctx, free, fixed):
     cell_map[fb] = keys.size + fb_of_pair
     stiff = np.tile(_STIFFNESS_PAIRS, nodes.shape[0])[ff]
     coupled = np.bincount(ff_of_pair, stiff, minlength=keys.size) > 0
-    indptr = np.searchsorted(keys, np.arange(nf + 1) * nf)
-    return cell_map, indptr, keys % nf, coupled, bnd // nb, bnd % nb
+    return (cell_map, _csr_pattern(keys, nf, nf), coupled,
+            _csr_pattern(bnd, nf, nb))
+
+
+def _csr_pattern(keys, rows, cols):
+    """``(indptr, indices)`` of the canonical CSR pattern whose entries
+    have the sorted row-major keys ``row * cols + col``."""
+    return np.searchsorted(keys, np.arange(rows + 1) * cols), keys % cols
 
 
 def _bordered_system(prep, z):
     """The complex velocity block ``A`` = K + i M_z and the reduced
     right-hand side at coefficient ``z``; ``A`` shares only the pattern of
     ``prep.velocity``."""
-    ctx, V, ns = prep.spaces.context, prep.velocity, prep.velocity.nnz
+    ctx, V, L = prep.spaces.context, prep.velocity, prep.lift
     m = np.bincount(prep.cell_map, _zmass_cells(ctx, z).ravel(),
-                    minlength=ns + prep.fb_rows.size + 1)
-    A = sp.csr_matrix((V.data + 1j * m[:ns], V.indices, V.indptr), V.shape)
+                    minlength=V.nnz + L.nnz + 1)
+    A = sp.csr_matrix((V.data + 1j * m[:V.nnz], V.indices, V.indptr),
+                      V.shape)
     # the lift of the boundary values by the free-fixed part of K + i M_z
-    lift = ((prep.fb_stiffness + 1j * m[ns:-1])
-            * (prep.g_fixed @ [1.0, 1j])[prep.fb_cols])
+    lift = sp.csr_matrix((L.data + 1j * m[V.nnz:-1], L.indices, L.indptr),
+                         L.shape) @ (prep.g_fixed @ [1.0, 1j])
     nf = prep.free.size
     rhs = prep.rhs.copy()
-    rhs[:nf] -= np.bincount(prep.fb_rows, lift.real, minlength=nf)
-    rhs[nf:2 * nf] -= np.bincount(prep.fb_rows, lift.imag, minlength=nf)
+    rhs[:nf] -= lift.real
+    rhs[nf:2 * nf] -= lift.imag
     return A, rhs
 
 
@@ -451,17 +463,17 @@ def _gmres(apply, precondition, b, x0=None, r0=None, rtol=1e-12,
     return x, maxiter, iterations
 
 
-def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12,
+def solve_generalized_stokes(prepared, z, guess=(), rtol=1e-12,
                              counts=None):
     """Solve for (u, p) given the prepared problem and coefficient ``z``.
 
-    ``guess`` is an optional ``(u, p)`` pair on the same spaces, typically
-    the solution at a nearby ``z``, or a list of such pairs, typically the
-    last solutions of a coupling loop (possibly empty).  GMRES starts from
-    the pair, or from the combination of the listed pairs whose residual
-    is least (Fischer, Comput. Methods Appl. Mech. Eng. 163, 1998), when
-    that residual is below the right-hand side's norm, and from zero
-    otherwise.  A guess of the wrong size raises ``ValueError``.  GMRES
+    ``guess`` is a list of ``(u, p)`` pairs on the same spaces, possibly
+    empty, typically the last solutions of a coupling loop or the solution
+    at a nearby ``z``.  GMRES starts from the combination of the listed
+    pairs whose residual is least (Fischer, Comput. Methods Appl. Mech.
+    Eng. 163, 1998), when that residual is below the right-hand side's
+    norm, and from zero otherwise.  A guess of the wrong size raises
+    ``ValueError``.  GMRES
     stops at ``rtol`` times the norm of the reduced right-hand side; its
     iteration count is appended to the list ``counts`` when one is given.
     Returns velocity and zero-mean pressure fields; the residual of the
@@ -510,19 +522,15 @@ def solve_generalized_stokes(prepared, z, guess=None, rtol=1e-12,
 
 
 def _start(prep, apply, rhs, guess):
-    """GMRES start from ``guess`` (see :func:`solve_generalized_stokes`)
-    and its residual; (None, None) for the zero start, also when
-    ``guess`` is an empty list."""
+    """GMRES start from the list ``guess`` (see
+    :func:`solve_generalized_stokes`) and its residual; (None, None) for
+    the zero start, also when the list is empty."""
     if not guess:
         return None, None
-    if isinstance(guess[0], fes.Field):
-        x0 = _reduced_guess(prep, *guess)
-        r0 = rhs - apply(x0)
-    else:
-        X = np.stack([_reduced_guess(prep, u, p) for u, p in guess], axis=1)
-        AX = np.stack([apply(x) for x in X.T], axis=1)
-        c = np.linalg.lstsq(AX, rhs, rcond=None)[0]
-        x0, r0 = X @ c, rhs - AX @ c
+    X = np.stack([_reduced_guess(prep, u, p) for u, p in guess], axis=1)
+    AX = np.stack([apply(x) for x in X.T], axis=1)
+    c = np.linalg.lstsq(AX, rhs, rcond=None)[0]
+    x0, r0 = X @ c, rhs - AX @ c
     if fes._norm(r0) < fes._norm(rhs):
         return x0, r0
     return None, None
@@ -553,8 +561,7 @@ def stokes_energy_report(u, p, z, f, nu):
     ctx = u.space.context
     w = ctx.cell_qweights
     corners = fes.velocity_corner_gradients(u)
-    grads = fes._corners_at_quadrature(ctx, corners)
-    viscous = nu * float((w * (grads ** 2).sum(axis=(2, 3))).sum())
+    viscous = nu * fes._linear_squares(ctx, corners)
     forcing = float((w[:, :, None] * fes.data_cell_values(ctx, f)
                      * fes.velocity_cell_values(u)).sum())
     # u^T C u = (M_z u1, u2) - (M_z u2, u1), cell by cell
@@ -562,8 +569,8 @@ def stokes_energy_report(u, p, z, f, nu):
     mz = _zmass_cells(ctx, z).reshape(-1, 6, 6)
     skew = float(np.einsum("ta,tab,tb->", c[1], mz, c[0])
                  - np.einsum("ta,tab,tb->", c[0], mz, c[1]))
-    div = grads[:, :, 0, 0] + grads[:, :, 1, 1]
-    div_broken = float(np.sqrt((w * div ** 2).sum()))
+    div = corners[:, :, 0, 0] + corners[:, :, 1, 1]
+    div_broken = math.sqrt(fes._linear_squares(ctx, div))
     div_weak = fes._weak_divergence_l2(ctx, corners)
     return StokesEnergyReport(
         viscous=viscous,

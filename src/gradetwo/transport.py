@@ -12,7 +12,7 @@ the sign of ``alpha * u . n``; the prescribed trace value q enters through
 the numerical flux, faces with ``|alpha*u.n| <= eps_n`` carry no imposed
 flux.  Upwinding adds nonnegative interfacial dissipation, which is what
 makes the discrete sign inequality of the transported quantity hold
-unconditionally (see :func:`sign_functional`).
+unconditionally (see :func:`sign_functional_report`).
 
 The matrix stores only the upwind couplings, the blocks of each face's
 upwind side, on interior and boundary faces alike, so its pattern follows
@@ -65,8 +65,8 @@ from .meshes import EDGE_QP, normal_boundary_data
 from .userdata import evaluate
 
 __all__ = [
-    "InflowDatum", "build_inflow_datum", "empty_datum", "solve_transport",
-    "sign_functional", "sign_functional_report", "SignFunctionalReport",
+    "InflowDatum", "build_inflow_datum", "solve_transport",
+    "sign_functional_report", "SignFunctionalReport",
     "green_residual", "solve_gradient_transport", "GradientTransportResult",
     "velocity_gradient_max",
 ]
@@ -91,11 +91,6 @@ class InflowDatum:
         return float(np.abs(self.values[list(self.edges)]).max(initial=0.0))
 
 
-def empty_datum(mesh):
-    return InflowDatum("P_II", np.zeros((mesh.num_boundary_edges,
-                                         EDGE_QP.size)), ())
-
-
 def build_inflow_datum(mesh, variant, h, g, part):
     """Convert boundary data h into the trace value q imposed at inflow.
 
@@ -114,7 +109,7 @@ def build_inflow_datum(mesh, variant, h, g, part):
     if not edges:
         return InflowDatum(variant, values, ())
     sel = list(edges)
-    pts = mesh.boundary_quad_points()[sel]
+    pts = mesh.boundary_qpoints[sel]
     if variant == "P_I":
         bad = part.interior_degeneracies()
         if bad:
@@ -340,7 +335,7 @@ def _inflow_load(ctx, sb, eps_n, datum):
     """
     mesh = ctx.mesh
     bids = mesh.boundary_edge_ids
-    wb = mesh.boundary_quad_weights()
+    wb = mesh.boundary_qweights
     s_in = np.where(sb < -eps_n, sb, 0.0)
     qv = datum.values
     load = np.zeros(3 * mesh.num_triangles)
@@ -376,7 +371,7 @@ def _check_divergence(u, div_tol):
     corners = fes.velocity_corner_gradients(u)
     div = fes._weak_divergence_l2(ctx, corners)
     if div_tol is None:
-        div_tol = 1e-8 * max(1.0, fes._h1_semi(ctx, corners))
+        div_tol = 1e-8 * max(1.0, np.sqrt(fes._linear_squares(ctx, corners)))
     if div > div_tol:
         warnings.warn(
             f"transport velocity has weak divergence {div:.3e} above "
@@ -453,18 +448,13 @@ def sign_functional_report(z, u, alpha):
     jumps = float(0.5 * (we[interior] * np.abs(s[interior]) * jump ** 2).sum())
     bids = mesh.boundary_edge_ids
     sb = s[bids]
-    wb = we[bids]
+    wb = mesh.boundary_qweights
     zb = z0[bids]
     outflow = float(0.5 * (wb * np.maximum(sb, 0.0) * zb ** 2).sum())
     inflow = float(0.5 * (wb * np.maximum(-sb, 0.0) * zb ** 2).sum())
     central = float(0.5 * (wb * sb * zb ** 2).sum())
     return SignFunctionalReport(jumps, outflow, inflow, central,
                                 jumps + outflow + inflow)
-
-
-def sign_functional(z, u, alpha):
-    """Total upwind-consistent evaluation; nonnegative for any fields."""
-    return sign_functional_report(z, u, alpha).total
 
 
 def green_residual(z, u, phi, phi_grad):
@@ -493,9 +483,9 @@ def green_residual(z, u, phi, phi_grad):
     eids = mesh.boundary_edge_ids
     un = _edge_sign(u, 1.0)[eids]
     zb = fes.vorticity_edge_values(z, 0)[eids]
-    bpts = mesh.edge_qpoints[eids]
+    bpts = mesh.boundary_qpoints
     phib = evaluate(phi, bpts[..., 0], bpts[..., 1])
-    flux = float((mesh.edge_qweights[eids] * zb * un * phib).sum())
+    flux = float((mesh.boundary_qweights * zb * un * phib).sum())
     return abs(vol1 + vol2 - flux)
 
 
@@ -531,7 +521,7 @@ def _gradient_inflow_data(u, W, l, eps_n):
     mesh = ctx.mesh
     bids = mesh.boundary_edge_ids
     tr = fes.velocity_edge_values(u)[bids]        # (nb, nqe, 2)
-    n = mesh.edge_normals[bids]                   # (nb, 2)
+    n = mesh.boundary_normals                     # (nb, 2)
     tau = np.stack([-n[:, 1], n[:, 0]], axis=1)
     un = tr[:, :, 0] * n[:, None, 0] + tr[:, :, 1] * n[:, None, 1]
     ut = tr[:, :, 0] * tau[:, None, 0] + tr[:, :, 1] * tau[:, None, 1]

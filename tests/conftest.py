@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gradetwo import meshes, spaces, stokes
+from gradetwo import meshes, spaces, stokes, transport
 
 
 @pytest.fixture(scope="session")
@@ -100,6 +100,12 @@ def perturbed_square(n, seed):
                                                      (inside.sum(), 2))
     return meshes.Mesh(v, base.triangles, base.boundary_edges,
                        base.boundary_markers)
+
+
+def zero_datum(mesh):
+    """An inflow datum that imposes zero and declares no inflow edge."""
+    return transport.InflowDatum(
+        "P_II", np.zeros((mesh.num_boundary_edges, meshes.EDGE_QP.size)), ())
 
 
 def fd_gradient(f, x, y, h=1e-6):

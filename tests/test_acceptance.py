@@ -14,7 +14,7 @@ from gradetwo import manufactured as mms
 from gradetwo.driver import ProblemSpec, fixed_point_solve
 from gradetwo.errors import DegenerateInflow, FluxIncompatible
 
-from conftest import filled_coupling, skew_defect
+from conftest import filled_coupling, skew_defect, zero_datum
 
 UNIFORM = lambda x, y: (1.0, 0.0)  # noqa: E731
 SMOOTH_F = lambda x, y: (0.5 * math.sin(math.pi * y),  # noqa: E731
@@ -103,8 +103,8 @@ def test_criterion_4_sign_inequality():
                 for rfun in rhss:
                     rhs = spaces.interpolate(rfun, sp_.vorticity)
                     z = transport.solve_transport(
-                        u, nu, alpha, rhs, transport.empty_datum(mesh), part)
-                    total = transport.sign_functional(z, u, alpha)
+                        u, nu, alpha, rhs, zero_datum(mesh), part)
+                    total = transport.sign_functional_report(z, u, alpha).total
                     scale = max(1.0, spaces.norms(z).l2 ** 2
                                 * spaces.norms(u).l2 * abs(alpha))
                     worst = min(worst, total / scale)

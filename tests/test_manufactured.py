@@ -47,8 +47,8 @@ def test_trig_flux_matches_hand_integrals():
     # bottom = top = 2/pi^2; the total vanishes
     case = mms.manufactured_case("trig", 1.0, 0.1)
     m = meshes.unit_square_mesh(16)
-    pts = m.boundary_quad_points()
-    w = m.boundary_quad_weights()
+    pts = m.boundary_qpoints
+    w = m.boundary_qweights
     n = m.boundary_normals
     per_marker = {}
     for b in range(m.num_boundary_edges):

@@ -207,8 +207,8 @@ def test_edge_geometry_shared_by_boundary(name):
     b = mesh.boundary_edge_ids
     assert np.array_equal(mesh.boundary_normals, n[b])
     assert np.array_equal(mesh.boundary_lengths, mesh.edge_lengths[b])
-    assert np.array_equal(mesh.boundary_quad_points(), mesh.edge_qpoints[b])
-    assert np.array_equal(mesh.boundary_quad_weights(), mesh.edge_qweights[b])
+    assert np.array_equal(mesh.boundary_qpoints, mesh.edge_qpoints[b])
+    assert np.array_equal(mesh.boundary_qweights, mesh.edge_qweights[b])
 
 
 @pytest.mark.parametrize("name", TABLE_MESHES)
@@ -323,7 +323,7 @@ def test_loop_numbering_follows_first_edge():
     g = lambda x, y: (0.5 * x, 0.5 * y)
     flux = meshes.flux_per_component(m, g)
     per_edge = (meshes.normal_boundary_data(m, g)[1]
-                * m.boundary_quad_weights()).sum(axis=1)
+                * m.boundary_qweights).sum(axis=1)
     expect = [0.0, 0.0]
     for b, c in enumerate(ref):
         expect[c] += per_edge[b]

@@ -122,8 +122,8 @@ def test_cell_gradients_match_quadrature():
 
 def test_edge_quadrature_exact_through_degree5(mesh8):
     # sum of int_e y^5 over the left edge equals 1/6
-    pts = mesh8.boundary_quad_points()
-    w = mesh8.boundary_quad_weights()
+    pts = mesh8.boundary_qpoints
+    w = mesh8.boundary_qweights
     left = [b for b in range(mesh8.num_boundary_edges)
             if mesh8.boundary_markers[b] == 4]
     total = sum((w[b] * pts[b, :, 1] ** 5).sum() for b in left)
@@ -337,19 +337,34 @@ def test_weak_divergence_matches_mass_lu(build):
     lambda: perturbed_square(16, 3),
     lambda: ring_mesh(3)], ids=["square", "perturbed", "ring"])
 def test_h1_semi_from_corners_matches_quadrature(build):
-    # |u|_H1 from the corner gradients against the 7-point quadrature of
-    # norms(); the weak divergence is checked against its quadrature load
-    # by test_weak_divergence_matches_mass_lu
+    # norms() takes |u|_H1 and a scalar's L2 norm exactly from corner
+    # values; the 7-point quadrature, exact for both squares, is the
+    # reference.  The weak divergence is checked against its quadrature
+    # load by test_weak_divergence_matches_mass_lu
     sp_ = spaces.build_spaces(build())
+    ctx = sp_.context
+    w = ctx.mesh.areas[:, None] * spaces.TRI_QW
+    G = quadrature_p2_grads(ctx)  # (nt, 6, nq, 2)
     rng = np.random.default_rng(12)
     fields = [
         spaces.interpolate(lambda x, y: (np.sin(x) * y, x * x - np.cos(y)),
                            sp_.velocity),
         sp_.velocity.new_field(rng.standard_normal(sp_.velocity.dof_count))]
     for u in fields:
-        corners = spaces.velocity_corner_gradients(u)
-        assert spaces._h1_semi(sp_.context, corners) == pytest.approx(
-            spaces.norms(u).h1_semi, rel=1e-13)
+        c = u.coefficients.reshape(2, -1)[:, ctx.cell_scalar_nodes]
+        g = np.einsum("cta,taqd->tqcd", c, G)
+        ref = np.sqrt((w * (g ** 2).sum(axis=(2, 3))).sum())
+        assert spaces.norms(u).h1_semi == pytest.approx(ref, rel=1e-13)
+    scalars = [
+        (spaces.interpolate(lambda x, y: np.sin(3 * x) - y * y,
+                            sp_.pressure), ctx.mesh.triangles),
+        (sp_.vorticity.new_field(
+            rng.standard_normal(sp_.vorticity.dof_count)),
+         np.arange(sp_.vorticity.dof_count).reshape(-1, 3))]
+    for z, dofs in scalars:
+        vals = z.coefficients[dofs] @ spaces.TRI_QP.T  # (nt, nq)
+        ref = np.sqrt((w * vals ** 2).sum())
+        assert spaces.norms(z).l2 == pytest.approx(ref, rel=1e-13)
 
 
 @given(st.floats(min_value=-5, max_value=5, allow_nan=False))

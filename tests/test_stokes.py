@@ -414,7 +414,7 @@ def test_warm_start_matches_direct(spaces8, monkeypatch):
     calls = counted_gmres(monkeypatch)
     cold = stokes.solve_generalized_stokes(prepared, z)
     u, p = stokes.solve_generalized_stokes(
-        prepared, z, guess=stokes.solve_generalized_stokes(prepared, nearby))
+        prepared, z, guess=[stokes.solve_generalized_stokes(prepared, nearby)])
     cold_call, _, warm_call = calls
     assert cold_call["x0"] is None and warm_call["x0"] is not None
     assert warm_call["iterations"] < cold_call["iterations"]
@@ -440,18 +440,27 @@ def test_loop_tolerance_matches_direct(spaces8, random_z, monkeypatch):
 
 
 def test_bad_guess_falls_back_to_zero_start(spaces8, monkeypatch):
+    """A start that cannot lower the residual, a zero pair, falls back to
+    the zero start; a bad pair is scaled down to a start that costs no
+    iteration over the zero start, and the solve stays exact."""
     case, z = trig_inflow(spaces8)
     prepared = stokes.prepare_generalized_stokes(
         spaces8, case.nu, case.f, case.u)
     rng = np.random.default_rng(7)
     scale = 1e3 * max(np.abs(prepared.rhs).max(), 1.0)
-    guess = (spaces8.velocity.new_field(
-                 scale * rng.standard_normal(spaces8.velocity.dof_count)),
-             spaces8.pressure.new_field(
-                 scale * rng.standard_normal(spaces8.pressure.dof_count)))
+    bad = (spaces8.velocity.new_field(
+               scale * rng.standard_normal(spaces8.velocity.dof_count)),
+           spaces8.pressure.new_field(
+               scale * rng.standard_normal(spaces8.pressure.dof_count)))
+    zero = (spaces8.velocity.new_field(), spaces8.pressure.new_field())
     calls = counted_gmres(monkeypatch)
-    u, p = stokes.solve_generalized_stokes(prepared, z, guess=guess)
-    assert calls[0]["x0"] is None
+    stokes.solve_generalized_stokes(prepared, z)
+    stokes.solve_generalized_stokes(prepared, z, guess=[zero])
+    u, p = stokes.solve_generalized_stokes(prepared, z, guess=[bad])
+    cold, fallback, scaled = calls
+    assert fallback["x0"] is None
+    assert fallback["iterations"] == cold["iterations"]
+    assert scaled["iterations"] <= cold["iterations"], calls
     u_ref, p_ref = direct_reference(spaces8, case.nu, z, case.f, case.u)
     assert np.abs(u.coefficients - u_ref).max() < 1e-8
     assert np.abs(p.coefficients - p_ref).max() < 1e-7
@@ -552,11 +561,11 @@ def test_preconditioner_applied_once_per_iteration(spaces8, monkeypatch):
     lu = CountedLU(prepared.lu)
     prepared = prepared._replace(lu=lu)
     calls = counted_gmres(monkeypatch)
-    guess = None
+    guess = []
     for coefficient in (nearby, z):
         before = lu.calls
-        guess = stokes.solve_generalized_stokes(prepared, coefficient,
-                                                guess=guess)
+        guess = [stokes.solve_generalized_stokes(prepared, coefficient,
+                                                 guess=guess)]
         assert 0 < calls[-1]["iterations"] < 200
         start = calls[-1]["x0"] is not None
         assert lu.calls - before == calls[-1]["iterations"] + 1 + start
@@ -569,4 +578,4 @@ def test_wrong_size_guess_raises(spaces8, spaces16, zero_z):
     p16 = spaces16.pressure.new_field()
     for guess in ((u16, p8), (u8, p16)):
         with pytest.raises(ValueError, match="guess"):
-            stokes.solve_generalized_stokes(prepared, zero_z, guess=guess)
+            stokes.solve_generalized_stokes(prepared, zero_z, guess=[guess])

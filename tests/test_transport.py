@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from conftest import perturbed_square, ring_mesh
+from conftest import perturbed_square, ring_mesh, zero_datum
 from gradetwo import manufactured, meshes, spaces, transport
 from gradetwo.errors import (
     ContractionViolated,
@@ -37,7 +37,7 @@ def test_alpha_zero_is_exact_division(spaces8, mesh8):
     u = spaces.interpolate(UNIFORM, spaces8.velocity)
     part = meshes.classify_boundary(mesh8, UNIFORM, 0.0)
     z = transport.solve_transport(u, 2.0, 0.0, rhs,
-                                  transport.empty_datum(mesh8), part)
+                                  zero_datum(mesh8), part)
     assert np.array_equal(z.coefficients, rhs.coefficients / 2.0)
 
 
@@ -119,7 +119,7 @@ def test_divergence_warning(mesh8, spaces8):
     rhs = spaces8.vorticity.new_field()
     with pytest.warns(UserWarning, match="divergence"):
         transport.solve_transport(u, 1.0, 1.0, rhs,
-                                  transport.empty_datum(mesh8), part)
+                                  zero_datum(mesh8), part)
 
 
 @pytest.mark.parametrize("factor, warns", [(1.001, True), (0.999, False)],
@@ -137,7 +137,7 @@ def test_divergence_warning_threshold(mesh8, spaces8, factor, warns):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         transport.solve_transport(u, 1.0, 1.0, spaces8.vorticity.new_field(),
-                                  transport.empty_datum(mesh8), part)
+                                  zero_datum(mesh8), part)
     messages = [str(w.message) for w in caught]
     assert len(messages) == (1 if warns else 0), messages
     assert all("weak divergence" in m for m in messages)
@@ -159,7 +159,7 @@ def test_solve_factorises_only_the_transport_matrix(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recorded)
     transport.solve_transport(u, 1.0, 1.0, sp_.vorticity.new_field(),
-                              transport.empty_datum(mesh), part)
+                              zero_datum(mesh), part)
     assert callers == [transport.__name__]
 
 
@@ -508,7 +508,7 @@ def test_divergence_check_sees_compressible_flow():
     rhs = sp_.vorticity.new_field()
     with pytest.warns(UserWarning, match="weak divergence 1.000e\\+00"):
         transport.solve_transport(u, 1.0, 1.0, rhs,
-                                  transport.empty_datum(mesh), part)
+                                  zero_datum(mesh), part)
 
 
 @pytest.mark.parametrize("perturbed", [False, True],
@@ -589,7 +589,7 @@ def test_sign_functional_constant_field(mesh8, spaces8):
 def test_sign_functional_alpha_zero(mesh8, spaces8):
     u = spaces.interpolate(UNIFORM, spaces8.velocity)
     z = spaces.interpolate(lambda x, y: x * y, spaces8.vorticity)
-    assert transport.sign_functional(z, u, 0.0) == 0.0
+    assert transport.sign_functional_report(z, u, 0.0).total == 0.0
 
 
 def test_sign_functional_nonnegative_for_zero_datum(mesh16, spaces16):
@@ -601,8 +601,8 @@ def test_sign_functional_nonnegative_for_zero_datum(mesh16, spaces16):
         for rfun in rhss:
             rhs = spaces.interpolate(rfun, spaces16.vorticity)
             z = transport.solve_transport(
-                u, 1.0, 1.0, rhs, transport.empty_datum(mesh16), part)
-            total = transport.sign_functional(z, u, 1.0)
+                u, 1.0, 1.0, rhs, zero_datum(mesh16), part)
+            total = transport.sign_functional_report(z, u, 1.0).total
             scale = max(1.0, spaces.norms(z).l2 ** 2 * spaces.norms(u).l2)
             assert total >= -1e-10 * scale
 
