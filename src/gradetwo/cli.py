@@ -22,15 +22,11 @@ import sys
 
 from . import spaces as fes
 from . import transport as trs
-from .configio import ConfigError, load_config
+from .configio import load_config
 from .driver import diagnostics, fixed_point_solve, prepare
 from .errors import GradeTwoError, NotConverged
 from .manufactured import convergence_study, manufactured_case
-from .meshes import (
-    classify_boundary,
-    flux_per_component,
-    load_mesh,
-)
+from .meshes import classify_boundary, flux_per_component
 from .vtkio import write_vtk
 
 __all__ = ["main"]
@@ -131,7 +127,7 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_mms(cfg, out_dir):
-    case = manufactured_case(cfg.mms.case, cfg.nu, cfg.alpha)
+    case = manufactured_case(cfg.mms.case, cfg.spec.nu, cfg.spec.alpha)
     study = convergence_study(case, cfg.mms.levels, variant=cfg.mms.variant,
                               mode=cfg.mms.mode)
     header = ("kind", "n", "h", "err_u_l2", "err_u_h1", "err_p_l2",
@@ -158,9 +154,10 @@ def cmd_mms(cfg, out_dir):
 
 
 def cmd_check_boundary(cfg, out_dir):
-    mesh = load_mesh(cfg.mesh_path)
-    part = classify_boundary(mesh, cfg.g, cfg.alpha, cfg.eps_n)
-    fluxes = flux_per_component(mesh, cfg.g)
+    spec = cfg.problem_spec()
+    mesh = spec.mesh
+    part = classify_boundary(mesh, spec.g, spec.alpha, spec.eps_n)
+    fluxes = flux_per_component(mesh, spec.g)
     print(f"boundary edges: {mesh.num_boundary_edges} in {len(fluxes)} "
           "component(s)")
     if part.gamma_minus:
@@ -188,15 +185,16 @@ def cmd_check_boundary(cfg, out_dir):
 
 
 def cmd_transport(cfg, out_dir):
-    mesh = load_mesh(cfg.mesh_path)
+    spec = cfg.problem_spec()
+    mesh = spec.mesh
     spaces_ = fes.build_spaces(mesh)
     opts = cfg.transport
     u = fes.interpolate(opts.u, spaces_.velocity)
-    part = classify_boundary(mesh, opts.u, opts.alpha, cfg.eps_n)
-    datum = trs.build_inflow_datum(mesh, cfg.variant, cfg.h, opts.u, part)
+    part = classify_boundary(mesh, opts.u, opts.alpha, spec.eps_n)
+    datum = trs.build_inflow_datum(mesh, spec.variant, spec.h, opts.u, part)
     rhs = fes.interpolate(opts.rhs, spaces_.vorticity)
     z = trs.solve_transport(u, opts.nu, opts.alpha, rhs, datum, part,
-                            div_tol=cfg.div_tol)
+                            div_tol=spec.div_tol)
     sign = trs.sign_functional_report(z, u, opts.alpha)
     zn = fes.norms(z)
     if "vtk" in cfg.formats:

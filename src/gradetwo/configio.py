@@ -5,6 +5,12 @@ holds the expressions for f, g, h (see :mod:`gradetwo.exprlang` for the
 grammar), ``[solver]`` the tolerances, ``[output]`` directory and formats.
 Subcommand-specific sections ``[mms]`` and ``[transport]`` are read only by
 the corresponding commands.  Unknown keys are rejected so typos fail fast.
+
+Loading parses: number, integer and boolean syntax and the expressions.
+The ranges of the ``[problem]`` and ``[solver]`` values are checked once,
+by :class:`gradetwo.driver.ProblemSpec`, whose ``ValueError`` comes back
+as a :class:`ConfigError` naming the ``[section] key``.  Only the
+``[transport]`` constants, which no spec holds, are range-checked here.
 """
 
 from __future__ import annotations
@@ -75,56 +81,27 @@ class TransportOptions:
 
 @dataclass
 class RunConfig:
-    """Parsed configuration; mirrors the solve inputs plus output options."""
+    """Parsed configuration: the problem as a :class:`ProblemSpec` whose
+    mesh stays unset (see :meth:`problem_spec`), plus output options and
+    the ``[mms]`` and ``[transport]`` sections."""
 
-    path: str
     mesh_path: Optional[str]
-    nu: float
-    alpha: float
-    variant: str
-    f: object
-    g: object
-    h: object
-    curl_f: object
-    fp_tol: float = 1e-8
-    max_iter: int = 200
-    relaxation: float = 1.0
-    flux_tol: Optional[float] = None
-    eps_n: Optional[float] = None
-    div_tol: Optional[float] = None
-    strict: bool = True
+    spec: ProblemSpec
     out_dir: str = "out"
     formats: tuple = ("vtk", "csv")
     mms: MmsOptions = field(default_factory=MmsOptions)
     transport: TransportOptions = field(default_factory=TransportOptions)
 
     def problem_spec(self):
+        """``spec`` with the mesh loaded from ``mesh_path``."""
         if self.mesh_path is None:
             raise ConfigError("[problem] mesh is required for this command")
-        return ProblemSpec(
-            mesh=self.mesh_path, nu=self.nu, alpha=self.alpha,
-            f=self.f, g=self.g, h=self.h, curl_f=self.curl_f,
-            variant=self.variant, fp_tol=self.fp_tol,
-            max_iter=self.max_iter, relaxation=self.relaxation,
-            flux_tol=self.flux_tol, eps_n=self.eps_n, div_tol=self.div_tol,
-            strict=self.strict)
-
-
-def _finite(text, name, positive=False):
-    """Parse a finite float, positive if asked; errors name ``name``."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{name} must be a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {text!r}")
-    if positive and not value > 0.0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value
+        return self.spec.replace(mesh=self.mesh_path)
 
 
 def load_config(path, require_mesh=True):
-    """Parse and validate a config file into a :class:`RunConfig`."""
+    """Parse a config file into a :class:`RunConfig`; raises
+    :class:`ConfigError` on malformed text or an out-of-range value."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -156,43 +133,40 @@ def load_config(path, require_mesh=True):
     elif require_mesh:
         raise ConfigError("[problem] mesh is required")
 
-    nu = _finite(get("problem", "nu", "1.0"), "[problem] nu", positive=True)
-    alpha = _finite(get("problem", "alpha", "0.0"), "[problem] alpha")
-    variant = get("problem", "variant", "P_II")
-    if variant not in ("P_I", "P_II"):
-        raise ConfigError(f"[problem] variant must be P_I or P_II, got {variant!r}")
-
     f = _vector_fn(get("data", "f_x", "0"), get("data", "f_y", "0"), "[data] f")
     g = _vector_fn(get("data", "g_x", "0"), get("data", "g_y", "0"), "[data] g")
     h = _scalar_fn(get("data", "h", "0"), "[data] h")
     curl_f_text = get("data", "curl_f")
     curl_f = _scalar_fn(curl_f_text, "[data] curl_f") if curl_f_text else None
 
-    def fnum(key, default, positive=False):
-        raw = get("solver", key, default)
-        if raw is None:
-            return None
-        return _finite(raw, f"[solver] {key}", positive)
+    def number(section, key, default, kind=float):
+        raw = get(section, key, default)
+        try:
+            return None if raw is None else kind(raw)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(
+                f"[{section}] {key} must be {what}, got {raw!r}") from None
 
-    fp_tol = fnum("fp_tol", "1e-8", positive=True)
-    relaxation = fnum("relaxation", "1.0")
-    if not (0.0 < relaxation <= 1.0):
-        raise ConfigError("[solver] relaxation must lie in (0, 1]")
-    flux_tol = fnum("flux_tol", None, positive=True)
-    eps_n = fnum("eps_n", None)
-    if eps_n is not None and eps_n < 0.0:
-        raise ConfigError("[solver] eps_n must be nonnegative")
-    div_tol = fnum("div_tol", None, positive=True)
-    try:
-        max_iter = int(get("solver", "max_iter", "200"))
-    except ValueError as exc:
-        raise ConfigError(f"bad integer in [solver]: {exc}") from exc
-    if max_iter < 1:
-        raise ConfigError("[solver] max_iter must be >= 1")
     strict_text = get("solver", "strict", "true").lower()
     if strict_text not in ("true", "false", "1", "0", "yes", "no"):
         raise ConfigError("[solver] strict must be boolean")
-    strict = strict_text in ("true", "1", "yes")
+    try:
+        spec = ProblemSpec(
+            mesh=None, nu=number("problem", "nu", "1.0"),
+            alpha=number("problem", "alpha", "0.0"),
+            variant=get("problem", "variant", "P_II"), f=f, g=g, h=h,
+            curl_f=curl_f, fp_tol=number("solver", "fp_tol", "1e-8"),
+            max_iter=number("solver", "max_iter", "200", int),
+            relaxation=number("solver", "relaxation", "1.0"),
+            flux_tol=number("solver", "flux_tol", None),
+            eps_n=number("solver", "eps_n", None),
+            div_tol=number("solver", "div_tol", None),
+            strict=strict_text in ("true", "1", "yes"))
+    except ValueError as exc:  # its message starts with the key
+        key = str(exc).split()[0]
+        section = "problem" if key in _KNOWN["problem"] else "solver"
+        raise ConfigError(f"[{section}] {exc}") from None
 
     out_dir = get("output", "dir", "out")
     formats = tuple(s.strip() for s in get("output", "formats", "vtk,csv").split(",")
@@ -210,20 +184,19 @@ def load_config(path, require_mesh=True):
         case=get("mms", "case", "trig"),
         levels=levels,
         mode=get("mms", "mode", "coupled"),
-        variant=get("mms", "variant", variant))
+        variant=get("mms", "variant", spec.variant))
 
     transport = TransportOptions(
         u=_vector_fn(get("transport", "u_x", "0"),
                      get("transport", "u_y", "0"), "[transport] u"),
         rhs=_scalar_fn(get("transport", "rhs", "0"), "[transport] rhs"),
-        nu=_finite(get("transport", "nu", str(nu)), "[transport] nu",
-                   positive=True),
-        alpha=_finite(get("transport", "alpha", str(alpha)),
-                      "[transport] alpha"))
+        nu=number("transport", "nu", str(spec.nu)),
+        alpha=number("transport", "alpha", str(spec.alpha)))
+    # no spec holds these two: their ranges are checked here
+    if not 0.0 < transport.nu < math.inf:
+        raise ConfigError("[transport] nu must be positive and finite")
+    if not math.isfinite(transport.alpha):
+        raise ConfigError("[transport] alpha must be finite")
 
-    return RunConfig(
-        path=os.path.abspath(path), mesh_path=mesh_path, nu=nu, alpha=alpha,
-        variant=variant, f=f, g=g, h=h, curl_f=curl_f, fp_tol=fp_tol,
-        max_iter=max_iter, relaxation=relaxation, flux_tol=flux_tol,
-        eps_n=eps_n, div_tol=div_tol, strict=strict, out_dir=out_dir,
-        formats=formats, mms=mms, transport=transport)
+    return RunConfig(mesh_path=mesh_path, spec=spec, out_dir=out_dir,
+                     formats=formats, mms=mms, transport=transport)

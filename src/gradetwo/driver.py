@@ -58,7 +58,10 @@ _ZERO_VECTOR = lambda x, y: (0.0, 0.0)  # noqa: E731
 class ProblemSpec:
     """Full description of one coupled solve.
 
-    ``mesh`` may be a loaded :class:`Mesh` or a path to the native format.
+    ``mesh`` may be a loaded :class:`Mesh` or a path to the native format
+    (a run config holds its spec with ``mesh=None`` until a command loads
+    the mesh).  Every range is checked here, and each ``ValueError``
+    message starts with the name of the offending field.
     ``f`` and ``g`` are vector callables, ``h`` the scalar inflow datum;
     all data callables receive coordinate arrays (see
     :func:`gradetwo.userdata.evaluate`; scalar-only callables are called
@@ -93,7 +96,8 @@ class ProblemSpec:
         if not (0.0 < self.relaxation <= 1.0):
             raise ValueError("relaxation must lie in (0, 1]")
         if self.variant not in ("P_I", "P_II"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(
+                f"variant must be P_I or P_II, got {self.variant!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (0.0 < self.fp_tol < math.inf):

@@ -248,7 +248,8 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
     "stokes" supplies the exact z as coefficient and solves the saddle
     problem only, "transport" advects with the interpolated exact velocity
     and measures the scalar error only.  Requires at least three nested
-    sizes; failures mark their row and do not abort the study.
+    sizes, a known ``mode`` and a known ``variant`` (else ``ValueError``,
+    before any solve); failures mark their row and do not abort the study.
     """
     ns = [int(n) for n in ns]
     if len(ns) < 3:
@@ -258,6 +259,8 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
             raise ValueError("mesh sizes must be strictly nested refinements")
     if mode not in ("coupled", "stokes", "transport"):
         raise ValueError(f"unknown study mode {mode!r}")
+    if variant not in ("P_I", "P_II"):
+        raise ValueError(f"unknown variant {variant!r}")
     rows = []
     for n in ns:
         mesh = unit_square_mesh(n)

@@ -64,12 +64,12 @@ import scipy.sparse.linalg as spla
 
 from . import spaces as fes
 from .errors import FluxIncompatible, LinearSolveFailure, MeshTopologyError
-from .meshes import flux_per_component, normal_boundary_data
+from .meshes import boundary_components, normal_boundary_data
 from .userdata import evaluate
 
 __all__ = [
     "PreparedStokes", "StokesEnergyReport", "prepare_generalized_stokes",
-    "solve_generalized_stokes", "stokes_energy_report", "default_flux_tol",
+    "solve_generalized_stokes", "stokes_energy_report",
 ]
 
 class PreparedStokes(NamedTuple):
@@ -107,7 +107,8 @@ class PreparedStokes(NamedTuple):
 class StokesEnergyReport(NamedTuple):
     viscous: float        # nu * |u|_H1^2
     forcing: float        # (f, u)
-    skew: float           # u^T C(z) u of the filled coupling block
+    skew: float           # u^T C(z) u over the z-weighted mass cell
+                          # blocks; round-off for any u and z
     balance_gap: float    # |viscous - forcing| (meaningful for g = 0)
     div_weak_l2: float    # L2 norm of the pressure-space projection of div u
     div_broken_l2: float  # pointwise L2 norm of div u (consistency level)
@@ -191,20 +192,18 @@ def _load_vector(ctx, f):
                      for c in (0, 1)])
 
 
-def default_flux_tol(mesh, g):
-    """1e-8 times the boundary scale of the normal data (floor at 1e-8)."""
-    gn = normal_boundary_data(mesh, g)[1]
-    return 1e-8 * max(1.0, float((mesh.boundary_qweights
-                                  * np.abs(gn)).sum()))
-
-
 def check_flux_compatibility(mesh, g, flux_tol=None):
-    """Raise :class:`FluxIncompatible` when a component carries net flux."""
+    """Raise :class:`FluxIncompatible` when a component carries net flux.
+
+    The default ``flux_tol`` is 1e-8 times the boundary integral of |g.n|,
+    floored at 1e-8; it and the fluxes come from one evaluation of g.
+    """
     if flux_tol is not None and not (0.0 < flux_tol < np.inf):
         raise ValueError("flux_tol must be positive and finite")
+    gn = normal_boundary_data(mesh, g)[1] * mesh.boundary_qweights
     if flux_tol is None:
-        flux_tol = default_flux_tol(mesh, g)
-    fluxes = flux_per_component(mesh, g)
+        flux_tol = 1e-8 * max(1.0, float(np.abs(gn).sum()))
+    fluxes = np.bincount(boundary_components(mesh), gn.sum(axis=1)).tolist()
     for comp, flux in enumerate(fluxes):
         if abs(flux) > flux_tol:
             raise FluxIncompatible(comp, flux, flux_tol)
@@ -267,10 +266,12 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     # on the stiffness's own pattern, without the six pairs, the LU fills less
     K_ff = sp.csr_matrix((k[:ns][coupled], indices[coupled],
                           np.r_[0, np.cumsum(coupled)][indptr]),
-                         shape=(nf, nf))
+                         shape=(nf, nf)).tocsc()
+    # factorise last, with the pattern arrays and the full-width B freed
+    del Bx, By, k, indices, indptr, coupled, lift_ptr, lift_ind
     # both matrices are symmetric: columns in minimum degree on A^T + A
     try:
-        lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
         schur = spla.splu(ctx.p1_mass.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise LinearSolveFailure(
@@ -551,9 +552,11 @@ def stokes_energy_report(u, p, z, f, nu):
     """Evaluate both sides of the energy identity and divergence norms.
 
     For homogeneous boundary data the identity nu*|u|_H1^2 = (f, u) holds to
-    solver precision.  The skew term is u^T C(z) u, summed over the cell
-    blocks of the z-weighted mass that the solves fill into the coupling
-    block; it vanishes to round-off when that block is skew-symmetric.
+    solver precision.  The skew term is u^T C(z) u, summed cell by cell
+    over the z-weighted mass blocks of :func:`_zmass_cells`.  Those blocks
+    are symmetric, so the term is zero up to round-off for any u and z by
+    construction; it does not read the coupling block the solves fill and
+    cannot see a defect in that fill.
     The weak divergence is the pressure-space projection of div u (the
     quantity the constraint actually controls); the broken norm is the
     pointwise one and sits at discretization level for interpolated data.

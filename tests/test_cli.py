@@ -375,7 +375,8 @@ def test_bad_constant_names_key(tmp_path, square_mesh_file, capsys,
 
 @pytest.mark.parametrize("key,value", [
     ("eps_n", "nan"), ("fp_tol", "inf"), ("flux_tol", "inf"),
-    ("div_tol", "nan"), ("div_tol", "0")])
+    ("div_tol", "nan"), ("div_tol", "0"), ("relaxation", "2"),
+    ("max_iter", "0"), ("eps_n", "-1")])
 def test_bad_solver_tolerance_names_key(tmp_path, square_mesh_file, capsys,
                                         key, value):
     cfg = write_cfg(tmp_path, SOLVE_CFG + f"\n[solver]\n{key} = {value}\n",
@@ -383,6 +384,24 @@ def test_bad_solver_tolerance_names_key(tmp_path, square_mesh_file, capsys,
     assert cli.main(["solve", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"[solver] {key}" in err
+
+
+def test_unknown_variant_names_key(tmp_path, square_mesh_file, capsys):
+    text = SOLVE_CFG.replace("variant = P_II", "variant = P_III")
+    cfg = write_cfg(tmp_path, text, mesh=square_mesh_file,
+                    out=str(tmp_path / "out"))
+    assert cli.main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [problem] variant must be P_I or P_II")
+    assert not (tmp_path / "out").exists()
+
+
+def test_mms_unknown_variant_exit1(tmp_path, capsys):
+    text = MMS_CFG.replace("mode = stokes", "mode = stokes\nvariant = P_III")
+    cfg = write_cfg(tmp_path, text, out=str(tmp_path / "out"))
+    assert cli.main(["mms", "--config", cfg]) == 1
+    assert "unknown variant 'P_III'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
 def test_transport_alpha_zero_division(tmp_path, square_mesh_file):

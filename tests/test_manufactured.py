@@ -169,6 +169,15 @@ def test_study_input_validation():
         mms.convergence_study(case, [4, 8, 16], mode="magic")
 
 
+@pytest.mark.parametrize("mode", ["coupled", "stokes", "transport"])
+def test_study_rejects_unknown_variant(mode):
+    # before any level runs: no row fails on it, and stokes mode, which
+    # never reads the variant, does not ignore it
+    case = mms.manufactured_case("trig", 1.0, 0.1)
+    with pytest.raises(ValueError, match="unknown variant 'P_III'"):
+        mms.convergence_study(case, [4, 8, 16], mode=mode, variant="P_III")
+
+
 def test_stokes_study_rates():
     case = mms.manufactured_case("trig", 1.0, 0.1)
     res = mms.convergence_study(case, [4, 8, 16], mode="stokes")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,19 @@ def test_energy_identity_homogeneous(spaces8, random_z):
     assert rep.div_weak_l2 <= 1e-8 * max(1.0, spaces.norms(u).h1_semi)
 
 
+def test_report_skew_is_round_off_for_any_pair(spaces8, random_z):
+    # the symmetric z-mass cell blocks give u^T C u = 0 by construction,
+    # also for a u and z that solve no Stokes problem together
+    rng = np.random.default_rng(5)
+    u = spaces8.velocity.new_field(
+        rng.standard_normal(spaces8.velocity.dof_count))
+    rep = stokes.stokes_energy_report(u, spaces8.pressure.new_field(),
+                                      random_z, ZERO_V, 1.0)
+    scale = np.abs(random_z.coefficients).max() * spaces.norms(u).l2 ** 2
+    assert rep.balance_gap > 1.0
+    assert abs(rep.skew) <= 1e-14 * scale
+
+
 def test_energy_identity_scaled_z(spaces8, random_z):
     f = lambda x, y: (math.sin(2 * x + y), math.cos(x) * y)
     big = random_z.space.new_field(10.0 * random_z.coefficients)
@@ -147,6 +164,18 @@ def test_flux_incompatible_raises(spaces8, zero_z):
                                           lambda x, y: (x, y))
     assert err.value.component == 0
     assert err.value.flux == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("flux_tol", [None, 1e-6])
+def test_flux_check_evaluates_g_once(mesh8, flux_tol):
+    shapes = []
+
+    def g(x, y):
+        shapes.append(x.shape)
+        return (np.ones_like(x), np.zeros_like(x))
+
+    stokes.check_flux_compatibility(mesh8, g, flux_tol)
+    assert shapes == [mesh8.boundary_qpoints.shape[:-1]]
 
 
 def test_closed_form_blocks_match_quadrature():
@@ -579,3 +608,19 @@ def test_wrong_size_guess_raises(spaces8, spaces16, zero_z):
     for guess in ((u16, p8), (u8, p16)):
         with pytest.raises(ValueError, match="guess"):
             stokes.solve_generalized_stokes(prepared, zero_z, guess=[guess])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the script reads /proc/self/status")
+def test_context_memory_script_runs():
+    """``scripts/context_memory.py`` calls private transport steps and
+    ``prepare_generalized_stokes``; it still runs through at n=8."""
+    script = Path(__file__).parents[1] / "scripts" / "context_memory.py"
+    src = os.path.dirname(os.path.dirname(stokes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, str(script), "--one", "8"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "after prepare" in done.stdout
