@@ -157,7 +157,7 @@ def cmd_check_boundary(cfg, out_dir):
     spec = cfg.problem_spec()
     mesh = spec.mesh
     part = classify_boundary(mesh, spec.g, spec.alpha, spec.eps_n)
-    fluxes = flux_per_component(mesh, spec.g)
+    fluxes = flux_per_component(mesh, spec.g).net
     print(f"boundary edges: {mesh.num_boundary_edges} in {len(fluxes)} "
           "component(s)")
     if part.gamma_minus:

@@ -95,9 +95,7 @@ class ProblemSpec:
             raise ValueError("alpha must be finite")
         if not (0.0 < self.relaxation <= 1.0):
             raise ValueError("relaxation must lie in (0, 1]")
-        if self.variant not in ("P_I", "P_II"):
-            raise ValueError(
-                f"variant must be P_I or P_II, got {self.variant!r}")
+        trs.check_variant(self.variant)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (0.0 < self.fp_tol < math.inf):

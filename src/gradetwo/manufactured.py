@@ -39,7 +39,7 @@ from . import spaces as fes
 from .driver import ProblemSpec, fixed_point_solve
 from .meshes import classify_boundary, unit_square_mesh
 from .stokes import prepare_generalized_stokes, solve_generalized_stokes
-from .transport import build_inflow_datum, solve_transport
+from .transport import build_inflow_datum, check_variant, solve_transport
 
 __all__ = ["ManufacturedCase", "manufactured_case", "convergence_study",
            "StudyRow", "StudyResult", "CASE_NAMES"]
@@ -259,8 +259,7 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
             raise ValueError("mesh sizes must be strictly nested refinements")
     if mode not in ("coupled", "stokes", "transport"):
         raise ValueError(f"unknown study mode {mode!r}")
-    if variant not in ("P_I", "P_II"):
-        raise ValueError(f"unknown variant {variant!r}")
+    check_variant(variant)
     rows = []
     for n in ns:
         mesh = unit_square_mesh(n)

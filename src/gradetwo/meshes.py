@@ -18,6 +18,7 @@ close into loops; markers are free integers (typically one per polygon side).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +35,7 @@ __all__ = [
     "Mesh", "BoundaryPartition", "EDGE_QP", "EDGE_QW",
     "load_mesh", "save_mesh", "unit_square_mesh",
     "boundary_components", "classify_boundary", "flux_per_component",
-    "normal_boundary_data",
+    "ComponentFluxes", "normal_boundary_data",
 ]
 
 # 3-point Gauss rule on [0, 1]: exact through degree 5
@@ -376,11 +377,18 @@ def classify_boundary(mesh, g, alpha, eps_n=None):
     )
 
 
+class ComponentFluxes(NamedTuple):
+    net: list         # net flux of g through boundary component c, at [c]
+    absolute: float   # integral of |g.n| over the whole boundary
+
+
 def flux_per_component(mesh, g):
-    """Net flux of g through each boundary component (edge quadrature)."""
-    per_edge = (normal_boundary_data(mesh, g)[1]
-                * mesh.boundary_qweights).sum(axis=1)
-    return np.bincount(boundary_components(mesh), per_edge).tolist()
+    """Fluxes of g through the boundary (edge quadrature), from one
+    evaluation of g; see :class:`ComponentFluxes`."""
+    gn = normal_boundary_data(mesh, g)[1] * mesh.boundary_qweights
+    return ComponentFluxes(
+        np.bincount(boundary_components(mesh), gn.sum(axis=1)).tolist(),
+        float(np.abs(gn).sum()))
 
 
 # -- file format ------------------------------------------------------------

@@ -64,7 +64,7 @@ import scipy.sparse.linalg as spla
 
 from . import spaces as fes
 from .errors import FluxIncompatible, LinearSolveFailure, MeshTopologyError
-from .meshes import boundary_components, normal_boundary_data
+from .meshes import flux_per_component
 from .userdata import evaluate
 
 __all__ = [
@@ -200,11 +200,10 @@ def check_flux_compatibility(mesh, g, flux_tol=None):
     """
     if flux_tol is not None and not (0.0 < flux_tol < np.inf):
         raise ValueError("flux_tol must be positive and finite")
-    gn = normal_boundary_data(mesh, g)[1] * mesh.boundary_qweights
+    fluxes = flux_per_component(mesh, g)
     if flux_tol is None:
-        flux_tol = 1e-8 * max(1.0, float(np.abs(gn).sum()))
-    fluxes = np.bincount(boundary_components(mesh), gn.sum(axis=1)).tolist()
-    for comp, flux in enumerate(fluxes):
+        flux_tol = 1e-8 * max(1.0, fluxes.absolute)
+    for comp, flux in enumerate(fluxes.net):
         if abs(flux) > flux_tol:
             raise FluxIncompatible(comp, flux, flux_tol)
     return fluxes
@@ -268,7 +267,8 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
                           np.r_[0, np.cumsum(coupled)][indptr]),
                          shape=(nf, nf)).tocsc()
     # factorise last, with the pattern arrays and the full-width B freed
-    del Bx, By, k, indices, indptr, coupled, lift_ptr, lift_ind
+    # (k stays alive: velocity and lift hold slices of it)
+    del Bx, By, indices, indptr, coupled, lift_ptr, lift_ind
     # both matrices are symmetric: columns in minimum degree on A^T + A
     try:
         lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")

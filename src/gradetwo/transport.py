@@ -68,8 +68,17 @@ __all__ = [
     "InflowDatum", "build_inflow_datum", "solve_transport",
     "sign_functional_report", "SignFunctionalReport",
     "green_residual", "solve_gradient_transport", "GradientTransportResult",
-    "velocity_gradient_max",
+    "velocity_gradient_max", "VARIANTS", "check_variant",
 ]
+
+# the two conditions on z at inflow: P_I flux form, P_II trace form
+VARIANTS = ("P_I", "P_II")
+
+
+def check_variant(variant):
+    """Raise ``ValueError`` unless ``variant`` is one of :data:`VARIANTS`."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be P_I or P_II, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,7 @@ def build_inflow_datum(mesh, variant, h, g, part):
     :class:`DegenerateInflow` is raised (quadrature points and interior
     vertices are both checked against the partition's ``eps_n``).
     """
-    if variant not in ("P_I", "P_II"):
-        raise ValueError(f"unknown variant {variant!r}")
+    check_variant(variant)
     values = np.zeros((mesh.num_boundary_edges, EDGE_QP.size))
     edges = tuple(part.gamma_minus)
     if not edges:

@@ -400,7 +400,8 @@ def test_mms_unknown_variant_exit1(tmp_path, capsys):
     text = MMS_CFG.replace("mode = stokes", "mode = stokes\nvariant = P_III")
     cfg = write_cfg(tmp_path, text, out=str(tmp_path / "out"))
     assert cli.main(["mms", "--config", cfg]) == 1
-    assert "unknown variant 'P_III'" in capsys.readouterr().err
+    assert ("error: variant must be P_I or P_II, got 'P_III'"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out" / "convergence.csv").exists()
 
 

@@ -64,7 +64,7 @@ def test_trig_flux_matches_hand_integrals():
     assert per_marker[2] == pytest.approx(1.0 - two_over_pi2, rel=1e-9)
     assert per_marker[1] == pytest.approx(two_over_pi2, rel=1e-9)
     assert per_marker[3] == pytest.approx(two_over_pi2, rel=1e-9)
-    assert meshes.flux_per_component(m, case.u)[0] == pytest.approx(
+    assert meshes.flux_per_component(m, case.u).net[0] == pytest.approx(
         0.0, abs=1e-13)
 
 
@@ -174,7 +174,8 @@ def test_study_rejects_unknown_variant(mode):
     # before any level runs: no row fails on it, and stokes mode, which
     # never reads the variant, does not ignore it
     case = mms.manufactured_case("trig", 1.0, 0.1)
-    with pytest.raises(ValueError, match="unknown variant 'P_III'"):
+    with pytest.raises(ValueError,
+                       match="variant must be P_I or P_II, got 'P_III'"):
         mms.convergence_study(case, [4, 8, 16], mode=mode, variant="P_III")
 
 

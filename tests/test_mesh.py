@@ -321,7 +321,7 @@ def test_loop_numbering_follows_first_edge():
     assert comp.tolist() == ref
     assert set(m.boundary_markers[comp == 0].tolist()) == {2}
     g = lambda x, y: (0.5 * x, 0.5 * y)
-    flux = meshes.flux_per_component(m, g)
+    flux = meshes.flux_per_component(m, g).net
     per_edge = (meshes.normal_boundary_data(m, g)[1]
                 * m.boundary_qweights).sum(axis=1)
     expect = [0.0, 0.0]
@@ -430,11 +430,13 @@ def test_partition_complete_for_constant_data(gx, gy, alpha):
 
 def test_flux_uniform_flow(mesh8):
     flux = meshes.flux_per_component(mesh8, lambda x, y: (1.0, 0.0))
-    assert flux == pytest.approx([0.0], abs=1e-14)
+    assert flux.net == pytest.approx([0.0], abs=1e-14)
+    # in at x = 0 and out at x = 1: |g.n| integrates to 2
+    assert flux.absolute == pytest.approx(2.0, rel=1e-13)
 
 
 def test_flux_divergent_field(mesh8):
-    flux = meshes.flux_per_component(mesh8, lambda x, y: (x, y))
+    flux = meshes.flux_per_component(mesh8, lambda x, y: (x, y)).net
     assert flux == pytest.approx([2.0], rel=1e-13)
 
 
@@ -443,8 +445,8 @@ def test_flux_polynomial_exactness():
     # net flux = integral of div g = 4 * int xy = 1; exact for the
     # degree-5 edge rule, so coarse and fine meshes agree to round-off
     g = lambda x, y: (x * x * y, x * y * y)
-    f2 = meshes.flux_per_component(meshes.unit_square_mesh(2), g)
-    f4 = meshes.flux_per_component(meshes.unit_square_mesh(4), g)
+    f2 = meshes.flux_per_component(meshes.unit_square_mesh(2), g).net
+    f4 = meshes.flux_per_component(meshes.unit_square_mesh(4), g).net
     assert f2[0] == pytest.approx(1.0, rel=1e-13)
     assert f4[0] == pytest.approx(1.0, rel=1e-13)
 
@@ -452,7 +454,7 @@ def test_flux_polynomial_exactness():
 def test_flux_ring_components():
     m = ring_mesh(1)
     # g = (x, y)/2 has div = 1: outer flux = area-ish by Gauss on each loop
-    flux = meshes.flux_per_component(m, lambda x, y: (0.5 * x, 0.5 * y))
+    flux = meshes.flux_per_component(m, lambda x, y: (0.5 * x, 0.5 * y)).net
     # outer loop: integral over [0,3]^2 boundary = 9; hole loop measured
     # with outward (into the hole) normal = -1
     assert flux[0] == pytest.approx(9.0, rel=1e-13)

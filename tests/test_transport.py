@@ -543,6 +543,14 @@ def test_datum_trace_variant(mesh8):
     assert datum.variant == "P_II"
 
 
+def test_datum_rejects_unknown_variant(mesh8):
+    part = meshes.classify_boundary(mesh8, UNIFORM, 1.0)
+    with pytest.raises(ValueError,
+                       match="variant must be P_I or P_II, got 'P_III'"):
+        transport.build_inflow_datum(mesh8, "P_III", lambda x, y: 1.0,
+                                     UNIFORM, part)
+
+
 def test_datum_flux_variant_divides(mesh8):
     # g.n = -1 on the left edge, h = -2 -> q = 2
     part = meshes.classify_boundary(mesh8, UNIFORM, 1.0)
