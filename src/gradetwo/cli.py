@@ -23,7 +23,7 @@ import sys
 from . import spaces as fes
 from . import transport as trs
 from .configio import load_config
-from .driver import diagnostics, fixed_point_solve, prepare
+from .driver import diagnostics, fixed_point_solve, inflow, prepare
 from .errors import GradeTwoError, NotConverged
 from .manufactured import convergence_study, manufactured_case
 from .meshes import classify_boundary, flux_per_component
@@ -102,7 +102,6 @@ def cmd_solve(cfg, out_dir):
             ("z_h1_broken", diag.z_norms.h1_semi),
             ("energy_viscous", diag.energy.viscous),
             ("energy_forcing", diag.energy.forcing),
-            ("energy_skew", diag.energy.skew),
             ("energy_balance_gap", diag.energy.balance_gap),
             ("div_weak_l2", diag.energy.div_weak_l2),
             ("div_broken_l2", diag.energy.div_broken_l2),
@@ -185,13 +184,12 @@ def cmd_check_boundary(cfg, out_dir):
 
 
 def cmd_transport(cfg, out_dir):
-    spec = cfg.problem_spec()
+    opts = cfg.transport
+    spec = cfg.problem_spec().replace(g=opts.u, alpha=opts.alpha)
     mesh = spec.mesh
     spaces_ = fes.build_spaces(mesh)
-    opts = cfg.transport
     u = fes.interpolate(opts.u, spaces_.velocity)
-    part = classify_boundary(mesh, opts.u, opts.alpha, spec.eps_n)
-    datum = trs.build_inflow_datum(mesh, spec.variant, spec.h, opts.u, part)
+    part, datum = inflow(spec)
     rhs = fes.interpolate(opts.rhs, spaces_.vorticity)
     z = trs.solve_transport(u, opts.nu, opts.alpha, rhs, datum, part,
                             div_tol=spec.div_tol)

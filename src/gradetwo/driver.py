@@ -14,6 +14,9 @@ pairing solve keeps 1e-12.  The cap keeps the weak divergence of u below
 the transport's default check (at 1e-8 it tripped that check); the floor
 is the pairing solve's tolerance, so fp_tol <= 1e-10 solves as before.
 
+:func:`inflow` builds the inflow boundary Gamma^- (alpha*g.n < 0) and its
+datum for every command and study.
+
 One solve pipeline is sequential; independent problem specs (continuation
 points, probe starts) are safe to run concurrently since all shared
 structures are read-only after setup.
@@ -43,7 +46,7 @@ from .stokes import (
 
 __all__ = [
     "ProblemSpec", "IterationReport", "DiagnosticsReport",
-    "prepare", "fixed_point_solve", "navier_stokes_limit_study",
+    "inflow", "prepare", "fixed_point_solve", "navier_stokes_limit_study",
     "uniqueness_probe", "diagnostics", "LimitStudyRow",
 ]
 
@@ -144,9 +147,10 @@ class _Setup(NamedTuple):
     stokes: PreparedStokes
 
 
-def _inflow(spec):
+def inflow(spec):
     """Boundary partition and inflow datum of ``spec``: the set-up work
-    that depends on alpha."""
+    that depends on alpha.  Every command builds Gamma^- and its datum
+    here, so the ``strict`` rule of the trace variant holds for all."""
     part = classify_boundary(spec.mesh, spec.g, spec.alpha, spec.eps_n)
     interior_bad = part.interior_degeneracies()
     # P_I cannot divide by g.n there: build_inflow_datum raises below
@@ -166,7 +170,7 @@ def prepare(spec):
     of ``spec``: the work that does not depend on z.  Pass the result as
     ``setup`` to :func:`fixed_point_solve` to reuse it."""
     spaces_ = fes.build_spaces(spec.mesh)
-    part, datum = _inflow(spec)
+    part, datum = inflow(spec)
     stokes_setup = prepare_generalized_stokes(
         spaces_, spec.nu, spec.f, spec.g, spec.flux_tol)
     if spec.curl_f is not None:
@@ -293,7 +297,7 @@ def navier_stokes_limit_study(spec, alphas):
     for alpha in alphas:
         sub = spec.replace(alpha=float(alpha))
         try:
-            part, datum = _inflow(sub)
+            part, datum = inflow(sub)
             ua, _, za, rep = fixed_point_solve(
                 sub, setup=setup0._replace(part=part, datum=datum))
             du = vel.new_field(ua.coefficients - u0.coefficients)
@@ -359,7 +363,7 @@ def diagnostics(u, p, z, spec, part):
     """Pure post-solve report: norms, energy balance, sign functional,
     Green-identity defect (with a fixed smooth test function), inflow
     speed reciprocal and degeneracy listing."""
-    energy = stokes_energy_report(u, p, z, spec.f, spec.nu)
+    energy = stokes_energy_report(u, spec.f, spec.nu)
     sign = trs.sign_functional_report(z, u, spec.alpha)
     green = trs.green_residual(z, u, lambda x, y: x + y,
                                lambda x, y: (1.0, 1.0))

@@ -36,10 +36,10 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import spaces as fes
-from .driver import ProblemSpec, fixed_point_solve
-from .meshes import classify_boundary, unit_square_mesh
+from .driver import ProblemSpec, fixed_point_solve, inflow
+from .meshes import unit_square_mesh
 from .stokes import prepare_generalized_stokes, solve_generalized_stokes
-from .transport import build_inflow_datum, check_variant, solve_transport
+from .transport import check_variant, solve_transport
 
 __all__ = ["ManufacturedCase", "manufactured_case", "convergence_study",
            "StudyRow", "StudyResult", "CASE_NAMES"]
@@ -247,9 +247,11 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
     ``mode`` selects the solve: "coupled" runs the full fixed point,
     "stokes" supplies the exact z as coefficient and solves the saddle
     problem only, "transport" advects with the interpolated exact velocity
-    and measures the scalar error only.  Requires at least three nested
-    sizes, a known ``mode`` and a known ``variant`` (else ``ValueError``,
-    before any solve); failures mark their row and do not abort the study.
+    and the inflow datum of :func:`gradetwo.driver.inflow` (so its
+    ``strict`` rule applies) and measures the scalar error only.  Requires
+    at least three nested sizes, a known ``mode`` and a known ``variant``
+    (else ``ValueError``, before any solve); failures mark their row and do
+    not abort the study.
     """
     ns = [int(n) for n in ns]
     if len(ns) < 3:
@@ -279,9 +281,7 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
                 spaces_ = fes.build_spaces(mesh)
                 u = fes.interpolate(case.u, spaces_.velocity)
                 p = fes.interpolate(case.p, spaces_.pressure)
-                part = classify_boundary(mesh, case.u, case.alpha)
-                datum = build_inflow_datum(
-                    mesh, variant, case.h_for(variant), case.u, part)
+                part, datum = inflow(case.problem_spec(mesh, variant=variant))
                 curl_u = fes.curl_of_velocity(u, spaces_.vorticity)
                 curlf = fes.interpolate(case.curl_f, spaces_.vorticity)
                 rhs = spaces_.vorticity.new_field(

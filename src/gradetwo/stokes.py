@@ -105,10 +105,11 @@ class PreparedStokes(NamedTuple):
 
 
 class StokesEnergyReport(NamedTuple):
+    """Both sides of the energy identity and the divergence norms of one
+    velocity (see :func:`stokes_energy_report`); no term depends on z."""
+
     viscous: float        # nu * |u|_H1^2
     forcing: float        # (f, u)
-    skew: float           # u^T C(z) u over the z-weighted mass cell
-                          # blocks; round-off for any u and z
     balance_gap: float    # |viscous - forcing| (meaningful for g = 0)
     div_weak_l2: float    # L2 norm of the pressure-space projection of div u
     div_broken_l2: float  # pointwise L2 norm of div u (consistency level)
@@ -206,7 +207,6 @@ def check_flux_compatibility(mesh, g, flux_tol=None):
     for comp, flux in enumerate(fluxes.net):
         if abs(flux) > flux_tol:
             raise FluxIncompatible(comp, flux, flux_tol)
-    return fluxes
 
 
 def _boundary_values(ctx, g):
@@ -548,15 +548,13 @@ def _reduced_guess(prep, u, p):
                            p.coefficients, [0.0]])
 
 
-def stokes_energy_report(u, p, z, f, nu):
+def stokes_energy_report(u, f, nu):
     """Evaluate both sides of the energy identity and divergence norms.
 
     For homogeneous boundary data the identity nu*|u|_H1^2 = (f, u) holds to
-    solver precision.  The skew term is u^T C(z) u, summed cell by cell
-    over the z-weighted mass blocks of :func:`_zmass_cells`.  Those blocks
-    are symmetric, so the term is zero up to round-off for any u and z by
-    construction; it does not read the coupling block the solves fill and
-    cannot see a defect in that fill.
+    solver precision: the coupling u^T C(z) u vanishes since C(z) is skew,
+    and (p, div u) since u is weakly divergence free, so neither z nor p
+    enters the report.
     The weak divergence is the pressure-space projection of div u (the
     quantity the constraint actually controls); the broken norm is the
     pointwise one and sits at discretization level for interpolated data.
@@ -567,18 +565,12 @@ def stokes_energy_report(u, p, z, f, nu):
     viscous = nu * fes._linear_squares(ctx, corners)
     forcing = float((w[:, :, None] * fes.data_cell_values(ctx, f)
                      * fes.velocity_cell_values(u)).sum())
-    # u^T C u = (M_z u1, u2) - (M_z u2, u1), cell by cell
-    c = u.coefficients.reshape(2, -1)[:, ctx.cell_scalar_nodes]
-    mz = _zmass_cells(ctx, z).reshape(-1, 6, 6)
-    skew = float(np.einsum("ta,tab,tb->", c[1], mz, c[0])
-                 - np.einsum("ta,tab,tb->", c[0], mz, c[1]))
     div = corners[:, :, 0, 0] + corners[:, :, 1, 1]
     div_broken = math.sqrt(fes._linear_squares(ctx, div))
     div_weak = fes._weak_divergence_l2(ctx, corners)
     return StokesEnergyReport(
         viscous=viscous,
         forcing=forcing,
-        skew=skew,
         balance_gap=abs(viscous - forcing),
         div_weak_l2=div_weak,
         div_broken_l2=div_broken,

@@ -86,11 +86,11 @@ class InflowDatum:
     """Prescribed inflow trace values at boundary-edge quadrature points.
 
     ``values`` has shape (num_boundary_edges, nqe) and is zero outside the
-    edges listed in ``edges``.  ``variant`` records the provenance:
-    flux-form data was divided by g.n, trace-form data is used as-is.
+    edges listed in ``edges``.  The values are traces for either variant:
+    :func:`build_inflow_datum` has already divided flux-form (P_I) data
+    by g.n.
     """
 
-    variant: str  # "P_I" | "P_II"
     values: np.ndarray
     edges: tuple
 
@@ -115,7 +115,7 @@ def build_inflow_datum(mesh, variant, h, g, part):
     values = np.zeros((mesh.num_boundary_edges, EDGE_QP.size))
     edges = tuple(part.gamma_minus)
     if not edges:
-        return InflowDatum(variant, values, ())
+        return InflowDatum(values, ())
     sel = list(edges)
     pts = mesh.boundary_qpoints[sel]
     if variant == "P_I":
@@ -140,7 +140,7 @@ def build_inflow_datum(mesh, variant, h, g, part):
         values[sel] = evaluate(h, pts[..., 0], pts[..., 1])
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite inflow datum")
-    return InflowDatum(variant, values, edges)
+    return InflowDatum(values, edges)
 
 
 # products E_i E_j of the P1 edge table at each edge Gauss point, (nqe, 2, 2)
@@ -346,9 +346,9 @@ def _inflow_load(ctx, sb, eps_n, datum):
     wb = mesh.boundary_qweights
     s_in = np.where(sb < -eps_n, sb, 0.0)
     qv = datum.values
-    load = np.zeros(3 * mesh.num_triangles)
     lvec = np.einsum("eq,iq->ei", -wb * s_in * qv, fes.EDGE_P1)
-    np.add.at(load, ctx.edge_dg_dofs[bids, 0].ravel(), lvec.ravel())
+    load = np.bincount(ctx.edge_dg_dofs[bids, 0].ravel(), lvec.ravel(),
+                       minlength=3 * mesh.num_triangles)
 
     # an empty datum imposes zero wherever the velocity says inflow, so a
     # mismatch is only meaningful against a declared inflow edge set
@@ -544,7 +544,7 @@ def _gradient_inflow_data(u, W, l, eps_n):
     qx = np.where(inflow, a * (tau[:, None, 0] - ratio * n[:, None, 0]), 0.0)
     qy = np.where(inflow, a * (tau[:, None, 1] - ratio * n[:, None, 1]), 0.0)
     edges = tuple(np.nonzero(inflow.any(axis=1))[0].tolist())
-    return (InflowDatum("P_II", qx, edges), InflowDatum("P_II", qy, edges))
+    return InflowDatum(qx, edges), InflowDatum(qy, edges)
 
 
 def solve_gradient_transport(u, W, l, part, tol=1e-10, max_iter=200):

@@ -105,7 +105,7 @@ def perturbed_square(n, seed):
 def zero_datum(mesh):
     """An inflow datum that imposes zero and declares no inflow edge."""
     return transport.InflowDatum(
-        "P_II", np.zeros((mesh.num_boundary_edges, meshes.EDGE_QP.size)), ())
+        np.zeros((mesh.num_boundary_edges, meshes.EDGE_QP.size)), ())
 
 
 def fd_gradient(f, x, y, h=1e-6):

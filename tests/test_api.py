@@ -1,5 +1,6 @@
 """The public names: every export resolves, and deleted API stays gone."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -27,3 +28,14 @@ def test_deleted_stokes_assembly_not_exported(name):
     for mod in (gradetwo, stokes):
         assert name not in mod.__all__
         assert not hasattr(mod, name)
+
+
+@pytest.mark.parametrize("cls,name", [
+    (stokes.StokesEnergyReport, "skew"),
+    (gradetwo.SpaceDescriptor, "zero_mean"),
+    (gradetwo.InflowDatum, "variant")])
+def test_unread_fields_removed(cls, name):
+    names = getattr(cls, "_fields", None) or [
+        f.name for f in dataclasses.fields(cls)]
+    assert name not in names
+

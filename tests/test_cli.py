@@ -132,6 +132,21 @@ def test_solve_trig_like_case(tmp_path, square_mesh_file, capsys):
     read_minimal_vtk(str(tmp_path / "out" / "fields.vtk"))
 
 
+def test_diagnostics_keys(tmp_path, square_mesh_file):
+    cfg = write_cfg(tmp_path, SOLVE_CFG, mesh=square_mesh_file,
+                    out=str(tmp_path / "out"))
+    assert cli.main(["solve", "--config", cfg]) == 0
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert lines[1] == "key,value"
+    assert [line.split(",", 1)[0] for line in lines[2:]] == [
+        "u_l2", "u_h1", "u_linf_dof", "p_l2", "z_l2", "z_h1_broken",
+        "energy_viscous", "energy_forcing", "energy_balance_gap",
+        "div_weak_l2", "div_broken_l2", "sign_interior_jumps",
+        "sign_outflow", "sign_inflow", "sign_central_flux", "sign_total",
+        "green_residual", "beta", "degenerate_points", "junctions",
+        "iterations", "stopping_reason"]
+
+
 def test_solve_reproducible_bytes(tmp_path, square_mesh_file):
     cfg = write_cfg(tmp_path, SOLVE_CFG, mesh=square_mesh_file,
                     out=str(tmp_path / "out1"))
@@ -298,6 +313,54 @@ def test_check_boundary_degenerate_warning(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "warning: g.n degenerates at vertices" in out
     assert "strictly inside" in out
+
+
+# g.n = -(y - 1/2)^2 on the left edge vanishes at its midpoint, vertex 8
+DEGENERATE_CFG = """
+[problem]
+mesh = {mesh}
+alpha = 1.0
+variant = P_II
+
+[data]
+g_x = (y-0.5)^2
+g_y = 0
+h = 1
+
+[transport]
+u_x = (y-0.5)^2
+u_y = 0
+rhs = 0
+{solver}
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "transport"])
+def test_strict_degenerate_inflow_exit1(tmp_path, capsys, command):
+    path = tmp_path / "m16.m2d"
+    meshes.save_mesh(meshes.unit_square_mesh(16), str(path))
+    cfg = write_cfg(tmp_path, DEGENERATE_CFG, mesh=str(path), solver="",
+                    out=str(tmp_path / "out"))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "strictly inside" in err
+    assert "vertices [8]" in err
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("command,output", [("solve", "diagnostics.csv"),
+                                            ("transport", "transport.csv")])
+def test_relaxed_degenerate_inflow_warns(tmp_path, command, output):
+    path = tmp_path / "m16.m2d"
+    meshes.save_mesh(meshes.unit_square_mesh(16), str(path))
+    cfg = write_cfg(tmp_path, DEGENERATE_CFG, mesh=str(path),
+                    solver="[solver]\nstrict = false\n",
+                    out=str(tmp_path / "out"))
+    with pytest.warns(UserWarning, match=r"strictly inside .* vertices \[8\]"):
+        assert cli.main([command, "--config", cfg]) == 0
+    assert (tmp_path / "out" / output).exists()
 
 
 TRANSPORT_CFG = """

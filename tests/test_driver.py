@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +378,21 @@ def test_limit_study_failed_row_isolated(mesh8):
     rows = driver.navier_stokes_limit_study(spec, [20.0, 0.001])
     assert rows[0].failed and "NotConverged" in rows[0].message
     assert not rows[1].failed
+
+
+def test_ns_limit_script_runs():
+    """``scripts/run_ns_limit.py`` runs the limit study on scalar-only data
+    (``math.sin``), so its data is evaluated point by point."""
+    script = Path(__file__).parents[1] / "scripts" / "run_ns_limit.py"
+    src = os.path.dirname(os.path.dirname(driver.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, str(script), "4"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert len(rows) == 6 and not any("FAILED:" in row for row in rows)
+    assert rows[-1][:3] == ["0.0", "0.0000e+00", "0.0000e+00"]
 
 
 def test_uniqueness_probe_rejects_single_start(mesh8):

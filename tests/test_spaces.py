@@ -22,7 +22,6 @@ def test_dof_counts_two_triangle_square(two_tri):
     assert two_tri.velocity.dof_count == 18
     assert two_tri.pressure.dof_count == 4
     assert two_tri.vorticity.dof_count == 6
-    assert two_tri.pressure.zero_mean
 
 
 def test_quadrature_exact_through_degree5(spaces8):
