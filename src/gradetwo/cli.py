@@ -127,8 +127,11 @@ def cmd_solve(cfg, out_dir):
 
 def cmd_mms(cfg, out_dir):
     case = manufactured_case(cfg.mms.case, cfg.spec.nu, cfg.spec.alpha)
-    study = convergence_study(case, cfg.mms.levels, variant=cfg.mms.variant,
-                              mode=cfg.mms.mode)
+    options = {key: getattr(cfg.spec, key) for key in (
+        "variant", "fp_tol", "max_iter", "relaxation", "flux_tol", "eps_n",
+        "div_tol", "strict")}
+    study = convergence_study(case, cfg.mms.levels, mode=cfg.mms.mode,
+                              **options)
     header = ("kind", "n", "h", "err_u_l2", "err_u_h1", "err_p_l2",
               "err_z_l2", "iterations", "failed", "message")
     rows = []
@@ -185,15 +188,15 @@ def cmd_check_boundary(cfg, out_dir):
 
 def cmd_transport(cfg, out_dir):
     opts = cfg.transport
-    spec = cfg.problem_spec().replace(g=opts.u, alpha=opts.alpha)
+    spec = cfg.problem_spec().replace(g=opts.u)
     mesh = spec.mesh
     spaces_ = fes.build_spaces(mesh)
     u = fes.interpolate(opts.u, spaces_.velocity)
     part, datum = inflow(spec)
     rhs = fes.interpolate(opts.rhs, spaces_.vorticity)
-    z = trs.solve_transport(u, opts.nu, opts.alpha, rhs, datum, part,
+    z = trs.solve_transport(u, spec.nu, spec.alpha, rhs, datum, part,
                             div_tol=spec.div_tol)
-    sign = trs.sign_functional_report(z, u, opts.alpha)
+    sign = trs.sign_functional_report(z, u, spec.alpha)
     zn = fes.norms(z)
     if "vtk" in cfg.formats:
         write_vtk(os.path.join(out_dir, "transport.vtk"), mesh,

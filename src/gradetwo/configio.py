@@ -9,14 +9,13 @@ the corresponding commands.  Unknown keys are rejected so typos fail fast.
 Loading parses: number, integer and boolean syntax and the expressions.
 The ranges of the ``[problem]`` and ``[solver]`` values are checked once,
 by :class:`gradetwo.driver.ProblemSpec`, whose ``ValueError`` comes back
-as a :class:`ConfigError` naming the ``[section] key``.  Only the
-``[transport]`` constants, which no spec holds, are range-checked here.
+as a :class:`ConfigError` naming the ``[section] key``.  Every command
+reads that one spec (``mms`` its variant and ``[solver]`` options).
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,8 +37,8 @@ _KNOWN = {
     "solver": {"fp_tol", "max_iter", "relaxation", "flux_tol", "eps_n",
                "strict", "div_tol"},
     "output": {"dir", "formats"},
-    "mms": {"case", "levels", "mode", "variant"},
-    "transport": {"u_x", "u_y", "rhs", "nu", "alpha"},
+    "mms": {"case", "levels", "mode"},
+    "transport": {"u_x", "u_y", "rhs"},
 }
 
 
@@ -68,15 +67,12 @@ class MmsOptions:
     case: str = "trig"
     levels: tuple = (8, 16, 32)
     mode: str = "coupled"
-    variant: str = "P_II"
 
 
 @dataclass
 class TransportOptions:
     u: object = None
     rhs: object = None
-    nu: float = 1.0
-    alpha: float = 1.0
 
 
 @dataclass
@@ -183,20 +179,12 @@ def load_config(path, require_mesh=True):
     mms = MmsOptions(
         case=get("mms", "case", "trig"),
         levels=levels,
-        mode=get("mms", "mode", "coupled"),
-        variant=get("mms", "variant", spec.variant))
+        mode=get("mms", "mode", "coupled"))
 
     transport = TransportOptions(
         u=_vector_fn(get("transport", "u_x", "0"),
                      get("transport", "u_y", "0"), "[transport] u"),
-        rhs=_scalar_fn(get("transport", "rhs", "0"), "[transport] rhs"),
-        nu=number("transport", "nu", str(spec.nu)),
-        alpha=number("transport", "alpha", str(spec.alpha)))
-    # no spec holds these two: their ranges are checked here
-    if not 0.0 < transport.nu < math.inf:
-        raise ConfigError("[transport] nu must be positive and finite")
-    if not math.isfinite(transport.alpha):
-        raise ConfigError("[transport] alpha must be finite")
+        rhs=_scalar_fn(get("transport", "rhs", "0"), "[transport] rhs"))
 
     return RunConfig(mesh_path=mesh_path, spec=spec, out_dir=out_dir,
                      formats=formats, mms=mms, transport=transport)

@@ -15,7 +15,8 @@ the transport's default check (at 1e-8 it tripped that check); the floor
 is the pairing solve's tolerance, so fp_tol <= 1e-10 solves as before.
 
 :func:`inflow` builds the inflow boundary Gamma^- (alpha*g.n < 0) and its
-datum for every command and study.
+datum for every command and study, :func:`transport_step` the transport
+solve above for the loop and the transport mode of the manufactured study.
 
 One solve pipeline is sequential; independent problem specs (continuation
 points, probe starts) are safe to run concurrently since all shared
@@ -45,9 +46,9 @@ from .stokes import (
 )
 
 __all__ = [
-    "ProblemSpec", "IterationReport", "DiagnosticsReport",
-    "inflow", "prepare", "fixed_point_solve", "navier_stokes_limit_study",
-    "uniqueness_probe", "diagnostics", "LimitStudyRow",
+    "ProblemSpec", "IterationReport", "DiagnosticsReport", "LimitStudyRow",
+    "inflow", "prepare", "transport_step", "fixed_point_solve",
+    "navier_stokes_limit_study", "uniqueness_probe", "diagnostics",
 ]
 
 # Stokes solutions of the loop that start its next Stokes solve
@@ -165,6 +166,19 @@ def inflow(spec):
     return part, datum
 
 
+def transport_step(spec, u, curlf, part, datum):
+    """Transport half of a coupling step: z with nu*z + alpha*u.grad z =
+    nu*curl(u) + alpha*curl(f), the inflow datum on Gamma^- and the
+    divergence check at ``spec.div_tol``; ``curlf`` is curl f on the
+    vorticity space."""
+    vort = curlf.space
+    curl_u = fes.curl_of_velocity(u, vort)
+    rhs = vort.new_field(
+        spec.nu * curl_u.coefficients + spec.alpha * curlf.coefficients)
+    return trs.solve_transport(
+        u, spec.nu, spec.alpha, rhs, datum, part, div_tol=spec.div_tol)
+
+
 def prepare(spec):
     """Spaces, boundary partition, inflow datum and prepared Stokes problem
     of ``spec``: the work that does not depend on z.  Pass the result as
@@ -224,11 +238,7 @@ def fixed_point_solve(spec, initial_z=None, setup=None):
             stokes_failure = f"; the Stokes solve failed on it ({exc})"
             break
         history = (history + [(u, p)])[-_HISTORY:]
-        curl_u = fes.curl_of_velocity(u, vort)
-        rhs = vort.new_field(
-            spec.nu * curl_u.coefficients + spec.alpha * curlf.coefficients)
-        z_raw = trs.solve_transport(
-            u, spec.nu, spec.alpha, rhs, datum, part, div_tol=spec.div_tol)
+        z_raw = transport_step(spec, u, curlf, part, datum)
         z_new = vort.new_field(
             omega * z_raw.coefficients + (1.0 - omega) * z.coefficients)
         dz = fes.norms(vort.new_field(

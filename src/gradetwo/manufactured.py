@@ -36,10 +36,9 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import spaces as fes
-from .driver import ProblemSpec, fixed_point_solve, inflow
+from .driver import ProblemSpec, fixed_point_solve, inflow, transport_step
 from .meshes import unit_square_mesh
 from .stokes import prepare_generalized_stokes, solve_generalized_stokes
-from .transport import check_variant, solve_transport
 
 __all__ = ["ManufacturedCase", "manufactured_case", "convergence_study",
            "StudyRow", "StudyResult", "CASE_NAMES"]
@@ -240,18 +239,20 @@ def _observed_orders(rows):
     return tuple(orders)
 
 
-def convergence_study(case, ns, variant="P_II", mode="coupled",
-                      fp_tol=1e-10, max_iter=200):
+def convergence_study(case, ns, mode="coupled", **options):
     """Refinement study on the unit-square mesh family, h = 1/n.
 
-    ``mode`` selects the solve: "coupled" runs the full fixed point,
-    "stokes" supplies the exact z as coefficient and solves the saddle
-    problem only, "transport" advects with the interpolated exact velocity
-    and the inflow datum of :func:`gradetwo.driver.inflow` (so its
-    ``strict`` rule applies) and measures the scalar error only.  Requires
-    at least three nested sizes, a known ``mode`` and a known ``variant``
-    (else ``ValueError``, before any solve); failures mark their row and do
-    not abort the study.
+    The case supplies nu, alpha and the data; ``options`` are the other
+    :class:`ProblemSpec` fields (``variant``, ``fp_tol``, which defaults
+    to 1e-10 here, ``max_iter``, ``relaxation``, ``flux_tol``, ``eps_n``,
+    ``div_tol``, ``strict``).  ``mode`` selects the solve of each level's
+    spec: "coupled" runs the full fixed point, "stokes" supplies the exact
+    z as coefficient and solves the saddle problem only, "transport"
+    advects with the interpolated exact velocity through
+    :func:`gradetwo.driver.transport_step` and measures the scalar error
+    only.  Requires at least three nested sizes, a known ``mode`` and
+    options the spec accepts (else ``ValueError``, before any solve);
+    failures mark their row and do not abort the study.
     """
     ns = [int(n) for n in ns]
     if len(ns) < 3:
@@ -261,33 +262,28 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
             raise ValueError("mesh sizes must be strictly nested refinements")
     if mode not in ("coupled", "stokes", "transport"):
         raise ValueError(f"unknown study mode {mode!r}")
-    check_variant(variant)
+    options.setdefault("fp_tol", 1e-10)
+    base = case.problem_spec(None, **options)
     rows = []
     for n in ns:
-        mesh = unit_square_mesh(n)
+        spec = base.replace(mesh=unit_square_mesh(n))
         try:
             iterations = 0
             if mode == "coupled":
-                spec = case.problem_spec(mesh, variant=variant,
-                                         fp_tol=fp_tol, max_iter=max_iter)
                 u, p, z, rep = fixed_point_solve(spec)
                 iterations = rep.iterations
             elif mode == "stokes":
-                spaces_ = fes.build_spaces(mesh)
+                spaces_ = fes.build_spaces(spec.mesh)
                 z = fes.interpolate(case.z, spaces_.vorticity)
                 u, p = solve_generalized_stokes(prepare_generalized_stokes(
-                    spaces_, case.nu, case.f, case.u), z)
+                    spaces_, spec.nu, spec.f, spec.g, spec.flux_tol), z)
             else:
-                spaces_ = fes.build_spaces(mesh)
+                spaces_ = fes.build_spaces(spec.mesh)
                 u = fes.interpolate(case.u, spaces_.velocity)
                 p = fes.interpolate(case.p, spaces_.pressure)
-                part, datum = inflow(case.problem_spec(mesh, variant=variant))
-                curl_u = fes.curl_of_velocity(u, spaces_.vorticity)
-                curlf = fes.interpolate(case.curl_f, spaces_.vorticity)
-                rhs = spaces_.vorticity.new_field(
-                    case.nu * curl_u.coefficients
-                    + case.alpha * curlf.coefficients)
-                z = solve_transport(u, case.nu, case.alpha, rhs, datum, part)
+                part, datum = inflow(spec)
+                curlf = fes.interpolate(spec.curl_f, spaces_.vorticity)
+                z = transport_step(spec, u, curlf, part, datum)
             rows.append(StudyRow(
                 n=n, h=1.0 / n,
                 err_u_l2=fes.error_l2(u, case.u),
@@ -302,4 +298,5 @@ def convergence_study(case, ns, variant="P_II", mode="coupled",
                 err_z_l2=float("nan"), iterations=0, failed=True,
                 message=f"{type(exc).__name__}: {exc}"))
     rows = tuple(rows)
-    return StudyResult(case.name, mode, variant, rows, _observed_orders(rows))
+    return StudyResult(case.name, mode, base.variant, rows,
+                       _observed_orders(rows))

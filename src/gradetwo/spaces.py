@@ -486,7 +486,7 @@ def velocity_weak_divergence_l2(field: Field) -> float:
     one for genuinely compressible data.  The P2 interpolant of a
     solenoidal field is not discretely divergence free: its norm is an
     interpolation error of order h^3 (1.0e-4, 1.0e-5 and 9.2e-7 for the
-    ``trig`` case at h = 1/8, 1/16, 1/32), above the transport's default
+    ``poly`` case at h = 1/8, 1/16, 1/32), above the transport's default
     check.
 
     div u is linear on each cell, so its P1 load r, the integrals of

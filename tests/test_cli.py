@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -366,6 +367,8 @@ def test_relaxed_degenerate_inflow_warns(tmp_path, command, output):
 TRANSPORT_CFG = """
 [problem]
 mesh = {mesh}
+nu = 1.0
+alpha = 1.0
 variant = P_II
 
 [data]
@@ -375,8 +378,6 @@ h = sin(pi*y)
 u_x = 1
 u_y = 0
 rhs = 0
-nu = 1.0
-alpha = 1.0
 
 [output]
 dir = {out}
@@ -404,10 +405,7 @@ def test_nonfinite_alpha_exit1(tmp_path, square_mesh_file, capsys, command):
     if command == "solve":
         text = ZERO_CFG.replace("alpha = 0.3", "alpha = inf")
     else:
-        # [transport] alpha falls back on [problem] alpha
-        text = TRANSPORT_CFG.replace("variant = P_II",
-                                     "variant = P_II\nalpha = inf").replace(
-            "alpha = 1.0\n", "")
+        text = TRANSPORT_CFG.replace("alpha = 1.0", "alpha = inf")
     cfg = write_cfg(tmp_path, text, mesh=square_mesh_file,
                     out=str(tmp_path / "out"))
     assert cli.main([command, "--config", cfg]) == 1
@@ -418,17 +416,13 @@ def test_nonfinite_alpha_exit1(tmp_path, square_mesh_file, capsys, command):
 @pytest.mark.parametrize("section,key,value", [
     ("problem", "alpha", "nan"),
     ("problem", "nu", "abc"),
-    ("transport", "nu", "inf"),
-    ("transport", "alpha", "-inf"),
-    ("transport", "alpha", "fast"),
+    ("problem", "nu", "inf"),
+    ("problem", "alpha", "-inf"),
+    ("problem", "alpha", "fast"),
 ])
 def test_bad_constant_names_key(tmp_path, square_mesh_file, capsys,
                                 section, key, value):
-    if section == "problem":
-        text = TRANSPORT_CFG.replace("variant = P_II",
-                                     f"variant = P_II\n{key} = {value}")
-    else:
-        text = TRANSPORT_CFG.replace(f"{key} = 1.0", f"{key} = {value}")
+    text = TRANSPORT_CFG.replace(f"{key} = 1.0", f"{key} = {value}")
     cfg = write_cfg(tmp_path, text, mesh=square_mesh_file,
                     out=str(tmp_path / "out"))
     assert cli.main(["transport", "--config", cfg]) == 1
@@ -460,12 +454,55 @@ def test_unknown_variant_names_key(tmp_path, square_mesh_file, capsys):
 
 
 def test_mms_unknown_variant_exit1(tmp_path, capsys):
-    text = MMS_CFG.replace("mode = stokes", "mode = stokes\nvariant = P_III")
+    text = MMS_CFG.replace("alpha = 0.1", "alpha = 0.1\nvariant = P_III")
     cfg = write_cfg(tmp_path, text, out=str(tmp_path / "out"))
     assert cli.main(["mms", "--config", cfg]) == 1
-    assert ("error: variant must be P_I or P_II, got 'P_III'"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err.startswith(
+        "error: [problem] variant must be P_I or P_II")
     assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("command,key", [
+    ("mms", "variant"), ("transport", "nu"), ("transport", "alpha")])
+def test_mirrored_keys_unknown(tmp_path, square_mesh_file, capsys, command,
+                               key):
+    # [problem] holds nu, alpha and variant for every command
+    if command == "mms":
+        text = MMS_CFG.replace("mode = stokes", "mode = stokes\nvariant = P_I")
+    else:
+        text = TRANSPORT_CFG.replace("rhs = 0", f"rhs = 0\n{key} = 1.0")
+    cfg = write_cfg(tmp_path, text, mesh=square_mesh_file,
+                    out=str(tmp_path / "out"))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r} in section [{command}]" in err
+
+
+def test_mms_honours_solver_max_iter(tmp_path):
+    text = MMS_CFG.replace("mode = stokes", "mode = coupled") + \
+        "\n[solver]\nmax_iter = 1\n"
+    cfg = write_cfg(tmp_path, text, out=str(tmp_path / "out"))
+    assert cli.main(["mms", "--config", cfg]) == 0
+    lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
+    levels = [ln.split(",") for ln in lines[2:] if ln.startswith("level,")]
+    assert [row[1] for row in levels] == ["4", "8", "16"]
+    assert all(row[8] == "True" and row[9].startswith("NotConverged")
+               for row in levels)
+
+
+def test_mms_honours_solver_div_tol(tmp_path):
+    # the P2 interpolant of poly's velocity is not discretely divergence
+    # free: its weak divergence is above the default div_tol at every
+    # level (1.0e-4 at n = 8) and below 1e-3
+    text = MMS_CFG.replace("case = trig", "case = poly").replace(
+        "mode = stokes", "mode = transport")
+    for solver, expected in (("", 3), ("[solver]\ndiv_tol = 1e-3\n", 0)):
+        cfg = write_cfg(tmp_path, text + solver, out=str(tmp_path / "out"))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.main(["mms", "--config", cfg]) == 0
+        assert [issubclass(w.category, UserWarning) and "divergence" in
+                str(w.message) for w in seen] == [True] * expected
 
 
 def test_transport_alpha_zero_division(tmp_path, square_mesh_file):
@@ -495,6 +532,21 @@ def test_transport_constant_profile(tmp_path, square_mesh_file):
     assert float(rows["z_l2"]) == pytest.approx(2.5, rel=1e-12)
     assert float(rows["z_linf_dof"]) == pytest.approx(2.5, rel=1e-12)
     assert float(rows["z_h1_broken"]) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_demo_inflow_script_runs(tmp_path):
+    """The README's first run: ``scripts/demo_inflow.py`` writes its mesh
+    and config under ``demo/`` in the working directory and solves it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "demo_inflow.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "converged in" in done.stdout
+    assert (tmp_path / "demo" / "out" / "diagnostics.csv").exists()
 
 
 THREAD_PROBE = """

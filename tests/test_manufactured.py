@@ -170,13 +170,22 @@ def test_study_input_validation():
 
 
 @pytest.mark.parametrize("mode", ["coupled", "stokes", "transport"])
-def test_study_rejects_unknown_variant(mode):
-    # before any level runs: no row fails on it, and stokes mode, which
-    # never reads the variant, does not ignore it
+def test_study_rejects_unknown_variant(mode, monkeypatch):
+    # before any level runs: no row fails on it, and a mode that never
+    # reads an option (stokes the variant, say) does not ignore it
+    def no_level(n):
+        raise AssertionError("a level ran")
+    monkeypatch.setattr(mms, "unit_square_mesh", no_level)
     case = mms.manufactured_case("trig", 1.0, 0.1)
     with pytest.raises(ValueError,
                        match="variant must be P_I or P_II, got 'P_III'"):
         mms.convergence_study(case, [4, 8, 16], mode=mode, variant="P_III")
+    for option, value in (("fp_tol", 0.0), ("relaxation", 2.0),
+                          ("max_iter", 0), ("flux_tol", math.inf),
+                          ("eps_n", -1.0), ("div_tol", 0.0)):
+        with pytest.raises(ValueError, match=f"^{option} must"):
+            mms.convergence_study(case, [4, 8, 16], mode=mode,
+                                  **{option: value})
 
 
 def test_stokes_study_rates():
