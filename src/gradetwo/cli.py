@@ -6,7 +6,8 @@ prints the inflow/outflow analysis of the boundary data, ``transport``
 solves a single transport problem with a prescribed velocity.
 
 Exit codes: 0 on success, 2 when the coupling iteration stops without
-converging, 1 on any input error (bad config, mesh, incompatible fluxes,
+converging (for ``mms``: when any level fails; its table is still
+written), 1 on any input error (bad config, mesh, incompatible fluxes,
 degenerate inflow data).  All file outputs are byte-reproducible for a
 fixed config; wall times go to stdout only.  The environment variable
 ``GRADE2_THREADS`` caps the thread pools of the underlying linear algebra;
@@ -149,9 +150,8 @@ def cmd_mms(cfg, out_dir):
     failed = [r.n for r in study.rows if r.failed]
     if failed:
         print(f"study finished with failed levels: {failed}")
-    else:
-        print(f"study finished: {len(study.rows)} levels, "
-              f"tables in {out_dir}")
+        return 2
+    print(f"study finished: {len(study.rows)} levels, tables in {out_dir}")
     return 0
 
 

@@ -327,14 +327,14 @@ def navier_stokes_limit_study(spec, alphas):
     return rows
 
 
-def uniqueness_probe(spec, n_starts, seed, start_scale=1.0):
+def uniqueness_probe(spec, n_starts, seed):
     """Empirical uniqueness check by multi-start iteration.
 
     Runs the coupling loop from ``n_starts`` random initial vorticity
-    fields of magnitude ``start_scale`` and returns the maximum pairwise
-    relative L2 distance between the converged solutions.  A genuinely
-    unique fixed point in the contraction regime yields values at the
-    stopping-tolerance level.
+    fields, their coefficients standard normal, and returns the maximum
+    pairwise relative L2 distance between the converged solutions.  A
+    genuinely unique fixed point in the contraction regime yields values
+    at the stopping-tolerance level.
     """
     if n_starts < 2:
         raise ValueError("n_starts must be >= 2 to compare solutions")
@@ -343,8 +343,7 @@ def uniqueness_probe(spec, n_starts, seed, start_scale=1.0):
     rng = np.random.default_rng(seed)
     solutions = []
     for _ in range(n_starts):
-        z0 = vort.new_field(
-            start_scale * rng.standard_normal(vort.dof_count))
+        z0 = vort.new_field(rng.standard_normal(vort.dof_count))
         _, _, z, _ = fixed_point_solve(spec, initial_z=z0, setup=setup)
         solutions.append(z)
     norm_scale = max(max(fes.norms(z).l2 for z in solutions), 1e-30)

@@ -16,20 +16,22 @@ Only the skew block depends on z, and only it couples the two velocity
 components: the velocity block [[K, -M_z], [M_z, K]] is the real form of
 K + i M_z acting on w = u1 + i u2 (Day & Heroux, SIAM J. Sci. Comput. 23,
 2001).  :func:`prepare_generalized_stokes` does the rest once per problem:
-K on the free-free pattern of the z-weighted mass M_z, and K's free-fixed
-part, which lifts the boundary values, on M_z's free-fixed pattern, both
-canonical CSRs; the divergence block and the load, with the stiffness and
-divergence cell blocks in closed form in the barycentric gradients; one
-integer map from the cell pairs into both patterns; and two sparse LUs, of
-the pressure mass and of the Dirichlet-reduced scalar Laplacian that both
-velocity components share.  :func:`solve_generalized_stokes` contracts z
-at the quadrature points, fills i M_z into both patterns, lifts the
-boundary values, applies the bordered system with K + i M_z by blocks and
-runs a real GMRES with a block upper-triangular preconditioner: that LU
-for the velocity, and for the pressure and the multiplier the exact
-inverse of the bordered Schur surrogate [[-M_p/nu, m], [m^T, 0]], with M_p
-the consistent pressure mass and m the pressure integrals (Elman,
-Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).
+K on the pattern of the z-weighted mass M_z in the free rows, over every
+scalar node with the free columns first and the fixed ones after them, a
+canonical CSR whose fixed columns lift the boundary values; the
+divergence block and the load, with the stiffness and divergence cell
+blocks in closed form in the barycentric gradients; one integer map from
+the cell pairs into that pattern; and two sparse LUs, of the pressure
+mass and of the Dirichlet-reduced scalar Laplacian that both velocity
+components share.  :func:`solve_generalized_stokes` contracts z at the
+quadrature points, fills i M_z into the one pattern, lifts the boundary
+values by the fixed columns, applies the bordered system with the free
+columns of K + i M_z by blocks and runs a real GMRES with a block
+upper-triangular preconditioner: that LU for the velocity, and for the
+pressure and the multiplier the exact inverse of the bordered Schur
+surrogate [[-M_p/nu, m], [m^T, 0]], with M_p the consistent pressure mass
+and m the pressure integrals (Elman, Silvester & Wathen, *Finite Elements
+and Fast Iterative Solvers*, 2014).
 The spaces' context computes m as M_p 1, so M_p 1 = m holds bit for bit;
 that inverse costs one mass solve, and the zero mean holds at any GMRES
 tolerance.  The iteration count does not grow with the mesh but grows
@@ -76,22 +78,22 @@ class PreparedStokes(NamedTuple):
     """The z-independent part of a generalized Stokes problem.
 
     Unknowns of the reduced bordered system: each velocity component on the
-    ``free`` scalar nodes, the pressure, the multiplier.  With ``Bt`` and
-    the pressure integrals, ``velocity`` is the matrix at z = 0; ``rhs``
-    lacks the lift of the boundary values by K + i M_z, which a solve takes
-    from ``lift``, K's free-fixed part, with i M_z filled into its pattern
-    as into ``velocity``'s.  ``lu`` factorises the free-free scalar
-    Laplacian.
+    ``free`` scalar nodes, the pressure, the multiplier.  ``velocity`` is
+    K on the free rows over every scalar node, its columns numbered
+    ``free`` first and ``fixed`` after them; a solve fills i M_z into it,
+    applies its free columns and lifts the boundary values by its fixed
+    ones, which ``rhs`` lacks.  With ``Bt`` and the pressure integrals,
+    its free columns are the matrix at z = 0.  ``lu`` factorises the
+    free-free scalar Laplacian.
     """
 
     spaces: fes.Spaces
     free: np.ndarray         # unconstrained scalar velocity nodes, ascending
     fixed: np.ndarray        # boundary scalar velocity nodes
     g_fixed: np.ndarray      # Dirichlet values at ``fixed``, shape (nb, 2)
-    velocity: sp.csr_matrix  # K on the free-free pattern of M_z, canonical;
-                             # an exact 0 at the six pairs K skips
-    lift: sp.csr_matrix      # K on the free-fixed pattern of M_z, canonical,
-                             # columns indexing ``fixed``
+    velocity: sp.csr_matrix  # K on the free-row pattern of M_z, canonical,
+                             # (free, scalar nodes); an exact 0 at the six
+                             # pairs K skips
     Bt: sp.csr_matrix        # transposed divergence block, 2*free x pressure
     B: sp.csr_matrix         # the divergence block, Bt's transpose
     rhs: np.ndarray
@@ -100,8 +102,8 @@ class PreparedStokes(NamedTuple):
     schur: object            # LU of the context's P1 pressure mass M_p,
                              # taken once here; the Schur surrogate is M_p / nu
     cell_map: np.ndarray     # int32: cell pair (t, 6a+b) -> entry of
-                             # ``velocity`` (first nnz), of ``lift`` (next
-                             # nnz) or a dump slot
+                             # ``velocity``, or a dump slot (nnz) for a
+                             # pair in a fixed row
 
 
 class StokesEnergyReport(NamedTuple):
@@ -246,14 +248,11 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     free = np.setdiff1d(np.arange(ctx.num_scalar_nodes), fixed)
     nf = free.size
     g_fixed = _boundary_values(ctx, g)
-    cell_map, (indptr, indices), coupled, (lift_ptr, lift_ind) = _pair_maps(
-        ctx, free, fixed)
-    ns = indices.size
+    cell_map, (indptr, indices), coupled = _pair_maps(ctx, free, fixed)
     k = np.bincount(cell_map, _stiffness_cells(ctx, nu).ravel(),
-                    minlength=ns + lift_ind.size + 1)
-    velocity = sp.csr_matrix((k[:ns], indices, indptr), shape=(nf, nf))
-    lift = sp.csr_matrix((k[ns:-1], lift_ind, lift_ptr),
-                         shape=(nf, fixed.size))
+                    minlength=indices.size + 1)
+    velocity = sp.csr_matrix((k[:-1], indices, indptr),
+                             shape=(nf, ctx.num_scalar_nodes))
     Bx, By = _divergence_blocks(spaces_)
     rhs = np.concatenate([
         _load_vector(ctx, f)[:, free].ravel(),
@@ -263,12 +262,12 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     Bt = sp.vstack([Bx[:, free].T, By[:, free].T]).tocsr()
     B = Bt.T.tocsr()
     # on the stiffness's own pattern, without the six pairs, the LU fills less
-    K_ff = sp.csr_matrix((k[:ns][coupled], indices[coupled],
+    K_ff = sp.csr_matrix((k[:-1][coupled], indices[coupled],
                           np.r_[0, np.cumsum(coupled)][indptr]),
                          shape=(nf, nf)).tocsc()
     # factorise last, with the pattern arrays and the full-width B freed
-    # (k stays alive: velocity and lift hold slices of it)
-    del Bx, By, indices, indptr, coupled, lift_ptr, lift_ind
+    # (k stays alive: velocity holds a slice of it)
+    del Bx, By, indices, indptr, coupled
     # both matrices are symmetric: columns in minimum degree on A^T + A
     try:
         lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
@@ -276,56 +275,48 @@ def prepare_generalized_stokes(spaces_, nu, f, g, flux_tol=None):
     except RuntimeError as exc:
         raise LinearSolveFailure(
             f"Stokes set-up factorisation failed: {exc}") from exc
-    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, lift, Bt,
-                          B, rhs, lu, nu, schur, cell_map)
+    return PreparedStokes(spaces_, free, fixed, g_fixed, velocity, Bt, B, rhs,
+                          lu, nu, schur, cell_map)
 
 
 def _pair_maps(ctx, free, fixed):
-    """Integer maps of the cell pairs (t, 6a+b): ``cell_map``; the CSR
-    ``(indptr, indices)`` of the free-free pattern, every pair of free
-    nodes in a common cell; the mask of its entries that a stiffness pair
-    reaches; the CSR ``(indptr, indices)`` of the free-fixed pattern, with
-    columns indexing ``fixed``.  Its pair-sized temporaries die before the
-    set-up factorises."""
-    n, nf, nb = ctx.num_scalar_nodes, free.size, fixed.size
-    ix = np.full((2, n), -1)  # index into free, into fixed
-    ix[0, free], ix[1, fixed] = np.arange(nf), np.arange(nb)
+    """Integer maps of the cell pairs (t, 6a+b), with the velocity columns
+    numbered ``free`` first and ``fixed`` after them: ``cell_map``; the
+    canonical CSR ``(indptr, indices)`` of the free rows' pattern, every
+    pair of a free node and any node in a common cell; the mask of its
+    entries in the free columns that a stiffness pair reaches.  Its
+    pair-sized temporaries die before the set-up factorises."""
+    n, nf = ctx.num_scalar_nodes, free.size
+    col = np.empty(n, dtype=np.int64)
+    col[free], col[fixed] = np.arange(nf), np.arange(nf, n)
     nodes = ctx.cell_scalar_nodes  # (nt, 6)
-    rows, cols = np.repeat(nodes, 6, axis=1).ravel(), np.tile(nodes, 6).ravel()
-    r, cf, cb = ix[0, rows], ix[0, cols], ix[1, cols]
-    ff = (r >= 0) & (cf >= 0)
-    fb = (r >= 0) & (cb >= 0)
+    r = col[np.repeat(nodes, 6, axis=1).ravel()]
+    c = col[np.tile(nodes, 6).ravel()]
+    kept = r < nf
     # sorted keys are the entries of a canonical CSR pattern
-    keys, ff_of_pair = np.unique(r[ff] * nf + cf[ff], return_inverse=True)
-    bnd, fb_of_pair = np.unique(r[fb] * nb + cb[fb], return_inverse=True)
-    cell_map = np.full(r.size, keys.size + bnd.size, dtype=np.int32)
-    cell_map[ff] = ff_of_pair
-    cell_map[fb] = keys.size + fb_of_pair
-    stiff = np.tile(_STIFFNESS_PAIRS, nodes.shape[0])[ff]
-    coupled = np.bincount(ff_of_pair, stiff, minlength=keys.size) > 0
-    return (cell_map, _csr_pattern(keys, nf, nf), coupled,
-            _csr_pattern(bnd, nf, nb))
-
-
-def _csr_pattern(keys, rows, cols):
-    """``(indptr, indices)`` of the canonical CSR pattern whose entries
-    have the sorted row-major keys ``row * cols + col``."""
-    return np.searchsorted(keys, np.arange(rows + 1) * cols), keys % cols
+    keys, of_pair = np.unique(r[kept] * n + c[kept], return_inverse=True)
+    cell_map = np.full(r.size, keys.size, dtype=np.int32)
+    cell_map[kept] = of_pair
+    indptr, indices = np.searchsorted(keys, np.arange(nf + 1) * n), keys % n
+    stiff = np.tile(_STIFFNESS_PAIRS, nodes.shape[0])[kept]
+    coupled = ((np.bincount(of_pair, stiff, minlength=keys.size) > 0)
+               & (indices < nf))
+    return cell_map, (indptr, indices), coupled
 
 
 def _bordered_system(prep, z):
     """The complex velocity block ``A`` = K + i M_z and the reduced
     right-hand side at coefficient ``z``; ``A`` shares only the pattern of
     ``prep.velocity``."""
-    ctx, V, L = prep.spaces.context, prep.velocity, prep.lift
+    ctx, V = prep.spaces.context, prep.velocity
     m = np.bincount(prep.cell_map, _zmass_cells(ctx, z).ravel(),
-                    minlength=V.nnz + L.nnz + 1)
-    A = sp.csr_matrix((V.data + 1j * m[:V.nnz], V.indices, V.indptr),
-                      V.shape)
-    # the lift of the boundary values by the free-fixed part of K + i M_z
-    lift = sp.csr_matrix((L.data + 1j * m[V.nnz:-1], L.indices, L.indptr),
-                         L.shape) @ (prep.g_fixed @ [1.0, 1j])
+                    minlength=V.nnz + 1)
+    A = sp.csr_matrix((V.data + 1j * m[:-1], V.indices, V.indptr), V.shape)
+    # the lift of the boundary values by the fixed columns of K + i M_z
     nf = prep.free.size
+    w = np.zeros(V.shape[1], dtype=complex)
+    w[nf:] = prep.g_fixed @ [1.0, 1j]
+    lift = A @ w
     rhs = prep.rhs.copy()
     rhs[:nf] -= lift.real
     rhs[nf:2 * nf] -= lift.imag
@@ -339,7 +330,9 @@ def _apply_bordered(prep, A, x):
     BLAS thread serves)."""
     nf, m = A.shape[0], prep.spaces.context.p1_integrals
     u, p = x[:2 * nf], x[2 * nf:-1]
-    w = A @ (u[:nf] + 1j * u[nf:])
+    w = np.zeros(A.shape[1], dtype=complex)
+    w[:nf] = u[:nf] + 1j * u[nf:]
+    w = A @ w
     return np.concatenate([np.concatenate([w.real, w.imag]) + prep.Bt @ p,
                            prep.B @ u + x[-1] * m, [(m * p).sum()]])
 

@@ -282,7 +282,9 @@ _SPLU_OPTIONS = {"relax": 1, "panel_size": 5}
 
 
 def _factorise(K):
-    """Sparse LU of the upwind DG matrix ``K`` (CSC); returns ``solve(b)``.
+    """Sparse LU of the upwind DG matrix ``K`` (CSC); returns ``solve(b)``,
+    which raises :class:`LinearSolveFailure` when its answer is not finite
+    or leaves a residual above 1e-7 (||b|| + 1).
 
     Each cell is coupled only to its upwind neighbours.  With the cells
     ordered by the labels of the strongly connected components of that
@@ -314,22 +316,31 @@ def _factorise(K):
     # diagonal in the downstream-first order
     sweep = block_fill <= K.nnz and not np.any(
         labels[K.indices] > np.repeat(labels, np.diff(K.indptr)))
+    dofs = slice(None)  # the order of the unknowns the LU solves for
     try:
-        if not sweep:
-            return spla.splu(K, permc_spec="COLAMD", **_SPLU_OPTIONS).solve
-        dofs = np.argsort(labels, kind="stable").astype(np.int32)
-        inverse = np.empty_like(dofs)
-        inverse[dofs] = np.arange(dofs.size, dtype=np.int32)
-        A = K[:, dofs]
-        A = sp.csc_matrix((A.data, inverse[A.indices], A.indptr),
-                          shape=K.shape)
-        lu = spla.splu(A, permc_spec="NATURAL", **_SPLU_OPTIONS)
+        if sweep:
+            dofs = np.argsort(labels, kind="stable").astype(np.int32)
+            inverse = np.empty_like(dofs)
+            inverse[dofs] = np.arange(dofs.size, dtype=np.int32)
+            A = K[:, dofs]
+            A = sp.csc_matrix((A.data, inverse[A.indices], A.indptr),
+                              shape=K.shape)
+            lu = spla.splu(A, permc_spec="NATURAL", **_SPLU_OPTIONS)
+        else:
+            lu = spla.splu(K, permc_spec="COLAMD", **_SPLU_OPTIONS)
     except RuntimeError as exc:
         raise LinearSolveFailure(f"transport LU failed: {exc}") from exc
 
     def solve(b):
         z = np.empty_like(b)
         z[dofs] = lu.solve(b[dofs])
+        if not np.all(np.isfinite(z)):
+            raise LinearSolveFailure(
+                "transport solve produced non-finite values")
+        resid = fes._norm(K @ z - b)
+        if resid > 1e-7 * (fes._norm(b) + 1.0):
+            raise LinearSolveFailure(
+                f"transport residual {resid:.3e} above solver tolerance")
         return z
     return solve
 
@@ -419,14 +430,7 @@ def solve_transport(u, nu, alpha, rhs, datum, part, div_tol=None):
             f"datum's inflow edges on arc measure {mismatch:.3e}",
             stacklevel=2)
     b = _dg_load(ctx, fes.scalar_cell_values(rhs)) + load
-    z = _factorise(K)(b)
-    if not np.all(np.isfinite(z)):
-        raise LinearSolveFailure("transport solve produced non-finite values")
-    resid = fes._norm(K @ z - b)
-    if resid > 1e-7 * (fes._norm(b) + 1.0):
-        raise LinearSolveFailure(
-            f"transport residual {resid:.3e} above solver tolerance")
-    return space.new_field(z)
+    return space.new_field(_factorise(K)(b))
 
 
 class SignFunctionalReport(NamedTuple):

@@ -142,11 +142,11 @@ def stiffness_matrix(ctx, nu):
 
 
 def filled_coupling(prepared, z):
-    """What a Stokes solve fills into the complex velocity block at ``z``,
-    less its z = 0 template ``prepared.velocity``, in real form: D becomes
-    [[Re D, -Im D], [Im D, Re D]]."""
+    """What a Stokes solve fills into the free columns of the complex
+    velocity block at ``z``, less its z = 0 template ``prepared.velocity``,
+    in real form: D becomes [[Re D, -Im D], [Im D, Re D]]."""
     A, _ = stokes._bordered_system(prepared, z)
-    D = A - prepared.velocity
+    D = (A - prepared.velocity)[:, :prepared.free.size]
     return sp.bmat([[D.real, -D.imag], [D.imag, D.real]], format="csr")
 
 

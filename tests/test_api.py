@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -30,12 +31,18 @@ def test_deleted_stokes_assembly_not_exported(name):
         assert not hasattr(mod, name)
 
 
-@pytest.mark.parametrize("cls,name", [
+@pytest.mark.parametrize("owner,name", [
     (stokes.StokesEnergyReport, "skew"),
     (gradetwo.SpaceDescriptor, "zero_mean"),
-    (gradetwo.InflowDatum, "variant")])
-def test_unread_fields_removed(cls, name):
-    names = getattr(cls, "_fields", None) or [
-        f.name for f in dataclasses.fields(cls)]
+    (gradetwo.InflowDatum, "variant"),
+    (stokes.PreparedStokes, "lift"),
+    (gradetwo.uniqueness_probe, "start_scale")])
+def test_unread_fields_removed(owner, name):
+    """No field of a record, and no argument of a function, that no
+    caller reads."""
+    if inspect.isfunction(owner):
+        names = inspect.signature(owner).parameters
+    else:
+        names = getattr(owner, "_fields", None) or [
+            f.name for f in dataclasses.fields(owner)]
     assert name not in names
-

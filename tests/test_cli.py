@@ -482,7 +482,9 @@ def test_mms_honours_solver_max_iter(tmp_path):
     text = MMS_CFG.replace("mode = stokes", "mode = coupled") + \
         "\n[solver]\nmax_iter = 1\n"
     cfg = write_cfg(tmp_path, text, out=str(tmp_path / "out"))
-    assert cli.main(["mms", "--config", cfg]) == 0
+    # failed levels exit 2, as a solve that does not converge, and the
+    # table is still written
+    assert cli.main(["mms", "--config", cfg]) == 2
     lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
     levels = [ln.split(",") for ln in lines[2:] if ln.startswith("level,")]
     assert [row[1] for row in levels] == ["4", "8", "16"]

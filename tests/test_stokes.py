@@ -191,9 +191,10 @@ def test_stiffness_skips_vertex_opposite_midpoint_pairs():
     """A vertex and the midpoint of its opposite edge share no stiffness
     (the integral of grad phi_i . grad phi_{3+i} vanishes on every cell):
     the cell blocks hold an exact 0 at such a pair, the velocity block
-    stores every free-free cell pair and an exact 0 at those pairs, the
-    velocity LU is taken on the stiffness's own free-free pattern, without
-    those pairs, and it fills less than on the free-free block with them."""
+    stores every cell pair in a free row, the free columns first, and an
+    exact 0 at those pairs, the velocity LU is taken on the stiffness's
+    own free-free pattern, without those pairs, and it fills less than on
+    the free-free block with them."""
     sp_ = spaces.build_spaces(perturbed_square(12, 5))
     ctx = sp_.context
     nt = ctx.mesh.num_triangles
@@ -210,20 +211,24 @@ def test_stiffness_skips_vertex_opposite_midpoint_pairs():
     assert K.nnz == every_pair.nnz - opposite.nnz == every_pair.nnz - 6 * nt
 
     prepared = stokes.prepare_generalized_stokes(sp_, 0.7, ZERO_V, ZERO_V)
-    free = prepared.free
+    free, nf = prepared.free, prepared.free.size
     V = prepared.velocity
-    pairs_ff = every_pair[free][:, free]
-    pairs_ff.sort_indices()
-    assert np.array_equal(V.indptr, pairs_ff.indptr)
-    assert np.array_equal(V.indices, pairs_ff.indices)
-    assert abs(V).multiply(opposite[free][:, free]).count_nonzero() == 0
+    # the free rows over every node, the free columns first
+    columns = np.r_[free, prepared.fixed]
+    pairs = every_pair[free][:, columns]
+    pairs.sort_indices()
+    assert np.array_equal(V.indptr, pairs.indptr)
+    assert np.array_equal(V.indices, pairs.indices)
+    assert abs(V).multiply(opposite[free][:, columns]).count_nonzero() == 0
     dots = np.einsum("tkd,tld->tkl", ctx.grad_lambda,
                      ctx.grad_lambda).reshape(-1, 9)
     K_all = scalar_matrix(
         ctx, (0.7 * ctx.mesh.areas)[:, None]
         * np.einsum("tk,kj->tj", dots, stokes._STIFFNESS.reshape(9, 36)))
     K_all_ff = K_all[free][:, free]
-    assert abs(K_all_ff - V).max() <= 1e-15 * abs(K).max()
+    assert abs(K_all_ff - V[:, :nf]).max() <= 1e-15 * abs(K).max()
+    K_all_fb = K_all[free][:, prepared.fixed]
+    assert abs(K_all_fb - V[:, nf:]).max() <= 1e-15 * abs(K).max()
     # the column order and the fill of an LU depend on the pattern it reads
     lu_own = spla.splu(K[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
     assert np.array_equal(prepared.lu.perm_c, lu_own.perm_c)

@@ -163,33 +163,53 @@ def test_solve_factorises_only_the_transport_matrix(monkeypatch):
     assert callers == [transport.__name__]
 
 
-@pytest.mark.parametrize("shift, message", [
-    (1e-3, "transport residual"), (np.nan, "non-finite"),
-], ids=["perturbed", "nan"])
-def test_solve_checks_can_fail(mesh8, spaces8, monkeypatch, shift, message):
-    """A wrong or non-finite solve out of the LU is caught, not returned:
-    one dof of a solve whose exact answer is 2.5 shifted by 1e-3 or NaN."""
-    factorise = transport._factorise
+@pytest.mark.parametrize("solver, shift, message", [
+    ("transport", 1e-3, "transport residual"),
+    ("transport", np.nan, "non-finite"),
+    ("gradient", 1e-3, "transport residual"),
+    ("gradient", np.nan, "non-finite"),
+], ids=["perturbed", "nan", "gradient-perturbed", "gradient-nan"])
+def test_solve_checks_can_fail(mesh8, spaces8, monkeypatch, solver, shift,
+                               message):
+    """A wrong or non-finite solve out of the LU is caught, not returned,
+    by either transport solver: one dof of each LU solve shifted by 1e-3 or
+    NaN, where the exact answers are constants (z = 2.5; F = (0, 0.7))."""
+    u = spaces.interpolate(UNIFORM, spaces8.velocity)
+    if solver == "transport":
+        part = meshes.classify_boundary(mesh8, UNIFORM, 1.0)
+        datum = transport.build_inflow_datum(mesh8, "P_II",
+                                             lambda x, y: 2.5, UNIFORM, part)
+        rhs = spaces.interpolate(lambda x, y: 2.5, spaces8.vorticity)
+        exact = [2.5]
 
-    def spoiled(K):
-        solve = factorise(K)
+        def run():
+            z = transport.solve_transport(u, 1.0, 1.0, rhs, datum, part)
+            return [z.coefficients]
+    else:
+        part = meshes.classify_boundary(mesh8, UNIFORM, 0.5)
+        l = spaces.interpolate(lambda x, y: 0.7 * y, spaces8.vorticity)
+        exact = [0.0, 0.7]
 
-        def spoiled_solve(b):
-            z = solve(b)
+        def run():
+            res = transport.solve_gradient_transport(u, 0.5, l, part)
+            return [res.fx.coefficients, res.fy.coefficients]
+    for got, value in zip(run(), exact):
+        assert np.abs(got - value).max() < 1e-12
+    splu = spla.splu
+
+    class SpoiledLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            z = self.lu.solve(b)
             z[0] += shift
             return z
-        return spoiled_solve
 
-    u = spaces.interpolate(UNIFORM, spaces8.velocity)
-    part = meshes.classify_boundary(mesh8, UNIFORM, 1.0)
-    datum = transport.build_inflow_datum(mesh8, "P_II", lambda x, y: 2.5,
-                                         UNIFORM, part)
-    rhs = spaces.interpolate(lambda x, y: 2.5, spaces8.vorticity)
-    z = transport.solve_transport(u, 1.0, 1.0, rhs, datum, part)
-    assert np.abs(z.coefficients - 2.5).max() < 1e-12
-    monkeypatch.setattr(transport, "_factorise", spoiled)
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: SpoiledLU(
+        splu(*args, **kwargs)))
     with pytest.raises(LinearSolveFailure, match=message):
-        transport.solve_transport(u, 1.0, 1.0, rhs, datum, part)
+        run()
 
 
 def test_inflow_mismatch_warning(mesh16, spaces16):
